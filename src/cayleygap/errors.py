@@ -24,7 +24,7 @@ class SpecParseError(CayleyGapError):
 
 
 class ConvergenceError(CayleyGapError):
-    """The eigensolver failed to converge within its sweep cap."""
+    """The eigensolver failed to converge within its round cap."""
 
 
 class DisconnectedGraphError(CayleyGapError):

@@ -119,7 +119,7 @@ def test_full_report_z6_bipartite_rows():
         assert row.reason == "bipartite"
         assert row.margin is None
     assert _row(report, "cheeger_buser_lower").status == "pass"
-    assert _row(report, "dual_cheeger_lower").margin == 0.0
+    assert _row(report, "dual_cheeger_lower").margin == pytest.approx(0.0, abs=1e-12)
     assert _row(report, "proof_pipeline").status == "pass"
     assert report.tightness is None
     assert report.trace is not None and report.trace.succeeded

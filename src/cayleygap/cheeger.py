@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .cayley import CayleyGraph, mask_members
+from .cayley import CayleyGraph, mask_members, right_translate
 from .errors import CapExceededError
+from .groups import FiniteGroup
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -71,12 +72,60 @@ def _zero_ratio_witness(nbr_masks: Sequence[int], n: int) -> int | None:
     return min(comps, key=lambda c: (c.bit_count(), c))
 
 
-def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
+def _translate_minimiser(
+    group: FiniteGroup | None, n: int
+) -> Callable[[int, int], int]:
+    """Return smallest(a, bound) = min(bound, min over g of a·g).
+
+    The minimum runs over the right translates a·g of the vertex set a, or
+    over a alone when group is None. With a group, a must contain vertex 0
+    (the identity). A translate can only beat `bound` if every x·g (x in a)
+    lies below the top bit of `bound`: that rules out every g at or above it
+    (0·g = g), and a is tested against out[g] = {x : x·g at or above that
+    bit} before a·g is formed. Each out table is built once per top bit.
+    """
+    if group is None:
+        return min
+    full = (1 << n) - 1
+    outs: dict[int, list[int]] = {}
+
+    def smallest(a: int, bound: int) -> int:
+        top = bound.bit_length()
+        out = outs.get(top)
+        if out is None:
+            high = full & ~((1 << top) - 1)
+            out = outs[top] = [
+                right_translate(group, high, group.inv[g]) for g in range(top)
+            ]
+        for g in range(top):
+            if not a & out[g]:
+                img = right_translate(group, a, g)
+                if img < bound:
+                    bound = img
+        return bound
+
+    return smallest
+
+
+# Both searches below enumerate sets in the same depth-first order and prune
+# a subtree only when even its best completion has a strictly worse ratio.
+# With a group, right translation x -> x·g is a graph automorphism, so every
+# set has a translate containing vertex 0 (the identity) with the same size
+# and ratio: only those sets are enumerated, and the incumbent mask is kept
+# as the smallest right translate of the best rooted set found so far. The
+# result is the (ratio, size, mask) minimum over all admissible sets either
+# way. group=None enumerates every set (arbitrary masks, no automorphisms).
+
+
+def _vertex_search(
+    nbr_masks: Sequence[int], n: int, group: FiniteGroup | None
+) -> tuple[int, int, int]:
     """Minimise |delta(A)|/|A|; returns (boundary, size, mask)."""
     full = (1 << n) - 1
     kcap = n // 2
     below = [(1 << u) - 1 for u in range(n + 1)]
     masks = list(nbr_masks)
+    smallest = _translate_minimiser(group, n)
     best_num, best_size, best_mask = n + 1, 1, 0   # worse than any candidate
 
     def extend(start: int, mask: int, size: int, nbr: int) -> None:
@@ -97,11 +146,10 @@ def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
             num2 = (nbr2 & ~mask2 & full).bit_count()
             lhs = num2 * bs
             rhs = bn * size2
-            if lhs < rhs or (
-                lhs == rhs
-                and (size2 < bs or (size2 == bs and mask2 < best_mask))
-            ):
-                best_num, best_size, best_mask = num2, size2, mask2
+            if lhs < rhs or (lhs == rhs and size2 <= bs):
+                tie = lhs == rhs and size2 == bs
+                best_mask = smallest(mask2, best_mask if tie else mask2)
+                best_num, best_size = num2, size2
                 bn, bs = num2, size2
             if size2 < kcap and u + 1 < n:
                 kmax = size2 + (n - u - 1)
@@ -116,23 +164,36 @@ def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
                     bn, bs = best_num, best_size
         return
 
-    extend(0, 0, 0, 0)
+    if group is None:
+        extend(0, 0, 0, 0)
+    else:
+        best_num, best_size, best_mask = (masks[0] & ~1).bit_count(), 1, 1
+        if kcap > 1:
+            extend(1, 1, 1, masks[0])
     return best_num, best_size, best_mask
 
 
-def _edge_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
-    """Minimise |E(A, A^c)|/|A| (the d divisor is constant); returns
-    (crossing, size, mask)."""
-    full = (1 << n) - 1
+def _crossing_search(
+    rows: Sequence[tuple[tuple[int, int], ...]], n: int, group: FiniteGroup | None
+) -> tuple[int, int, int]:
+    """Minimise the weighted crossing count w(A, A^c)/|A| over
+    1 <= |A| <= n//2; returns (crossing, size, mask).
+
+    rows[u] is a tuple of (weight, neighbour-mask) layers: u and y are joined
+    by an edge of weight w for each layer of weight w whose mask holds y.
+    Loops (bit u in rows[u]) never cross. Unit weights in one layer give the
+    edge Cheeger count |E(A, A^c)|.
+    """
     kcap = n // 2
-    below = [(1 << u) - 1 for u in range(n + 1)]
-    masks = list(nbr_masks)
-    max_num = n * max(m.bit_count() for m in masks) + 1
-    best_num, best_size, best_mask = max_num, 1, 0
+    # deg[u]: weight from u to every other vertex; low[u]: to vertices below u.
+    deg = [sum(w * (m & ~(1 << u)).bit_count() for w, m in rows[u]) for u in range(n)]
+    low = [sum(w * (m & ((1 << u) - 1)).bit_count() for w, m in rows[u]) for u in range(n)]
+    smallest = _translate_minimiser(group, n)
+    best_num, best_size, best_mask = sum(deg) + 1, 1, 0
 
     def extend(start: int, mask: int, size: int, eb: int, pe: int) -> None:
-        # eb: crossing count of `mask`; pe: crossings between `mask` and
-        # vertices already passed over (they can never join A).
+        # eb: crossing weight of `mask`; pe: crossing weight between `mask`
+        # and vertices already passed over (they can never join A).
         nonlocal best_num, best_size, best_mask
         bn, bs = best_num, best_size
         pe_run = pe
@@ -142,33 +203,51 @@ def _edge_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
                 kmax_loop = kcap
             if pe_run * bs > bn * kmax_loop:
                 break
-            nm_u = masks[u]
+            inner = 0   # weight between u and `mask`, which lies below u
+            for w, m in rows[u]:
+                inner += w * (m & mask).bit_count()
             mask2 = mask | (1 << u)
-            inner = (nm_u & mask).bit_count()
-            outer = (nm_u & ~mask2 & full).bit_count()
-            eb2 = eb - inner + outer
+            eb2 = eb + deg[u] - 2 * inner
             size2 = size + 1
             lhs = eb2 * bs
             rhs = bn * size2
-            if lhs < rhs or (
-                lhs == rhs
-                and (size2 < bs or (size2 == bs and mask2 < best_mask))
-            ):
-                best_num, best_size, best_mask = eb2, size2, mask2
+            if lhs < rhs or (lhs == rhs and size2 <= bs):
+                tie = lhs == rhs and size2 == bs
+                best_mask = smallest(mask2, best_mask if tie else mask2)
+                best_num, best_size = eb2, size2
                 bn, bs = eb2, size2
             if size2 < kcap and u + 1 < n:
                 kmax = size2 + (n - u - 1)
                 if kmax > kcap:
                     kmax = kcap
-                pe2 = pe_run + (nm_u & below[u] & ~mask).bit_count()
+                pe2 = pe_run + low[u] - inner
                 if pe2 * bs <= bn * kmax:
                     extend(u + 1, mask2, size2, eb2, pe2)
                     bn, bs = best_num, best_size
             pe_run += inner
         return
 
-    extend(0, 0, 0, 0, 0)
+    if group is None:
+        extend(0, 0, 0, 0, 0)
+    else:
+        best_num, best_size, best_mask = deg[0], 1, 1
+        if kcap > 1:
+            extend(1, 1, 1, deg[0], 0)
     return best_num, best_size, best_mask
+
+
+def _vertex_certificate(
+    nbr_masks: Sequence[int], n: int, group: FiniteGroup | None, max_exact: int
+) -> CheegerCertificate:
+    if n > max_exact:
+        raise CapExceededError("max_exact", max_exact, n)
+    if n < 2:
+        raise ValueError("no admissible sets: need n >= 2")
+    zero = _zero_ratio_witness(nbr_masks, n)
+    if zero is not None and zero.bit_count() <= n // 2:
+        return CheegerCertificate("vertex", Fraction(0), mask_members(zero))
+    num, size, mask = _vertex_search(nbr_masks, n, group)
+    return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
 
 
 def vertex_cheeger_from_masks(
@@ -178,19 +257,11 @@ def vertex_cheeger_from_masks(
 
     Loops (self bits) are allowed and never contribute boundary.
     """
-    if n > max_exact:
-        raise CapExceededError("max_exact", max_exact, n)
-    if n < 2:
-        raise ValueError("no admissible sets: need n >= 2")
-    zero = _zero_ratio_witness(nbr_masks, n)
-    if zero is not None and zero.bit_count() <= n // 2:
-        return CheegerCertificate("vertex", Fraction(0), mask_members(zero))
-    num, size, mask = _vertex_search(nbr_masks, n)
-    return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
+    return _vertex_certificate(nbr_masks, n, None, max_exact)
 
 
 def vertex_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
-    return vertex_cheeger_from_masks(graph.nbr_masks, graph.n, max_exact=max_exact)
+    return _vertex_certificate(graph.nbr_masks, graph.n, graph.group, max_exact)
 
 
 def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
@@ -202,12 +273,19 @@ def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> C
     zero = _zero_ratio_witness(graph.nbr_masks, n)
     if zero is not None and zero.bit_count() <= n // 2:
         return CheegerCertificate("edge", Fraction(0), mask_members(zero))
-    num, size, mask = _edge_search(graph.nbr_masks, n)
+    rows = [((1, m),) for m in graph.nbr_masks]
+    num, size, mask = _crossing_search(rows, n, graph.group)
     return CheegerCertificate("edge", Fraction(num, d * size), mask_members(mask))
 
 
 def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> CheegerCertificate:
-    """Exact dual Cheeger constant with the canonical first-maximiser witness."""
+    """Exact dual Cheeger constant with the canonical first-maximiser witness.
+
+    Only pairs with the identity (vertex 0) in V1 are enumerated: translating
+    any maximiser so that one of its vertices lands on 0, and swapping V1 and
+    V2 if needed, gives one with 0 in V1, and the V1 branch of vertex 0 comes
+    first in the full enumeration order, so the first maximiser is the same.
+    """
     n, d = graph.n, graph.d
     if n > max_dual:
         raise CapExceededError("max_dual", max_dual, n)
@@ -236,7 +314,7 @@ def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> Che
             assign(v + 1, m1, m2 | bit, n1, n2 + 1, cross + (nm & m1).bit_count())
         assign(v + 1, m1, m2, n1, n2, cross)
 
-    assign(0, 0, 0, 0, 0, 0)
+    assign(1, 1, 0, 1, 0, 0)
     value = Fraction(2 * best_cross, d * best_m)
     pair = (mask_members(best_pair[0]), mask_members(best_pair[1]))
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)

@@ -231,10 +231,12 @@ def _cmd_subgroups(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, i
     return "\n".join(lines) + "\n", 0
 
 
-def _forced_banner(graph: CayleyGraph, zeta: Fraction | None) -> None:
-    if zeta is None:
+def _forced_banner(graph: CayleyGraph, zeta: Fraction | None, max_exact: int) -> None:
+    # Over the cap there is no h to compare with; the report's rows carry
+    # the cap reason instead.
+    if zeta is None or graph.n > max_exact:
         return
-    h = vertex_cheeger(graph).value
+    h = vertex_cheeger(graph, max_exact=max_exact).value
     if h > 0:
         ceiling = zeta_max(h, graph.d)
         if zeta > ceiling:
@@ -305,7 +307,7 @@ def _trace_text(trace_dict: dict) -> str:
 
 def _cmd_proof(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
     zeta = _parse_zeta(args.zeta)
-    _forced_banner(graph, zeta)
+    _forced_banner(graph, zeta, args.max_exact)
     trace = run_pipeline(graph, zeta, max_exact=args.max_exact)
     trace_dict = trace_json_dict(trace)
     if trace.hypothesis_met and not trace.succeeded and not trace.out_of_regime:
@@ -345,7 +347,7 @@ def _cmd_proof(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_verify(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
     zeta = _parse_zeta(args.zeta)
-    _forced_banner(graph, zeta)
+    _forced_banner(graph, zeta, args.max_exact)
     report = full_report(
         graph, tol=args.tol, max_exact=args.max_exact, max_dual=args.max_dual,
         zeta=zeta,

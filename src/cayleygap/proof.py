@@ -37,7 +37,12 @@ from .cayley import (
     set_image,
     square_multiset,
 )
-from .cheeger import MAX_EXACT_DEFAULT, connected_components, vertex_cheeger
+from .cheeger import (
+    MAX_EXACT_DEFAULT,
+    _crossing_search,
+    connected_components,
+    vertex_cheeger,
+)
 from .errors import CapExceededError
 from .spectral import SpectralSummary, spectrum
 from .subgroups import index2_subgroups
@@ -120,82 +125,29 @@ def make_parameters(eps: Fraction, d: int, zeta: Fraction | float) -> ProofParam
 def _support_adjacency(
     ms: MultisetGenerators, n: int
 ) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """Neighbor masks and weighted (neighbor, multiplicity) lists of the
-    support graph of S'. Loops (the identity, present with multiplicity >= d)
-    are kept in the masks but carry no crossing weight."""
-    mult = ms.group.mult
-    masks = [0] * n
-    pairs: list[tuple[tuple[int, int], ...]] = []
-    support = sorted(ms.counts)
-    for x in range(n):
-        acc = 0
-        lst = []
-        for g in support:
-            y = mult[g][x]
-            acc |= 1 << y
-            if y != x:
-                lst.append((y, ms.counts[g]))
-        masks[x] = acc
-        pairs.append(tuple(lst))
-    return masks, pairs
+    """Neighbor masks and weighted rows of the support graph of S'.
 
-
-def _weighted_edge_search(
-    pairs: list[tuple[tuple[int, int], ...]], n: int
-) -> tuple[int, int, int]:
-    """Minimise the weighted crossing sum over 1 <= |A| <= n//2.
-
-    Same enumeration order, pruning logic, and (ratio, size, mask) tie-break
-    as the unweighted engine, with popcounts replaced by weight sums.
+    The rows are the (multiplicity, neighbor-mask) layers `_crossing_search`
+    takes, one layer per multiplicity of the non-identity elements of S'.
+    The identity (multiplicity >= d) gives loops, which carry no crossing
+    weight and are left out of both.
     """
-    kcap = n // 2
-    total = sum(w for lst in pairs for _, w in lst)
-    best_num, best_size, best_mask = total + 1, 1, 0
-
-    def cross(u: int, mask: int) -> int:
-        return sum(w for y, w in pairs[u] if (mask >> y) & 1)
-
-    def extend(start: int, mask: int, size: int, eb: int, pe: int) -> None:
-        nonlocal best_num, best_size, best_mask
-        bn, bs = best_num, best_size
-        pe_run = pe
-        for u in range(start, n):
-            kmax_loop = size + (n - u)
-            if kmax_loop > kcap:
-                kmax_loop = kcap
-            if pe_run * bs > bn * kmax_loop:
-                break
-            mask2 = mask | (1 << u)
-            inner = cross(u, mask)
-            outer = sum(w for y, w in pairs[u] if not (mask2 >> y) & 1)
-            eb2 = eb - inner + outer
-            size2 = size + 1
-            lhs = eb2 * bs
-            rhs = bn * size2
-            if lhs < rhs or (
-                lhs == rhs
-                and (size2 < bs or (size2 == bs and mask2 < best_mask))
-            ):
-                best_num, best_size, best_mask = eb2, size2, mask2
-                bn, bs = eb2, size2
-            if size2 < kcap and u + 1 < n:
-                kmax = size2 + (n - u - 1)
-                if kmax > kcap:
-                    kmax = kcap
-                below_u = (1 << u) - 1
-                pe2 = pe_run + sum(
-                    w
-                    for y, w in pairs[u]
-                    if (below_u >> y) & 1 and not (mask >> y) & 1
-                )
-                if pe2 * bs <= bn * kmax:
-                    extend(u + 1, mask2, size2, eb2, pe2)
-                    bn, bs = best_num, best_size
-            pe_run += inner
-        return
-
-    extend(0, 0, 0, 0, 0)
-    return best_num, best_size, best_mask
+    mult = ms.group.mult
+    by_count: dict[int, list[int]] = {}
+    for g in sorted(ms.counts):
+        if g != ms.group.identity:
+            by_count.setdefault(ms.counts[g], []).append(g)
+    layers = sorted(by_count.items())
+    masks = []
+    rows = []
+    for x in range(n):
+        row = tuple((w, mask_of(mult[g][x] for g in elems)) for w, elems in layers)
+        acc = 0
+        for _, m in row:
+            acc |= m
+        masks.append(acc)
+        rows.append(row)
+    return masks, rows
 
 
 @dataclass(frozen=True)
@@ -233,7 +185,7 @@ def find_candidate_set(
     if not t_min < -1.0 + params.zeta:
         return CandidateReport(False, t_min, gap)
     ms = square_multiset(graph.gens, graph.group)
-    masks, pairs = _support_adjacency(ms, n)
+    masks, rows = _support_adjacency(ms, n)
     comps = connected_components(masks, n)
     if len(comps) > 1:
         # Components are cosets of the subgroup generated by the support, so
@@ -243,7 +195,7 @@ def find_candidate_set(
         if 2 * size > n:
             raise AssertionError("component larger than half the graph")
     else:
-        _, size, a_mask = _weighted_edge_search(pairs, n)
+        _, size, a_mask = _crossing_search(rows, n, graph.group)
     excess = multiset_image_excess(ms, a_mask)
     ratio_ok = excess.weighted < params.beta * size
     return CandidateReport(
@@ -632,6 +584,28 @@ def disjointness_check(
 # Large-set expansion check
 
 
+def _image_tables(nbr_masks: tuple[int, ...], n: int) -> list[list[int]]:
+    """Per-byte lookup tables for S·A: tables[c][b] is the union of the
+    neighbor masks of the vertices 8c + i over the bits i of the byte b."""
+    tables = []
+    for c in range(0, n, 8):
+        nbr = list(nbr_masks[c:c + 8]) + [0] * (c + 8 - n)
+        table = [0] * 256
+        for b in range(1, 256):
+            table[b] = table[b & (b - 1)] | nbr[(b & -b).bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _table_image(tables: list[list[int]], mask: int) -> int:
+    """Bitmask of S·A from the tables of `_image_tables`; equals set_image."""
+    img = 0
+    for table in tables:
+        img |= table[mask & 255]
+        mask >>= 8
+    return img
+
+
 @dataclass(frozen=True)
 class ExpansionWitness:
     a_set: tuple[int, ...]
@@ -668,12 +642,10 @@ def large_set_expansion_check(
     n = graph.n
     full = graph.full_mask
     d = graph.d
-    if eps is None:
-        eps = vertex_cheeger(graph, max_exact=max_exact).value
-    eps = Fraction(eps)
+    h = vertex_cheeger(graph, max_exact=max_exact).value
+    eps = h if eps is None else Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    h = vertex_cheeger(graph, max_exact=max_exact).value
     if eps > h:
         raise ValueError(
             f"eps = {eps} exceeds the exact expansion constant h = {h}"
@@ -693,10 +665,11 @@ def large_set_expansion_check(
     internal_ok = True
     main_worst: tuple[int, int] | None = None      # (slack, mask)
     internal_worst: tuple[int, int] | None = None
+    tables = _image_tables(graph.nbr_masks, n)
     for mask in candidates:
         comp = ~mask & full
-        exc = (set_image(graph, mask) & comp).bit_count() if mask else 0
-        exc_c = (set_image(graph, comp) & mask).bit_count() if comp else 0
+        exc = (_table_image(tables, mask) & comp).bit_count()
+        exc_c = (_table_image(tables, comp) & mask).bit_count()
         islack = d * exc - exc_c
         if islack < 0:
             internal_ok = False

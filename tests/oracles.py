@@ -118,6 +118,22 @@ def naive_weighted_edge_min(pairs, n: int) -> tuple[int, int, int]:
     return best
 
 
+def support_pairs(graph: CayleyGraph) -> list[tuple[tuple[int, int], ...]]:
+    """(neighbor, multiplicity) lists of the support graph of S' = S·S,
+    counted straight from the generator pairs (s, t), loops dropped."""
+    mult = graph.group.mult
+    out = []
+    for x in range(graph.n):
+        counts: dict[int, int] = {}
+        for s in graph.gens.elements:
+            for t in graph.gens.elements:
+                y = mult[mult[s][t]][x]
+                if y != x:
+                    counts[y] = counts.get(y, 0) + 1
+        out.append(tuple(sorted(counts.items())))
+    return out
+
+
 def circulant_t(n: int, gens) -> list[float]:
     """Closed-form normalised adjacency spectrum of a cyclic-group graph:
     t_k = (1/d) sum_{s in S} cos(2 pi k s / n)."""

@@ -1,26 +1,32 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cayleygap import (
     CapExceededError,
+    GeneratingSetError,
     bauer_jost_check,
     build,
+    build_graph,
     cheeger_buser_check,
     dual_cheeger,
     edge_boundary_count,
     edge_cheeger,
     expansion_check,
     from_cyclic,
+    from_dihedral,
+    from_direct_product,
     mask_members,
     mask_of,
+    square_multiset,
     vertex_boundary,
     vertex_cheeger,
     vertex_cheeger_from_masks,
     vertex_edge_relation_check,
 )
-from cayleygap.cheeger import connected_components
+from cayleygap.cheeger import _crossing_search, connected_components
+from cayleygap.proof import _support_adjacency
 
 import families
 import oracles
@@ -154,13 +160,68 @@ def test_edge_engine_matches_oracle(member):
     assert cert.witness == witness
 
 
-@pytest.mark.parametrize("member", families.small(9), ids=lambda m: m.name)
+@pytest.mark.parametrize("member", families.small(10), ids=lambda m: m.name)
 def test_dual_engine_matches_oracle(member):
     graph = families.graph_of(member)
     value, pair = oracles.naive_dual_cheeger(graph)
     cert = dual_cheeger(graph)
     assert cert.value == value
     assert cert.witness_pair == pair
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_rooted_witnesses_on_complete_graphs(n):
+    # Every half-size set ties in both searches, so the witness is the
+    # smallest translate over thousands of tied rooted optima.
+    graph = build_graph(f"cyclic:{n}", ",".join(str(s) for s in range(1, n)))
+    vert = vertex_cheeger(graph)
+    assert (vert.value, vert.witness) == oracles.naive_vertex_cheeger(
+        graph.nbr_masks, n
+    )
+    edge = edge_cheeger(graph)
+    assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
+
+
+_SMALL_GROUPS = (
+    [from_cyclic(n) for n in range(2, 13)]
+    + [from_dihedral(m) for m in range(3, 7)]
+    + [
+        from_direct_product(from_cyclic(a), from_cyclic(b))
+        for a, b in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (2, 6), (3, 4))
+    ]
+    + [from_direct_product(from_direct_product(from_cyclic(2), from_cyclic(2)), from_cyclic(2))]
+)
+
+
+@st.composite
+def _small_cayley_graphs(draw):
+    """A group of order <= 12 with a random symmetric generating set, which
+    may contain the identity (a loop)."""
+    group = draw(st.sampled_from(_SMALL_GROUPS))
+    picks = draw(st.sets(st.integers(0, group.order - 1), min_size=1))
+    try:
+        return build(group, picks | {group.inv[s] for s in picks})
+    except GeneratingSetError:
+        assume(False)
+
+
+@settings(max_examples=60)
+@given(_small_cayley_graphs())
+def test_rooted_searches_match_oracles(graph):
+    n = graph.n
+    vert = vertex_cheeger(graph)
+    assert (vert.value, vert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
+    # The same masks without the group run the engine unrooted.
+    assert vertex_cheeger_from_masks(graph.nbr_masks, n) == vert
+    edge = edge_cheeger(graph)
+    assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
+    _, rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
+    assert _crossing_search(rows, n, graph.group) == weighted
+    assert _crossing_search(rows, n, None) == weighted
+    if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
+        dual = dual_cheeger(graph)
+        assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)

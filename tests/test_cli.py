@@ -110,6 +110,24 @@ def test_proof_forced_banner(capsys):
     assert "succeeded: False" in out.out
 
 
+def test_verify_forced_banner_honours_max_exact(capsys):
+    code = main(["verify", "--group", "cyclic:26", "--gens", "±1",
+                 "--zeta", "1/1000000", "--max-exact", "30"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert "forced mode" in out.err
+    assert "h = 2/13" in out.out
+
+
+def test_verify_forced_over_cap_prints_skipped_rows(capsys):
+    code = main(["verify", "--group", "cyclic:26", "--gens", "±1",
+                 "--zeta", "1/1000000"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert out.err == ""
+    assert "skipped  (cap:max_exact=24,needed=26)" in out.out
+
+
 def test_proof_zeta_fraction(capsys):
     code = main(["proof", "--group", "cyclic:6", "--gens", "±1",
                  "--zeta", "1/1492992"])

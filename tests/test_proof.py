@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import cayleygap.proof
 from cayleygap import (
     CapExceededError,
     agreement_set_bounds_check,
@@ -17,13 +18,15 @@ from cayleygap import (
     make_parameters,
     mask_of,
     run_pipeline,
+    set_image,
     set_property_check,
     square_multiset,
     translate_profile,
     zeta_max,
     zeta_max_candidate,
 )
-from cayleygap.proof import _support_adjacency, _weighted_edge_search
+from cayleygap.cheeger import _crossing_search
+from cayleygap.proof import _image_tables, _support_adjacency, _table_image
 
 import families
 import oracles
@@ -127,21 +130,22 @@ WEIGHTED_MINIMA = {
 }
 
 
+def _weighted_search(graph):
+    ms = square_multiset(graph.gens, graph.group)
+    _, rows = _support_adjacency(ms, graph.n)
+    return _crossing_search(rows, graph.n, graph.group)
+
+
 @pytest.mark.parametrize("key", sorted(WEIGHTED_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
 def test_weighted_search_frozen(key):
-    graph = _graph(*key)
-    ms = square_multiset(graph.gens, graph.group)
-    _, pairs = _support_adjacency(ms, graph.n)
-    assert _weighted_edge_search(pairs, graph.n) == WEIGHTED_MINIMA[key]
+    assert _weighted_search(_graph(*key)) == WEIGHTED_MINIMA[key]
 
 
 @pytest.mark.parametrize("member", families.small(10), ids=lambda m: m.name)
 def test_weighted_search_matches_oracle(member):
     graph = families.graph_of(member)
-    ms = square_multiset(graph.gens, graph.group)
-    _, pairs = _support_adjacency(ms, graph.n)
-    assert _weighted_edge_search(pairs, graph.n) == oracles.naive_weighted_edge_min(
-        pairs, graph.n
+    assert _weighted_search(graph) == oracles.naive_weighted_edge_min(
+        oracles.support_pairs(graph), graph.n
     )
 
 
@@ -360,6 +364,33 @@ def test_large_set_expansion_rejects_negative_eps():
 def test_large_set_expansion_family(member):
     rep = large_set_expansion_check(families.graph_of(member))
     assert rep.ok
+
+
+def test_large_set_expansion_default_eps_runs_one_h_search(monkeypatch):
+    calls = []
+    real = cayleygap.proof.vertex_cheeger
+
+    def counting(graph, **kwargs):
+        calls.append(graph.n)
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(cayleygap.proof, "vertex_cheeger", counting)
+    rep = large_set_expansion_check(Z6)
+    assert rep.eps == Fraction(2, 3)
+    assert calls == [6]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("cyclic:13", "±1,±2"), ("dihedral:5", "auto"), ("symmetric:4", "auto")],
+    ids=lambda k: f"{k[0]} {k[1]}",
+)
+@given(mask=st.integers(min_value=0, max_value=(1 << 24) - 1))
+def test_image_tables_match_set_image(spec, mask):
+    graph = _graph(*spec)
+    tables = _image_tables(graph.nbr_masks, graph.n)
+    for a in (mask & graph.full_mask, 0, graph.full_mask):
+        assert _table_image(tables, a) == set_image(graph, a)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,9 @@ def _translate_minimiser(
 # set has a translate containing vertex 0 (the identity) with the same size
 # and ratio: only those sets are enumerated, and the incumbent mask is kept
 # as the smallest right translate of the best rooted set found so far. The
-# result is the (ratio, size, mask) minimum over all admissible sets either
-# way. group=None enumerates every set (arbitrary masks, no automorphisms).
+# result is the (ratio, size, mask) minimum over all admissible sets. The
+# vertex search also takes group=None, which enumerates every set (arbitrary
+# masks from vertex_cheeger_from_masks, no automorphisms).
 
 
 def _vertex_search(
@@ -174,7 +175,7 @@ def _vertex_search(
 
 
 def _crossing_search(
-    rows: Sequence[tuple[tuple[int, int], ...]], n: int, group: FiniteGroup | None
+    rows: Sequence[tuple[tuple[int, int], ...]], n: int, group: FiniteGroup
 ) -> tuple[int, int, int]:
     """Minimise the weighted crossing count w(A, A^c)/|A| over
     1 <= |A| <= n//2; returns (crossing, size, mask).
@@ -189,7 +190,7 @@ def _crossing_search(
     deg = [sum(w * (m & ~(1 << u)).bit_count() for w, m in rows[u]) for u in range(n)]
     low = [sum(w * (m & ((1 << u) - 1)).bit_count() for w, m in rows[u]) for u in range(n)]
     smallest = _translate_minimiser(group, n)
-    best_num, best_size, best_mask = sum(deg) + 1, 1, 0
+    best_num, best_size, best_mask = deg[0], 1, 1   # the rooted set {0}
 
     def extend(start: int, mask: int, size: int, eb: int, pe: int) -> None:
         # eb: crossing weight of `mask`; pe: crossing weight between `mask`
@@ -227,12 +228,8 @@ def _crossing_search(
             pe_run += inner
         return
 
-    if group is None:
-        extend(0, 0, 0, 0, 0)
-    else:
-        best_num, best_size, best_mask = deg[0], 1, 1
-        if kcap > 1:
-            extend(1, 1, 1, deg[0], 0)
+    if kcap > 1:
+        extend(1, 1, 1, deg[0], 0)
     return best_num, best_size, best_mask
 
 

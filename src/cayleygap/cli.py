@@ -232,11 +232,13 @@ def _cmd_subgroups(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, i
 
 
 def _forced_banner(graph: CayleyGraph, zeta: Fraction | None, max_exact: int) -> None:
-    # Over the cap there is no h to compare with; the report's rows carry
-    # the cap reason instead.
-    if zeta is None or graph.n > max_exact:
+    if zeta is None:
         return
-    h = vertex_cheeger(graph, max_exact=max_exact).value
+    try:
+        h = vertex_cheeger(graph, max_exact=max_exact).value
+    except CapExceededError:
+        # No h to compare with; the report's rows carry the cap reason.
+        return
     if h > 0:
         ceiling = zeta_max(h, graph.d)
         if zeta > ceiling:

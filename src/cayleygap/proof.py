@@ -642,11 +642,14 @@ def large_set_expansion_check(
     n = graph.n
     full = graph.full_mask
     d = graph.d
+    if eps is not None:
+        eps = Fraction(eps)
+        if eps < 0:
+            raise ValueError("eps must be nonnegative")
     h = vertex_cheeger(graph, max_exact=max_exact).value
-    eps = h if eps is None else Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps > h:
+    if eps is None:
+        eps = h
+    elif eps > h:
         raise ValueError(
             f"eps = {eps} exceeds the exact expansion constant h = {h}"
         )

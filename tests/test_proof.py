@@ -380,6 +380,12 @@ def test_large_set_expansion_default_eps_runs_one_h_search(monkeypatch):
     assert calls == [6]
 
 
+def test_large_set_expansion_rejects_negative_eps_before_h_search():
+    # A negative eps is refused as such, even on a graph over max_exact.
+    with pytest.raises(ValueError, match="nonnegative"):
+        large_set_expansion_check(_graph("cyclic:26", "±1"), Fraction(-1, 2))
+
+
 @pytest.mark.parametrize(
     "spec",
     [("cyclic:13", "±1,±2"), ("dihedral:5", "auto"), ("symmetric:4", "auto")],

@@ -39,7 +39,7 @@ def scan_rows(specs: list[str]) -> list[dict]:
             if is_bipartite_spectral(summary):
                 continue
             h = vertex_cheeger(graph).value
-            check = main_bound_check(graph, h=h, summary=summary)
+            check = main_bound_check(graph)
             rows.append(
                 {
                     "graph": f"{single.label()} gens="
@@ -49,7 +49,7 @@ def scan_rows(specs: list[str]) -> list[dict]:
                     "h": str(h),
                     "lambda_n": f"{summary.lambda_max:.12f}",
                     "margin": f"{check.margin:.6g}",
-                    "tightness": f"{tightness_ratio(graph, h=h, summary=summary):.6g}",
+                    "tightness": f"{tightness_ratio(graph):.6g}",
                 }
             )
     return rows

@@ -8,11 +8,13 @@ bitmasks, which gives O(1) union/intersection/complement at any order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import GeneratingSetError, SpecParseError
 from .groups import FiniteGroup, parse_permutation
+
+_T = TypeVar("_T")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -88,12 +90,28 @@ def generating_set(group: FiniteGroup, elements: Iterable[int]) -> GeneratingSet
 
 @dataclass(frozen=True, eq=False)
 class CayleyGraph:
-    """d-regular graph on the group; a loop (identity in S) counts one half-edge."""
+    """d-regular graph on the group; a loop (identity in S) counts one half-edge.
+
+    The graph is immutable, so quantities derived from it (exact Cheeger
+    constants, the spectrum, the index-2 subgroups) are computed once per
+    graph object and kept in its memo.
+    """
 
     group: FiniteGroup
     gens: GeneratingSet
     neighbors: tuple[tuple[int, ...], ...]
     nbr_masks: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key: object, compute: Callable[[], _T]) -> _T:
+        """compute() on the first call for key, the stored value afterwards.
+
+        A compute() that raises stores nothing, so callers keep their cap
+        tests in front of the lookup and a failed call is retried.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def n(self) -> int:

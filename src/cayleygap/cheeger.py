@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 from .cayley import CayleyGraph, mask_members, right_translate
 from .errors import CapExceededError
 from .groups import FiniteGroup
+from .spectral import spectrum
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -233,13 +234,16 @@ def _crossing_search(
     return best_num, best_size, best_mask
 
 
-def _vertex_certificate(
-    nbr_masks: Sequence[int], n: int, group: FiniteGroup | None, max_exact: int
-) -> CheegerCertificate:
+def _require_exact(n: int, max_exact: int) -> None:
     if n > max_exact:
         raise CapExceededError("max_exact", max_exact, n)
     if n < 2:
         raise ValueError("no admissible sets: need n >= 2")
+
+
+def _vertex_certificate(
+    nbr_masks: Sequence[int], n: int, group: FiniteGroup | None
+) -> CheegerCertificate:
     zero = _zero_ratio_witness(nbr_masks, n)
     if zero is not None and zero.bit_count() <= n // 2:
         return CheegerCertificate("vertex", Fraction(0), mask_members(zero))
@@ -254,19 +258,23 @@ def vertex_cheeger_from_masks(
 
     Loops (self bits) are allowed and never contribute boundary.
     """
-    return _vertex_certificate(nbr_masks, n, None, max_exact)
+    _require_exact(n, max_exact)
+    return _vertex_certificate(nbr_masks, n, None)
 
 
 def vertex_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
-    return _vertex_certificate(graph.nbr_masks, graph.n, graph.group, max_exact)
+    _require_exact(graph.n, max_exact)
+    return graph.memo("vertex_cheeger", lambda: _vertex_certificate(
+        graph.nbr_masks, graph.n, graph.group))
 
 
 def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
+    _require_exact(graph.n, max_exact)
+    return graph.memo("edge_cheeger", lambda: _edge_certificate(graph))
+
+
+def _edge_certificate(graph: CayleyGraph) -> CheegerCertificate:
     n, d = graph.n, graph.d
-    if n > max_exact:
-        raise CapExceededError("max_exact", max_exact, n)
-    if n < 2:
-        raise ValueError("no admissible sets: need n >= 2")
     zero = _zero_ratio_witness(graph.nbr_masks, n)
     if zero is not None and zero.bit_count() <= n // 2:
         return CheegerCertificate("edge", Fraction(0), mask_members(zero))
@@ -283,9 +291,13 @@ def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> Che
     V2 if needed, gives one with 0 in V1, and the V1 branch of vertex 0 comes
     first in the full enumeration order, so the first maximiser is the same.
     """
+    if graph.n > max_dual:
+        raise CapExceededError("max_dual", max_dual, graph.n)
+    return graph.memo("dual_cheeger", lambda: _dual_certificate(graph))
+
+
+def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
     n, d = graph.n, graph.d
-    if n > max_dual:
-        raise CapExceededError("max_dual", max_dual, n)
     masks = graph.nbr_masks
     best_cross, best_m = -1, 1
     best_pair = (0, 0)
@@ -338,17 +350,11 @@ def expansion_check(
 
 
 def vertex_edge_relation_check(
-    graph: CayleyGraph,
-    *,
-    h: Fraction | None = None,
-    edge_h: Fraction | None = None,
-    max_exact: int = MAX_EXACT_DEFAULT,
+    graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT
 ) -> bool:
     """Exact check of h/d <= h_edge <= h."""
-    if h is None:
-        h = vertex_cheeger(graph, max_exact=max_exact).value
-    if edge_h is None:
-        edge_h = edge_cheeger(graph, max_exact=max_exact).value
+    h = vertex_cheeger(graph, max_exact=max_exact).value
+    edge_h = edge_cheeger(graph, max_exact=max_exact).value
     return Fraction(h, graph.d) <= edge_h <= h
 
 
@@ -363,17 +369,11 @@ def cheeger_buser_check(
     graph: CayleyGraph,
     tol: float = 1e-9,
     *,
-    edge_h: Fraction | None = None,
-    lambda2: float | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> CheegerBuserResult:
     """h_edge^2/2 <= lambda_2 <= 2 h_edge within tol."""
-    if edge_h is None:
-        edge_h = edge_cheeger(graph, max_exact=max_exact).value
-    if lambda2 is None:
-        from .spectral import spectrum
-
-        lambda2 = spectrum(graph).lambda2
+    edge_h = edge_cheeger(graph, max_exact=max_exact).value
+    lambda2 = spectrum(graph).lambda2
     lower = lambda2 - float(edge_h * edge_h / 2)
     upper = 2 * float(edge_h) - lambda2
     return CheegerBuserResult(lower >= -tol and upper >= -tol, lower, upper)
@@ -391,17 +391,11 @@ def bauer_jost_check(
     graph: CayleyGraph,
     tol: float = 1e-9,
     *,
-    dual_h: Fraction | None = None,
-    lambda_n: float | None = None,
     max_dual: int = MAX_DUAL_DEFAULT,
 ) -> BauerJostResult:
     """(1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and dual = 1 iff bipartite."""
-    if dual_h is None:
-        dual_h = dual_cheeger(graph, max_dual=max_dual).value
-    if lambda_n is None:
-        from .spectral import spectrum
-
-        lambda_n = spectrum(graph).lambda_max
+    dual_h = dual_cheeger(graph, max_dual=max_dual).value
+    lambda_n = spectrum(graph).lambda_max
     gap = 2.0 - lambda_n
     one_minus = 1 - dual_h
     lower = gap - float(one_minus * one_minus / 2)

@@ -365,7 +365,8 @@ def _cmd_verify(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
     items = sweep(
         args.specs, tol=args.tol, max_exact=args.max_exact,
-        max_dual=args.max_dual, workers=args.workers,
+        max_dual=args.max_dual, zeta=_parse_zeta(args.zeta),
+        workers=args.workers,
     )
     any_fail = any(
         item.report is not None and not item.report.all_pass for item in items

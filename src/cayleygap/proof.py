@@ -44,8 +44,8 @@ from .cheeger import (
     vertex_cheeger,
 )
 from .errors import CapExceededError
-from .spectral import SpectralSummary, spectrum
-from .subgroups import index2_subgroups
+from .spectral import spectrum
+from .subgroups import MAX_RANK_DEFAULT, index2_subgroups
 
 _SAMPLE_SEED = 0x5E7C0DE
 
@@ -166,7 +166,6 @@ def find_candidate_set(
     graph: CayleyGraph,
     params: ProofParameters,
     *,
-    summary: SpectralSummary | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> CandidateReport:
     """Half-set minimising the weighted crossing ratio of the S'-support graph.
@@ -178,9 +177,7 @@ def find_candidate_set(
     n = graph.n
     if n > max_exact:
         raise CapExceededError("max_exact", max_exact, n)
-    if summary is None:
-        summary = spectrum(graph)
-    t_min = summary.t_min
+    t_min = spectrum(graph).t_min
     gap = 1.0 + t_min
     if not t_min < -1.0 + params.zeta:
         return CandidateReport(False, t_min, gap)
@@ -552,10 +549,13 @@ def disjointness_check(
     structural_match: bool | None = None
     if disjoint:
         h_set = mask_members(h_mask)
+        # The memo key is_bipartite_structural stores the list under.
+        certs = graph.memo(("index2_subgroups", MAX_RANK_DEFAULT),
+                           lambda: index2_subgroups(group))
         structural_match = any(
             cert.elements == h_set
             and not set(graph.gens.elements).intersection(cert.elements)
-            for cert in index2_subgroups(group)
+            for cert in certs
         )
     conflicts = []
     for t in s_cap_h:
@@ -771,10 +771,7 @@ def run_pipeline(
         zeta = zeta_max(eps, graph.d)
     params = make_parameters(eps, graph.d, zeta)
 
-    summary = spectrum(graph)
-    candidate = find_candidate_set(
-        graph, params, summary=summary, max_exact=max_exact
-    )
+    candidate = find_candidate_set(graph, params, max_exact=max_exact)
     if not candidate.hypothesis_met:
         return ProofTrace(params=params, candidate=candidate)
 

@@ -30,22 +30,17 @@ _MULTISECTION = 16      # each bisection round splits a bracket into 16
 _MAX_ROUNDS = 64
 
 
-def normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
-    """Dense T = A/d. Counts are checked exactly before dividing."""
+def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
+    """Dense T = A/d as a float64 array. Counts are checked exactly before
+    dividing."""
     n, d = graph.n, graph.d
-    count_rows = []
-    for x in range(n):
-        counts = [0] * n
-        for y in graph.neighbors[x]:
-            counts[y] += 1
-        if sum(counts) != d:
-            raise AssertionError("row sum mismatch in adjacency counts")
-        count_rows.append(counts)
-    for x in range(n):
-        for y in range(x):
-            if count_rows[x][y] != count_rows[y][x]:
-                raise AssertionError("adjacency counts not symmetric")
-    return [[c / d for c in row] for row in count_rows]
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (np.arange(n).repeat(d), np.ravel(graph.neighbors)), 1)
+    if np.any(counts.sum(axis=1) != d):
+        raise AssertionError("row sum mismatch in adjacency counts")
+    if not np.array_equal(counts, counts.T):
+        raise AssertionError("adjacency counts not symmetric")
+    return counts / d
 
 
 def eigenvalues_symmetric(matrix) -> list[float]:
@@ -216,6 +211,10 @@ class SpectralSummary:
 def spectrum(graph: CayleyGraph, *, max_n: int = MAX_SPECTRUM_DEFAULT) -> SpectralSummary:
     if graph.n > max_n:
         raise CapExceededError("max_spectrum", max_n, graph.n)
+    return graph.memo("spectrum", lambda: _summary(graph))
+
+
+def _summary(graph: CayleyGraph) -> SpectralSummary:
     # T is symmetric and stochastic, so its spectrum lies in [-1, 1] exactly;
     # anything outside is rounding, and clamping it only removes error.
     t = [min(1.0, max(-1.0, x))

@@ -15,12 +15,7 @@ from typing import Iterable
 from .cayley import CayleyGraph
 from .errors import CapExceededError, DisconnectedGraphError
 from .groups import FiniteGroup
-from .spectral import (
-    SpectralSummary,
-    is_bipartite_spectral,
-    is_connected,
-    spectrum,
-)
+from .spectral import is_bipartite_spectral, is_connected, spectrum
 
 MAX_RANK_DEFAULT = 20
 
@@ -177,9 +172,13 @@ def is_bipartite_structural(
     """First index-2 subgroup disjoint from S, or None.
 
     "First" is by element-tuple order, so the certificate is deterministic.
+    The index-2 list is kept in the graph's memo under
+    ("index2_subgroups", max_rank).
     """
     s_set = set(graph.gens.elements)
-    for cert in index2_subgroups(graph.group, max_rank=max_rank):
+    certs = graph.memo(("index2_subgroups", max_rank),
+                       lambda: index2_subgroups(graph.group, max_rank=max_rank))
+    for cert in certs:
         if not s_set.intersection(cert.elements):
             return SubgroupCertificate(cert.elements, cert.index, True)
     return None
@@ -196,12 +195,9 @@ class EquivalenceResult:
 def proposition_equivalence_check(
     graph: CayleyGraph,
     tol: float = 1e-9,
-    *,
-    summary: SpectralSummary | None = None,
 ) -> EquivalenceResult:
     """Spectral bipartiteness must agree with the structural certificate."""
-    if summary is None:
-        summary = spectrum(graph)
+    summary = spectrum(graph)
     if not is_connected(summary, tol):
         raise DisconnectedGraphError(
             "bipartiteness equivalence is only meaningful for connected graphs"

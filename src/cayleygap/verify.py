@@ -29,7 +29,6 @@ from .cheeger import (
     dual_cheeger,
     edge_cheeger,
     vertex_cheeger,
-    vertex_edge_relation_check,
 )
 from .errors import CapExceededError, CayleyGapError
 from .groups import default_generators, expand_group_specs, parse_group_spec
@@ -94,21 +93,17 @@ def main_bound_check(
     graph: CayleyGraph,
     tol: float = DEFAULT_TOL,
     *,
-    h: Fraction | None = None,
-    summary: SpectralSummary | None = None,
     bipartite: bool | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> BoundCheckResult:
     """lambda_n <= 2 - h^4 / (2^9 d^6 (d+1)^2), vacuous for bipartite graphs."""
-    if summary is None:
-        summary = spectrum(graph)
+    summary = spectrum(graph)
     if bipartite is None:
         bipartite = is_bipartite_spectral(summary, tol)
     if bipartite:
         return BoundCheckResult(applicable=False)
-    if h is None:
-        h = vertex_cheeger(graph, max_exact=max_exact).value
-    shift = Fraction(h) ** 4 / main_bound_constant(graph.d)
+    h = vertex_cheeger(graph, max_exact=max_exact).value
+    shift = h ** 4 / main_bound_constant(graph.d)
     margin = (2.0 - float(shift)) - summary.lambda_max
     return BoundCheckResult(applicable=True, ok=margin >= -tol, margin=margin)
 
@@ -125,25 +120,20 @@ def eigenvalue_interval_check(
     graph: CayleyGraph,
     tol: float = DEFAULT_TOL,
     *,
-    h: Fraction | None = None,
-    summary: SpectralSummary | None = None,
     bipartite: bool | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> IntervalCheckResult:
     """Every nontrivial adjacency eigenvalue lies in
     [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)], vacuous for bipartite
     graphs. Nontrivial means all but the single top eigenvalue."""
-    if summary is None:
-        summary = spectrum(graph)
+    summary = spectrum(graph)
     if bipartite is None:
         bipartite = is_bipartite_spectral(summary, tol)
     if bipartite:
         return IntervalCheckResult(applicable=False)
     if summary.n < 2:
         return IntervalCheckResult(applicable=False)
-    if h is None:
-        h = vertex_cheeger(graph, max_exact=max_exact).value
-    h = Fraction(h)
+    h = vertex_cheeger(graph, max_exact=max_exact).value
     d = graph.d
     lower_end = -1.0 + float(h**4 / main_bound_constant(d))
     upper_end = 1.0 - float(h**2 / (2 * d * d))
@@ -159,21 +149,14 @@ def eigenvalue_interval_check(
 
 
 def tightness_ratio(
-    graph: CayleyGraph,
-    *,
-    h: Fraction | None = None,
-    summary: SpectralSummary | None = None,
-    max_exact: int = MAX_EXACT_DEFAULT,
+    graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT
 ) -> float:
     """Slack factor (2 - lambda_n) / (h^4 / (2^9 d^6 (d+1)^2)); at least 1
     whenever the main bound holds. Undefined for bipartite graphs."""
-    if summary is None:
-        summary = spectrum(graph)
+    summary = spectrum(graph)
     if is_bipartite_spectral(summary):
         raise ValueError("tightness ratio is undefined for bipartite graphs")
-    if h is None:
-        h = vertex_cheeger(graph, max_exact=max_exact).value
-    h = Fraction(h)
+    h = vertex_cheeger(graph, max_exact=max_exact).value
     if h == 0:
         raise ValueError("tightness ratio needs a positive expansion constant")
     shift = float(h**4 / main_bound_constant(graph.d))
@@ -205,10 +188,6 @@ class VerificationReport:
         return not self.failed
 
 
-def _cap_reason(exc: CapExceededError) -> str:
-    return exc.reason
-
-
 def full_report(
     graph: CayleyGraph,
     *,
@@ -233,13 +212,13 @@ def full_report(
         h = vertex_cheeger(graph, max_exact=max_exact).value
         edge_h = edge_cheeger(graph, max_exact=max_exact).value
     except CapExceededError as exc:
-        h_reason = _cap_reason(exc)
+        h_reason = exc.reason
     except ValueError as exc:
         h_reason = str(exc)
     try:
         dual_h = dual_cheeger(graph, max_dual=max_dual).value
     except CapExceededError as exc:
-        dual_reason = _cap_reason(exc)
+        dual_reason = exc.reason
     except ValueError as exc:
         dual_reason = str(exc)
 
@@ -251,7 +230,7 @@ def full_report(
         structural_cert = is_bipartite_structural(graph)
         bip_structural = structural_cert is not None
     except CapExceededError as exc:
-        structural_reason = _cap_reason(exc)
+        structural_reason = exc.reason
 
     bipartite = bip_structural if bip_structural is not None else bip_spectral
 
@@ -279,15 +258,13 @@ def full_report(
 
     if not skip_if_blocked("main_bound"):
         res = main_bound_check(
-            graph, tol, h=h, summary=summary, bipartite=False,
-            max_exact=max_exact,
+            graph, tol, bipartite=False, max_exact=max_exact,
         )
         put("main_bound", "pass" if res.ok else "fail", margin=res.margin)
 
     if not skip_if_blocked("eigenvalue_interval_lower"):
         ires = eigenvalue_interval_check(
-            graph, tol, h=h, summary=summary, bipartite=False,
-            max_exact=max_exact,
+            graph, tol, bipartite=False, max_exact=max_exact,
         )
         if not ires.applicable:
             put("eigenvalue_interval_lower", "not_applicable",
@@ -314,10 +291,7 @@ def full_report(
         put("vertex_edge_lower", "skipped", reason=h_reason)
         put("vertex_edge_upper", "skipped", reason=h_reason)
     else:
-        cb = cheeger_buser_check(
-            graph, tol, edge_h=edge_h, lambda2=summary.lambda2,
-            max_exact=max_exact,
-        )
+        cb = cheeger_buser_check(graph, tol, max_exact=max_exact)
         put("cheeger_buser_lower",
             "pass" if cb.lower_margin >= -tol else "fail",
             margin=cb.lower_margin)
@@ -326,9 +300,6 @@ def full_report(
             margin=cb.upper_margin)
         ve_lower = edge_h - Fraction(h, graph.d)
         ve_upper = h - edge_h
-        assert vertex_edge_relation_check(
-            graph, h=h, edge_h=edge_h, max_exact=max_exact,
-        ) == (ve_lower >= 0 and ve_upper >= 0)
         put("vertex_edge_lower",
             "pass" if ve_lower >= 0 else "fail",
             margin=float(ve_lower))
@@ -341,10 +312,7 @@ def full_report(
         put("dual_cheeger_upper", "skipped", reason=dual_reason)
         put("dual_cheeger_equivalence", "skipped", reason=dual_reason)
     else:
-        bj = bauer_jost_check(
-            graph, tol, dual_h=dual_h, lambda_n=summary.lambda_max,
-            max_dual=max_dual,
-        )
+        bj = bauer_jost_check(graph, tol, max_dual=max_dual)
         put("dual_cheeger_lower",
             "pass" if bj.lower_margin >= -tol else "fail",
             margin=bj.lower_margin)
@@ -376,7 +344,7 @@ def full_report(
     elif structural_reason is not None:
         put("bipartite_equivalence", "skipped", reason=structural_reason)
     else:
-        eq = proposition_equivalence_check(graph, tol, summary=summary)
+        eq = proposition_equivalence_check(graph, tol)
         put("bipartite_equivalence", "pass" if eq.ok else "fail")
 
     trace: ProofTrace | None = None
@@ -388,7 +356,7 @@ def full_report(
         try:
             trace = run_pipeline(graph, zeta, max_exact=max_exact)
         except CapExceededError as exc:
-            put("proof_pipeline", "skipped", reason=_cap_reason(exc))
+            put("proof_pipeline", "skipped", reason=exc.reason)
         else:
             if trace.hypothesis_met:
                 ok = trace.succeeded
@@ -408,9 +376,7 @@ def full_report(
 
     tightness: float | None = None
     if not skip_if_blocked("tightness_ratio"):
-        tightness = tightness_ratio(
-            graph, h=h, summary=summary, max_exact=max_exact,
-        )
+        tightness = tightness_ratio(graph, max_exact=max_exact)
         main_status = rows["main_bound"].status
         put("tightness_ratio", main_status, margin=tightness - 1.0)
 
@@ -649,13 +615,16 @@ def build_graph(group_spec: str, gens_spec: str | None) -> CayleyGraph:
     return build(group, gens)
 
 
-def _sweep_worker(args: tuple[str, str | None, float, int, int]) -> SweepItem:
-    item_spec, gens_spec, tol, max_exact, max_dual = args
+_SweepTask = tuple[str, str | None, float, int, int, Fraction | None]
+
+
+def _sweep_worker(args: _SweepTask) -> SweepItem:
+    item_spec, gens_spec, tol, max_exact, max_dual, zeta = args
     label = item_spec if gens_spec is None else f"{item_spec} gens={gens_spec}"
     try:
         graph = build_graph(item_spec, gens_spec)
         report = full_report(
-            graph, tol=tol, max_exact=max_exact, max_dual=max_dual,
+            graph, tol=tol, max_exact=max_exact, max_dual=max_dual, zeta=zeta,
         )
         return SweepItem(spec=label, report=report)
     except (CayleyGapError, ValueError) as exc:
@@ -668,11 +637,13 @@ def sweep(
     tol: float = DEFAULT_TOL,
     max_exact: int = MAX_EXACT_DEFAULT,
     max_dual: int = MAX_DUAL_DEFAULT,
+    zeta: Fraction | None = None,
     workers: int = 1,
 ) -> list[SweepItem]:
     """One report per (group, generators) item, in input order. Items that
-    fail to build are recorded as errors and the sweep continues."""
-    tasks: list[tuple[str, str | None, float, int, int]] = []
+    fail to build are recorded as errors and the sweep continues. zeta is
+    passed to every full_report; None means each graph's in-regime maximum."""
+    tasks: list[_SweepTask] = []
     for spec in specs:
         group_part, gens_part = parse_sweep_spec(spec)
         try:
@@ -680,10 +651,10 @@ def sweep(
         except (CayleyGapError, ValueError):
             # Unparseable spec: hand it to the worker so the error is
             # recorded as a per-item result and the sweep continues.
-            tasks.append((group_part, gens_part, tol, max_exact, max_dual))
+            tasks.append((group_part, gens_part, tol, max_exact, max_dual, zeta))
             continue
         for single in expanded:
-            tasks.append((single.label(), gens_part, tol, max_exact, max_dual))
+            tasks.append((single.label(), gens_part, tol, max_exact, max_dual, zeta))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_worker, tasks))

@@ -1,5 +1,8 @@
 """Family suite: every graph the acceptance checks quantify over, with its
-expected bipartiteness, plus cached builders shared across test modules."""
+expected bipartiteness, plus cached builders shared across test modules.
+
+Each member's graph is built once; its spectrum and Cheeger certificates are
+kept in that graph's memo."""
 
 from __future__ import annotations
 
@@ -52,22 +55,18 @@ def graph_of(member: FamilyMember) -> CayleyGraph:
     return build_graph(member.group_spec, member.gens_spec)
 
 
-@functools.cache
 def summary_of(member: FamilyMember) -> SpectralSummary:
     return spectrum(graph_of(member))
 
 
-@functools.cache
 def h_cert_of(member: FamilyMember):
     return vertex_cheeger(graph_of(member))
 
 
-@functools.cache
 def edge_h_cert_of(member: FamilyMember):
     return edge_cheeger(graph_of(member))
 
 
-@functools.cache
 def dual_h_cert_of(member: FamilyMember):
     return dual_cheeger(graph_of(member))
 

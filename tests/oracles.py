@@ -169,10 +169,19 @@ def brute_force_index2(group: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def dense_adjacency(graph: CayleyGraph) -> list[list[float]]:
+def normalized_adjacency_lists(graph: CayleyGraph) -> list[list[float]]:
+    """Dense T = A/d as lists of Python floats, counts checked exactly."""
     n, d = graph.n, graph.d
-    mat = [[0.0] * n for _ in range(n)]
+    count_rows = []
     for x in range(n):
+        counts = [0] * n
         for y in graph.neighbors[x]:
-            mat[x][y] += 1.0 / d
-    return mat
+            counts[y] += 1
+        if sum(counts) != d:
+            raise AssertionError("row sum mismatch in adjacency counts")
+        count_rows.append(counts)
+    for x in range(n):
+        for y in range(x):
+            if count_rows[x][y] != count_rows[y][x]:
+                raise AssertionError("adjacency counts not symmetric")
+    return [[c / d for c in row] for row in count_rows]

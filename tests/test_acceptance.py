@@ -44,9 +44,7 @@ def test_acceptance_01_main_bound():
         if not is_connected(summary) or is_bipartite_spectral(summary):
             continue
         graph = families.graph_of(member)
-        check = main_bound_check(
-            graph, h=families.h_of(member), summary=summary
-        )
+        check = main_bound_check(graph)
         if not (check.applicable and check.ok and check.margin > 0):
             failures.append((member.name, check))
     elapsed = time.monotonic() - start
@@ -61,9 +59,7 @@ def test_acceptance_02_eigenvalue_interval():
         if member.bipartite:
             continue
         graph = families.graph_of(member)
-        check = eigenvalue_interval_check(
-            graph, h=families.h_of(member), summary=families.summary_of(member)
-        )
+        check = eigenvalue_interval_check(graph)
         if not (check.applicable and check.ok):
             failures.append((member.name, check))
     _verdict(2, "eigenvalue_interval", failures)
@@ -73,9 +69,7 @@ def test_acceptance_03_bipartite_equivalence():
     failures = []
     for member in families.MEMBERS:
         graph = families.graph_of(member)
-        result = proposition_equivalence_check(
-            graph, summary=families.summary_of(member)
-        )
+        result = proposition_equivalence_check(graph)
         if not (result.ok and result.structural == member.bipartite):
             failures.append((member.name, result))
     _verdict(3, "bipartite_equivalence", failures)
@@ -89,10 +83,9 @@ def test_acceptance_04_cheeger_buser_vertex_edge():
             continue
         h = families.h_of(member)
         edge_h = families.edge_h_of(member)
-        summary = families.summary_of(member)
-        if not vertex_edge_relation_check(graph, h=h, edge_h=edge_h):
+        if not vertex_edge_relation_check(graph):
             failures.append((member.name, "vertex-edge", h, edge_h))
-        buser = cheeger_buser_check(graph, edge_h=edge_h, lambda2=summary.lambda2)
+        buser = cheeger_buser_check(graph)
         if not buser.ok:
             failures.append((member.name, buser))
     _verdict(4, "cheeger_buser_vertex_edge", failures)
@@ -201,10 +194,7 @@ def test_acceptance_09_dual_cheeger_sandwich():
     for member in families.small(12):
         graph = families.graph_of(member)
         dual_h = families.dual_h_of(member)
-        summary = families.summary_of(member)
-        check = bauer_jost_check(
-            graph, dual_h=dual_h, lambda_n=summary.lambda_max
-        )
+        check = bauer_jost_check(graph)
         if not (check.ok and check.equivalence_ok):
             failures.append((member.name, check))
         if (dual_h == 1) != member.bipartite:

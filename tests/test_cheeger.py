@@ -248,19 +248,13 @@ def test_no_set_beats_vertex_constant(a_mask):
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
 def test_vertex_edge_relation(member):
     graph = families.graph_of(member)
-    assert vertex_edge_relation_check(
-        graph, h=families.h_of(member), edge_h=families.edge_h_of(member)
-    )
+    assert vertex_edge_relation_check(graph)
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
 def test_cheeger_buser(member):
     graph = families.graph_of(member)
-    res = cheeger_buser_check(
-        graph,
-        edge_h=families.edge_h_of(member),
-        lambda2=families.summary_of(member).lambda2,
-    )
+    res = cheeger_buser_check(graph)
     assert res.ok
     assert res.lower_margin >= -1e-9
     assert res.upper_margin >= -1e-9
@@ -269,11 +263,7 @@ def test_cheeger_buser(member):
 @pytest.mark.parametrize("member", families.small(14), ids=lambda m: m.name)
 def test_bauer_jost(member):
     graph = families.graph_of(member)
-    res = bauer_jost_check(
-        graph,
-        dual_h=families.dual_h_of(member),
-        lambda_n=families.summary_of(member).lambda_max,
-    )
+    res = bauer_jost_check(graph)
     assert res.ok
     assert res.equivalence_ok
     assert (families.dual_h_of(member) == 1) == member.bipartite

@@ -321,3 +321,14 @@ def test_bad_group_spec(capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.err.startswith("error:")
+
+
+def test_sweep_honours_zeta(capsys):
+    main(["verify", "--group", "dihedral:5", "--gens", "auto",
+          "--zeta", "1/2", "--format", "json"])
+    verified = json.loads(capsys.readouterr().out)
+    main(["sweep", "dihedral:5 gens=auto", "--zeta", "1/2", "--format", "json"])
+    [swept] = json.loads(capsys.readouterr().out)["reports"]
+    assert swept["proof_trace"]["zeta"] == 0.5
+    assert swept["proof_trace"]["hypothesis_met"] is True
+    assert swept == verified

@@ -48,6 +48,14 @@ def test_normalized_adjacency_is_stochastic(member):
 
 
 @pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)
+def test_normalized_adjacency_matches_list_oracle(member):
+    graph = families.graph_of(member)
+    t = normalized_adjacency(graph)
+    assert t.dtype == np.float64
+    assert t.tolist() == oracles.normalized_adjacency_lists(graph)
+
+
+@pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)
 def test_eigenvalues_match_numpy_on_graphs(member):
     graph = families.graph_of(member)
     ours = eigenvalues_symmetric(normalized_adjacency(graph))

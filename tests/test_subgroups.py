@@ -142,9 +142,7 @@ def test_structural_matches_expected_bipartiteness(member):
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
 def test_equivalence_on_family(member):
-    res = proposition_equivalence_check(
-        families.graph_of(member), summary=families.summary_of(member)
-    )
+    res = proposition_equivalence_check(families.graph_of(member))
     assert res.ok
     assert res.spectral == member.bipartite
     assert res.structural == member.bipartite

@@ -364,6 +364,12 @@ class CheegerBuserResult:
     lower_margin: float   # lambda_2 - h_edge^2/2
     upper_margin: float   # 2 h_edge - lambda_2
 
+    @classmethod
+    def of(cls, edge_h: Fraction, lambda2: float, tol: float) -> CheegerBuserResult:
+        lower = lambda2 - float(edge_h * edge_h / 2)
+        upper = 2 * float(edge_h) - lambda2
+        return cls(lower >= -tol and upper >= -tol, lower, upper)
+
 
 def cheeger_buser_check(
     graph: CayleyGraph,
@@ -372,11 +378,11 @@ def cheeger_buser_check(
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> CheegerBuserResult:
     """h_edge^2/2 <= lambda_2 <= 2 h_edge within tol."""
-    edge_h = edge_cheeger(graph, max_exact=max_exact).value
-    lambda2 = spectrum(graph).lambda2
-    lower = lambda2 - float(edge_h * edge_h / 2)
-    upper = 2 * float(edge_h) - lambda2
-    return CheegerBuserResult(lower >= -tol and upper >= -tol, lower, upper)
+    return CheegerBuserResult.of(
+        edge_cheeger(graph, max_exact=max_exact).value,
+        spectrum(graph).lambda2,
+        tol,
+    )
 
 
 @dataclass(frozen=True)
@@ -386,6 +392,15 @@ class BauerJostResult:
     upper_margin: float       # 2(1 - dual) - (2 - lambda_n)
     equivalence_ok: bool      # dual == 1 exactly iff lambda_n == 2 within tol
 
+    @classmethod
+    def of(cls, dual_h: Fraction, lambda_n: float, tol: float) -> BauerJostResult:
+        gap = 2.0 - lambda_n
+        one_minus = 1 - dual_h
+        lower = gap - float(one_minus * one_minus / 2)
+        upper = 2 * float(one_minus) - gap
+        equivalence = (dual_h == 1) == (lambda_n >= 2 - tol)
+        return cls(lower >= -tol and upper >= -tol, lower, upper, equivalence)
+
 
 def bauer_jost_check(
     graph: CayleyGraph,
@@ -394,13 +409,8 @@ def bauer_jost_check(
     max_dual: int = MAX_DUAL_DEFAULT,
 ) -> BauerJostResult:
     """(1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and dual = 1 iff bipartite."""
-    dual_h = dual_cheeger(graph, max_dual=max_dual).value
-    lambda_n = spectrum(graph).lambda_max
-    gap = 2.0 - lambda_n
-    one_minus = 1 - dual_h
-    lower = gap - float(one_minus * one_minus / 2)
-    upper = 2 * float(one_minus) - gap
-    equivalence = (dual_h == 1) == (lambda_n >= 2 - tol)
-    return BauerJostResult(
-        lower >= -tol and upper >= -tol, lower, upper, equivalence
+    return BauerJostResult.of(
+        dual_cheeger(graph, max_dual=max_dual).value,
+        spectrum(graph).lambda_max,
+        tol,
     )

@@ -24,8 +24,8 @@ from .cayley import CayleyGraph, build, generating_set, parse_generators
 from .cheeger import (
     MAX_DUAL_DEFAULT,
     MAX_EXACT_DEFAULT,
-    bauer_jost_check,
-    cheeger_buser_check,
+    BauerJostResult,
+    CheegerBuserResult,
     dual_cheeger,
     edge_cheeger,
     vertex_cheeger,
@@ -39,7 +39,7 @@ from .spectral import (
     is_connected,
     spectrum,
 )
-from .subgroups import is_bipartite_structural, proposition_equivalence_check
+from .subgroups import is_bipartite_structural
 
 DEFAULT_TOL = 1e-9
 
@@ -74,6 +74,31 @@ def main_bound_constant(d: int) -> int:
     return 2**9 * d**6 * (d + 1) ** 2
 
 
+# The three formulas below are shared by the standalone checks and
+# full_report, which reads h and the spectrum once and derives every row.
+
+
+def _main_bound_margin(h: Fraction, d: int, summary: SpectralSummary) -> float:
+    """(2 - h^4 / (2^9 d^6 (d+1)^2)) - lambda_n."""
+    return (2.0 - float(h**4 / main_bound_constant(d))) - summary.lambda_max
+
+
+def _interval_margins(
+    h: Fraction, d: int, summary: SpectralSummary
+) -> tuple[float, float]:
+    """Margins of the smallest and the second-largest eigenvalue of T inside
+    [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)]."""
+    lower_end = -1.0 + float(h**4 / main_bound_constant(d))
+    upper_end = 1.0 - float(h**2 / (2 * d * d))
+    return summary.t[0] - lower_end, upper_end - summary.t[-2]
+
+
+def _tightness(h: Fraction, d: int, summary: SpectralSummary) -> float:
+    if h == 0:
+        raise ValueError("tightness ratio needs a positive expansion constant")
+    return (2.0 - summary.lambda_max) / float(h**4 / main_bound_constant(d))
+
+
 @dataclass(frozen=True)
 class CheckRow:
     name: str
@@ -103,8 +128,7 @@ def main_bound_check(
     if bipartite:
         return BoundCheckResult(applicable=False)
     h = vertex_cheeger(graph, max_exact=max_exact).value
-    shift = h ** 4 / main_bound_constant(graph.d)
-    margin = (2.0 - float(shift)) - summary.lambda_max
+    margin = _main_bound_margin(h, graph.d, summary)
     return BoundCheckResult(applicable=True, ok=margin >= -tol, margin=margin)
 
 
@@ -134,11 +158,7 @@ def eigenvalue_interval_check(
     if summary.n < 2:
         return IntervalCheckResult(applicable=False)
     h = vertex_cheeger(graph, max_exact=max_exact).value
-    d = graph.d
-    lower_end = -1.0 + float(h**4 / main_bound_constant(d))
-    upper_end = 1.0 - float(h**2 / (2 * d * d))
-    lower_margin = summary.t[0] - lower_end
-    upper_margin = upper_end - summary.t[-2]
+    lower_margin, upper_margin = _interval_margins(h, graph.d, summary)
     ok = lower_margin >= -tol and upper_margin >= -tol
     return IntervalCheckResult(
         applicable=True,
@@ -156,11 +176,8 @@ def tightness_ratio(
     summary = spectrum(graph)
     if is_bipartite_spectral(summary):
         raise ValueError("tightness ratio is undefined for bipartite graphs")
-    h = vertex_cheeger(graph, max_exact=max_exact).value
-    if h == 0:
-        raise ValueError("tightness ratio needs a positive expansion constant")
-    shift = float(h**4 / main_bound_constant(graph.d))
-    return (2.0 - summary.lambda_max) / shift
+    return _tightness(vertex_cheeger(graph, max_exact=max_exact).value,
+                      graph.d, summary)
 
 
 @dataclass(frozen=True)
@@ -257,27 +274,16 @@ def full_report(
         margin=summary.lambda2 if n > 1 else None)
 
     if not skip_if_blocked("main_bound"):
-        res = main_bound_check(
-            graph, tol, bipartite=False, max_exact=max_exact,
-        )
-        put("main_bound", "pass" if res.ok else "fail", margin=res.margin)
+        margin = _main_bound_margin(h, graph.d, summary)
+        put("main_bound", "pass" if margin >= -tol else "fail", margin=margin)
 
     if not skip_if_blocked("eigenvalue_interval_lower"):
-        ires = eigenvalue_interval_check(
-            graph, tol, bipartite=False, max_exact=max_exact,
-        )
-        if not ires.applicable:
-            put("eigenvalue_interval_lower", "not_applicable",
-                reason="no nontrivial eigenvalues")
-            put("eigenvalue_interval_upper", "not_applicable",
-                reason="no nontrivial eigenvalues")
-        else:
-            put("eigenvalue_interval_lower",
-                "pass" if ires.lower_margin >= -tol else "fail",
-                margin=ires.lower_margin)
-            put("eigenvalue_interval_upper",
-                "pass" if ires.upper_margin >= -tol else "fail",
-                margin=ires.upper_margin)
+        # h exists, so n >= 2 and there are nontrivial eigenvalues.
+        lower, upper = _interval_margins(h, graph.d, summary)
+        put("eigenvalue_interval_lower",
+            "pass" if lower >= -tol else "fail", margin=lower)
+        put("eigenvalue_interval_upper",
+            "pass" if upper >= -tol else "fail", margin=upper)
     else:
         rows["eigenvalue_interval_upper"] = CheckRow(
             "eigenvalue_interval_upper",
@@ -291,7 +297,7 @@ def full_report(
         put("vertex_edge_lower", "skipped", reason=h_reason)
         put("vertex_edge_upper", "skipped", reason=h_reason)
     else:
-        cb = cheeger_buser_check(graph, tol, max_exact=max_exact)
+        cb = CheegerBuserResult.of(edge_h, summary.lambda2, tol)
         put("cheeger_buser_lower",
             "pass" if cb.lower_margin >= -tol else "fail",
             margin=cb.lower_margin)
@@ -312,7 +318,7 @@ def full_report(
         put("dual_cheeger_upper", "skipped", reason=dual_reason)
         put("dual_cheeger_equivalence", "skipped", reason=dual_reason)
     else:
-        bj = bauer_jost_check(graph, tol, max_dual=max_dual)
+        bj = BauerJostResult.of(dual_h, summary.lambda_max, tol)
         put("dual_cheeger_lower",
             "pass" if bj.lower_margin >= -tol else "fail",
             margin=bj.lower_margin)
@@ -344,8 +350,8 @@ def full_report(
     elif structural_reason is not None:
         put("bipartite_equivalence", "skipped", reason=structural_reason)
     else:
-        eq = proposition_equivalence_check(graph, tol)
-        put("bipartite_equivalence", "pass" if eq.ok else "fail")
+        put("bipartite_equivalence",
+            "pass" if bip_structural == bip_spectral else "fail")
 
     trace: ProofTrace | None = None
     if not connected:
@@ -376,7 +382,7 @@ def full_report(
 
     tightness: float | None = None
     if not skip_if_blocked("tightness_ratio"):
-        tightness = tightness_ratio(graph, max_exact=max_exact)
+        tightness = _tightness(h, graph.d, summary)
         main_status = rows["main_bound"].status
         put("tightness_ratio", main_status, margin=tightness - 1.0)
 

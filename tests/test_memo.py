@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import cayleygap.cheeger
+import cayleygap.proof
 import cayleygap.spectral
 import cayleygap.subgroups
 from cayleygap import (
@@ -21,10 +22,13 @@ from cayleygap import (
 )
 from cayleygap.cli import main
 
+# proof.disjointness_check fills the index-2 memo entry through its own
+# binding of index2_subgroups, so both bindings count as the one engine.
 ENGINES = (
     (cayleygap.cheeger, "_vertex_search"),
     (cayleygap.spectral, "eigenvalues_symmetric"),
     (cayleygap.subgroups, "index2_subgroups"),
+    (cayleygap.proof, "index2_subgroups"),
 )
 
 
@@ -46,7 +50,11 @@ def _once_each():
 
 
 def test_full_report_runs_each_engine_once(engine_runs):
-    full_report(build_graph("symmetric:4", "auto"))
+    report = full_report(build_graph("symmetric:4", "auto"))
+    # The proof reaches its last stage with H disjoint from S, where
+    # disjointness_check reads the index-2 list.
+    assert report.trace.final.disjoint
+    assert report.trace.final.structural_match
     assert engine_runs == _once_each()
 
 

@@ -9,8 +9,8 @@ All three isoperimetric quantities are exact rationals:
 
 Witnesses are deterministic: the minimum (resp. first maximum) under the
 tie-break (ratio, |A|, bitmask value). The enumerators prune a subtree only
-when even its best completion is strictly worse than the incumbent, so the
-result equals the naive all-subsets scan, value and witness both.
+when no set (or pair) in it can replace the incumbent under that tie-break,
+so the result equals the naive all-subsets scan, value and witness both.
 """
 
 from __future__ import annotations
@@ -297,33 +297,50 @@ def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> Che
 
 
 def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
+    """Branch and bound over (V1, V2, V3) assignments of 0, 1, ..., n-1.
+
+    A crossing edge is counted when its later endpoint is assigned, so an
+    unassigned vertex w adds at most low[w] = |N(w) ∩ {0..w-1}| crossings,
+    and adds 1 to m = |V1| + |V2| if it joins V1 or V2. With the incumbent
+    ratio p/q, a completion of a node at vertex v (cross crossings so far)
+    beats it strictly only if
+        cross·q - p·m + G[v] > 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
+    (Dinkelbach's test for a ratio). Every other node is pruned: no pair below
+    it beats the incumbent strictly, so the first maximiser in enumeration
+    order is the one the unpruned scan finds. G is rebuilt on each strict
+    improvement. At v == n, G[n] = 0 and the test is the improvement test.
+    """
     n, d = graph.n, graph.d
     masks = graph.nbr_masks
+    low = [(masks[w] & ((1 << w) - 1)).bit_count() for w in range(n)]
     best_cross, best_m = -1, 1
     best_pair = (0, 0)
 
-    def assign(v: int, m1: int, m2: int, n1: int, n2: int, cross: int) -> None:
-        nonlocal best_cross, best_m, best_pair
-        if v == n:
-            m = n1 + n2
-            if m and cross * best_m > best_cross * m:
-                best_cross, best_m = cross, m
-                best_pair = (m1, m2)
+    def suffix_gains() -> list[int]:
+        gains = [0] * (n + 1)
+        for w in range(n - 1, -1, -1):
+            gain = low[w] * best_m - best_cross
+            gains[w] = gains[w + 1] + (gain if gain > 0 else 0)
+        return gains
+
+    gains = suffix_gains()
+
+    def assign(v: int, m1: int, m2: int, m: int, cross: int) -> None:
+        nonlocal best_cross, best_m, best_pair, gains
+        if cross * best_m - best_cross * m + gains[v] <= 0:
             return
-        # Upper bound: remaining vertices add at most d crossings each, and
-        # the volume denominator never shrinks.
-        rem = n - v
-        m_now = max(1, n1 + n2)
-        if (cross + d * rem) * best_m <= best_cross * m_now:
+        if v == n:
+            best_cross, best_m = cross, m
+            best_pair = (m1, m2)
+            gains = suffix_gains()
             return
         bit = 1 << v
         nm = masks[v]
-        assign(v + 1, m1 | bit, m2, n1 + 1, n2, cross + (nm & m2).bit_count())
-        if m1:   # canonical: the first vertex outside V3 goes to V1
-            assign(v + 1, m1, m2 | bit, n1, n2 + 1, cross + (nm & m1).bit_count())
-        assign(v + 1, m1, m2, n1, n2, cross)
+        assign(v + 1, m1 | bit, m2, m + 1, cross + (nm & m2).bit_count())
+        assign(v + 1, m1, m2 | bit, m + 1, cross + (nm & m1).bit_count())
+        assign(v + 1, m1, m2, m, cross)
 
-    assign(1, 1, 0, 1, 0, 0)
+    assign(1, 1, 0, 1, 0)
     value = Fraction(2 * best_cross, d * best_m)
     pair = (mask_members(best_pair[0]), mask_members(best_pair[1]))
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)

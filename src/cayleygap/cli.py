@@ -28,6 +28,7 @@ from .spectral import is_bipartite_spectral, is_connected, spectrum
 from .subgroups import index2_subgroups
 from .verify import (
     DEFAULT_TOL,
+    _fraction_dict,
     build_graph,
     full_report,
     report_to_csv,
@@ -101,12 +102,6 @@ def _parse_zeta(text: str) -> Fraction | None:
         raise ValueError(f"cannot parse zeta value {text!r}") from exc
 
 
-def _fraction_json(value: Fraction | None) -> dict | None:
-    if value is None:
-        return None
-    return {"num": value.numerator, "den": value.denominator}
-
-
 def _graph_header(graph: CayleyGraph) -> dict:
     return {
         "schema_version": 1,
@@ -161,7 +156,7 @@ def _cmd_cheeger(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int
         for key in ("h", "edge_h", "dual_h"):
             if key in results:
                 value, witness = results[key]
-                payload[key] = _fraction_json(value)
+                payload[key] = _fraction_dict(value)
                 payload[f"{key}_witness"] = (
                     [list(part) for part in witness]
                     if witness and isinstance(witness[0], tuple)

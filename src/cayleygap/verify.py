@@ -118,14 +118,11 @@ def main_bound_check(
     graph: CayleyGraph,
     tol: float = DEFAULT_TOL,
     *,
-    bipartite: bool | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> BoundCheckResult:
     """lambda_n <= 2 - h^4 / (2^9 d^6 (d+1)^2), vacuous for bipartite graphs."""
     summary = spectrum(graph)
-    if bipartite is None:
-        bipartite = is_bipartite_spectral(summary, tol)
-    if bipartite:
+    if is_bipartite_spectral(summary, tol):
         return BoundCheckResult(applicable=False)
     h = vertex_cheeger(graph, max_exact=max_exact).value
     margin = _main_bound_margin(h, graph.d, summary)
@@ -144,16 +141,13 @@ def eigenvalue_interval_check(
     graph: CayleyGraph,
     tol: float = DEFAULT_TOL,
     *,
-    bipartite: bool | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> IntervalCheckResult:
     """Every nontrivial adjacency eigenvalue lies in
     [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)], vacuous for bipartite
     graphs. Nontrivial means all but the single top eigenvalue."""
     summary = spectrum(graph)
-    if bipartite is None:
-        bipartite = is_bipartite_spectral(summary, tol)
-    if bipartite:
+    if is_bipartite_spectral(summary, tol):
         return IntervalCheckResult(applicable=False)
     if summary.n < 2:
         return IntervalCheckResult(applicable=False)

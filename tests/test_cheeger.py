@@ -142,6 +142,35 @@ def test_dual_witness_z4():
     assert cert.witness == (0, 2)
 
 
+# First-maximiser witness pairs above the dual oracle's reach (its 3^n scan
+# takes seconds at n = 12), frozen here so that a change to the dual search's
+# pruning that moves the first maximiser fails.
+DUAL_PAIRS = {
+    ("cyclic:11", "±1"): (Fraction(10, 11), ((0, 1, 3, 5, 7, 9), (2, 4, 6, 8, 10))),
+    ("cyclic:12", "±1"): (Fraction(1), ((0, 2, 4, 6, 8, 10), (1, 3, 5, 7, 9, 11))),
+    ("cyclic:13", "±1"): (
+        Fraction(12, 13), ((0, 1, 3, 5, 7, 9, 11), (2, 4, 6, 8, 10, 12))),
+    ("cyclic:14", "±1"): (
+        Fraction(1), ((0, 2, 4, 6, 8, 10, 12), (1, 3, 5, 7, 9, 11, 13))),
+    ("cyclic:11", "±1,±2"): (Fraction(8, 11), ((0, 1, 3, 4, 7, 8), (2, 5, 6, 9, 10))),
+    ("cyclic:12", "±1,±2"): (
+        Fraction(3, 4), ((0, 1, 4, 5, 8, 9), (2, 3, 6, 7, 10, 11))),
+    ("cyclic:13", "±1,±2"): (
+        Fraction(9, 13), ((0, 1, 2, 5, 6, 9, 10), (3, 4, 7, 8, 11, 12))),
+    ("cyclic:14", "±1,±2"): (
+        Fraction(5, 7), ((0, 1, 3, 4, 6, 7, 10, 11), (2, 5, 8, 9, 12, 13))),
+    ("dihedral:6", "auto"): (Fraction(1), ((0, 2, 4, 7, 9, 11), (1, 3, 5, 6, 8, 10))),
+    ("dihedral:7", "auto"): (
+        Fraction(19, 21), ((0, 1, 3, 5, 8, 10, 12), (2, 4, 6, 7, 9, 11, 13))),
+}
+
+
+@pytest.mark.parametrize("key", list(DUAL_PAIRS), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_dual_witness_pairs(key):
+    cert = dual_cheeger(build_graph(*key))
+    assert (cert.value, cert.witness_pair) == DUAL_PAIRS[key]
+
+
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
 def test_vertex_engine_matches_oracle(member):
     graph = families.graph_of(member)

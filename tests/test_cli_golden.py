@@ -1,0 +1,97 @@
+"""Golden CLI output: stdout, stderr and the exit code of fixed invocations.
+
+Each case runs `cayleygap.cli.main` in-process and compares its output, byte
+for byte, with the files under tests/golden/. A change that alters CLI output
+on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and shows the diff of tests/golden/ in review.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from cayleygap.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GRAPHS = (
+    ("c6", "cyclic:6", "±1"),                           # bipartite
+    ("d5", "dihedral:5", "auto"),
+    ("c20", "cyclic:20", "±1"),                         # dual rows skipped
+    ("c2xc4", "product:cyclic:2xcyclic:4", "4,1,3"),
+    ("c26", "cyclic:26", "±1"),                         # over max_exact
+)
+FORMATS = ("text", "csv", "json")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases: dict[str, list[str]] = {}
+    for command in ("spectrum", "cheeger", "subgroups", "proof", "verify"):
+        for key, group, gens in GRAPHS:
+            for fmt in FORMATS:
+                cases[f"{command}-{key}-{fmt}"] = [
+                    command, "--group", group, "--gens", gens, "--format", fmt,
+                ]
+    for command in ("proof", "verify"):
+        for key, group, gens in GRAPHS[:2]:
+            for fmt in FORMATS:
+                cases[f"{command}-{key}-zeta-{fmt}"] = [
+                    command, "--group", group, "--gens", gens, "--zeta", "1/2",
+                    "--format", fmt,
+                ]
+    for fmt in FORMATS:
+        cases[f"sweep-{fmt}"] = [
+            "sweep", "cyclic:3..6 gens=±1", "florble:9", "dihedral:4",
+            "--format", fmt,
+        ]
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv: list[str]) -> tuple[str, str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return out.getvalue(), err.getvalue(), code
+
+
+def _read(path: Path) -> str:
+    return path.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    stdout, stderr, code = run_case(CASES[name])
+    codes = json.loads(_read(GOLDEN_DIR / "exit_codes.json"))
+    assert code == codes[name]
+    assert stdout == _read(GOLDEN_DIR / f"{name}.stdout")
+    assert stderr == _read(GOLDEN_DIR / f"{name}.stderr")
+
+
+def regenerate() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for path in GOLDEN_DIR.iterdir():
+        path.unlink()
+    codes = {}
+    for name in sorted(CASES):
+        stdout, stderr, codes[name] = run_case(CASES[name])
+        (GOLDEN_DIR / f"{name}.stdout").write_bytes(stdout.encode("utf-8"))
+        (GOLDEN_DIR / f"{name}.stderr").write_bytes(stderr.encode("utf-8"))
+    (GOLDEN_DIR / "exit_codes.json").write_bytes(
+        (json.dumps(codes, indent=2) + "\n").encode("utf-8"))
+    print(f"wrote {len(codes)} cases to {GOLDEN_DIR}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

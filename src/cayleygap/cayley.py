@@ -160,20 +160,6 @@ def set_image(graph: CayleyGraph, a_mask: int) -> int:
     return acc
 
 
-def vertex_boundary(graph: CayleyGraph, a_mask: int) -> int:
-    """Bitmask of the outer vertex boundary (S·A) \\ A."""
-    return set_image(graph, a_mask) & ~a_mask
-
-
-def edge_boundary_count(graph: CayleyGraph, a_mask: int) -> int:
-    """Number of pairs (a, s) with a in A and s*a outside A."""
-    masks = graph.nbr_masks
-    total = 0
-    for a in iter_bits(a_mask):
-        total += (masks[a] & ~a_mask).bit_count()
-    return total
-
-
 def left_translate(group: FiniteGroup, a_mask: int, s: int) -> int:
     """Bitmask of s·A."""
     row = group.mult[s]

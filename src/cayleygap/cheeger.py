@@ -73,20 +73,16 @@ def _zero_ratio_witness(nbr_masks: Sequence[int], n: int) -> int | None:
     return min(comps, key=lambda c: (c.bit_count(), c))
 
 
-def _translate_minimiser(
-    group: FiniteGroup | None, n: int
-) -> Callable[[int, int], int]:
+def _translate_minimiser(group: FiniteGroup, n: int) -> Callable[[int, int], int]:
     """Return smallest(a, bound) = min(bound, min over g of a·g).
 
-    The minimum runs over the right translates a·g of the vertex set a, or
-    over a alone when group is None. With a group, a must contain vertex 0
-    (the identity). A translate can only beat `bound` if every x·g (x in a)
-    lies below the top bit of `bound`: that rules out every g at or above it
-    (0·g = g), and a is tested against out[g] = {x : x·g at or above that
-    bit} before a·g is formed. Each out table is built once per top bit.
+    The minimum runs over the right translates a·g of the vertex set a, which
+    must contain vertex 0 (the identity). A translate can only beat `bound`
+    if every x·g (x in a) lies below the top bit of `bound`: that rules out
+    every g at or above it (0·g = g), and a is tested against
+    out[g] = {x : x·g at or above that bit} before a·g is formed. Each out
+    table is built once per top bit.
     """
-    if group is None:
-        return min
     full = (1 << n) - 1
     outs: dict[int, list[int]] = {}
 
@@ -110,17 +106,16 @@ def _translate_minimiser(
 
 # Both searches below enumerate sets in the same depth-first order and prune
 # a subtree only when even its best completion has a strictly worse ratio.
-# With a group, right translation x -> x·g is a graph automorphism, so every
-# set has a translate containing vertex 0 (the identity) with the same size
-# and ratio: only those sets are enumerated, and the incumbent mask is kept
-# as the smallest right translate of the best rooted set found so far. The
-# result is the (ratio, size, mask) minimum over all admissible sets. The
-# vertex search also takes group=None, which enumerates every set (arbitrary
-# masks from vertex_cheeger_from_masks, no automorphisms).
+# Right translation x -> x·g is a graph automorphism, so every set has a
+# translate containing vertex 0 (the identity) with the same size and ratio:
+# only those sets are enumerated, starting from the rooted set {0}, and the
+# incumbent mask is kept as the smallest right translate of the best rooted
+# set found so far. The result is the (ratio, size, mask) minimum over all
+# admissible sets.
 
 
 def _vertex_search(
-    nbr_masks: Sequence[int], n: int, group: FiniteGroup | None
+    nbr_masks: Sequence[int], n: int, group: FiniteGroup
 ) -> tuple[int, int, int]:
     """Minimise |delta(A)|/|A|; returns (boundary, size, mask)."""
     full = (1 << n) - 1
@@ -128,7 +123,7 @@ def _vertex_search(
     below = [(1 << u) - 1 for u in range(n + 1)]
     masks = list(nbr_masks)
     smallest = _translate_minimiser(group, n)
-    best_num, best_size, best_mask = n + 1, 1, 0   # worse than any candidate
+    best_num, best_size, best_mask = (masks[0] & ~1).bit_count(), 1, 1   # the rooted set {0}
 
     def extend(start: int, mask: int, size: int, nbr: int) -> None:
         nonlocal best_num, best_size, best_mask
@@ -166,12 +161,8 @@ def _vertex_search(
                     bn, bs = best_num, best_size
         return
 
-    if group is None:
-        extend(0, 0, 0, 0)
-    else:
-        best_num, best_size, best_mask = (masks[0] & ~1).bit_count(), 1, 1
-        if kcap > 1:
-            extend(1, 1, 1, masks[0])
+    if kcap > 1:
+        extend(1, 1, 1, masks[0])
     return best_num, best_size, best_mask
 
 
@@ -241,31 +232,18 @@ def _require_exact(n: int, max_exact: int) -> None:
         raise ValueError("no admissible sets: need n >= 2")
 
 
-def _vertex_certificate(
-    nbr_masks: Sequence[int], n: int, group: FiniteGroup | None
-) -> CheegerCertificate:
-    zero = _zero_ratio_witness(nbr_masks, n)
-    if zero is not None and zero.bit_count() <= n // 2:
-        return CheegerCertificate("vertex", Fraction(0), mask_members(zero))
-    num, size, mask = _vertex_search(nbr_masks, n, group)
-    return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
-
-
-def vertex_cheeger_from_masks(
-    nbr_masks: Sequence[int], n: int, *, max_exact: int = MAX_EXACT_DEFAULT
-) -> CheegerCertificate:
-    """Exact vertex Cheeger constant of an arbitrary neighbor-mask graph.
-
-    Loops (self bits) are allowed and never contribute boundary.
-    """
-    _require_exact(n, max_exact)
-    return _vertex_certificate(nbr_masks, n, None)
-
-
 def vertex_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
     _require_exact(graph.n, max_exact)
-    return graph.memo("vertex_cheeger", lambda: _vertex_certificate(
-        graph.nbr_masks, graph.n, graph.group))
+    return graph.memo("vertex_cheeger", lambda: _vertex_certificate(graph))
+
+
+def _vertex_certificate(graph: CayleyGraph) -> CheegerCertificate:
+    n = graph.n
+    zero = _zero_ratio_witness(graph.nbr_masks, n)
+    if zero is not None and zero.bit_count() <= n // 2:
+        return CheegerCertificate("vertex", Fraction(0), mask_members(zero))
+    num, size, mask = _vertex_search(graph.nbr_masks, n, graph.group)
+    return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
 
 
 def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
@@ -348,22 +326,6 @@ def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
 
 # ---------------------------------------------------------------------------
 # Inequality checks
-
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    ok: bool
-    eps: Fraction
-    certificate: CheegerCertificate
-
-
-def expansion_check(
-    graph: CayleyGraph, eps: Fraction, *, max_exact: int = MAX_EXACT_DEFAULT
-) -> ExpansionResult:
-    """True iff |delta(A)| >= eps |A| for every admissible A (i.e. h >= eps)."""
-    eps = Fraction(eps)
-    cert = vertex_cheeger(graph, max_exact=max_exact)
-    return ExpansionResult(cert.value >= eps, eps, cert)
 
 
 def vertex_edge_relation_check(

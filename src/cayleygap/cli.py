@@ -5,16 +5,22 @@ means success (all checks passed), 1 means an inequality check failed on an
 in-regime input (a potential counterexample), 2 means a usage or input error.
 Identical invocations produce byte-identical output; every error path prints
 one machine-parsable line to stderr.
+
+Each subcommand registers only the flags it reads (see COMMANDS). Its
+handler returns (exit code, JSON payload, CSV lines, text lines), and main
+alone writes the format that --format chose.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
-from .cayley import CayleyGraph, parse_generators
+from .cayley import CayleyGraph
 from .cheeger import (
     MAX_DUAL_DEFAULT,
     MAX_EXACT_DEFAULT,
@@ -27,39 +33,285 @@ from .proof import run_pipeline, zeta_max
 from .spectral import is_bipartite_spectral, is_connected, spectrum
 from .subgroups import index2_subgroups
 from .verify import (
+    CSV_HEADER,
     DEFAULT_TOL,
     _fraction_dict,
     build_graph,
     full_report,
-    report_to_csv,
-    report_to_json,
-    report_to_text,
+    graph_dict,
+    graph_label,
+    report_csv_row,
+    report_json_dict,
+    report_text_lines,
     sweep,
-    sweep_to_csv,
-    sweep_to_json,
-    sweep_to_text,
+    sweep_csv_lines,
+    sweep_json_dict,
+    sweep_text_lines,
     trace_json_dict,
 )
 
+Output = tuple[int, dict, list[str], list[str]]
 
-def _common_flags(sub: argparse.ArgumentParser, *, group_required: bool) -> None:
-    if group_required:
-        sub.add_argument("--group", required=True,
-                         help="group spec, e.g. cyclic:6 or product:cyclic:2xcyclic:4")
-        sub.add_argument("--gens", default="auto",
-                         help="generator spec, e.g. 1,5 or ±1 (default: auto)")
-    sub.add_argument("--format", choices=("json", "csv", "text"),
-                     default="text", help="output format (default: text)")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="tolerance for float comparisons (default: 1e-9)")
-    sub.add_argument("--max-exact", type=int, default=MAX_EXACT_DEFAULT,
-                     help="largest n for exact Cheeger search (default: 24)")
-    sub.add_argument("--max-dual", type=int, default=MAX_DUAL_DEFAULT,
-                     help="largest n for exact dual-Cheeger search (default: 14)")
-    sub.add_argument("--zeta", default="auto",
-                     help="spectral proximity parameter; auto = largest "
-                          "in-regime value (default: auto)")
-    sub.add_argument("--out", default=None, help="write output to this path")
+
+def _tolerance(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0 <= float(text) < math.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+
+
+def _workers(text: str) -> int:
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+def _parse_zeta(text: str) -> Fraction | None:
+    if text == "auto":
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        return Fraction(float(text))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"cannot parse zeta value {text!r}") from exc
+
+
+def _cmd_spectrum(graph: CayleyGraph, args: argparse.Namespace) -> Output:
+    summary = spectrum(graph)
+    connected = is_connected(summary, args.tol)
+    bipartite = is_bipartite_spectral(summary, args.tol)
+    name, gens = graph.group.name, graph.gens.elements
+    payload = graph_dict(name, gens, graph.n, graph.d) | {
+        "spectrum": {"t": list(summary.t), "lambda": list(summary.lam)},
+        "connected": connected,
+        "bipartite_spectral": bipartite,
+    }
+    csv_lines = ["index,t,lambda"] + [
+        f"{i},{t!r},{lam!r}" for i, (t, lam) in enumerate(zip(summary.t, summary.lam))
+    ]
+    text_lines = [
+        f"graph: {graph_label(name, gens)}",
+        f"n = {graph.n}, d = {graph.d}",
+        "t      = " + ", ".join(f"{t:.12g}" for t in summary.t),
+        "lambda = " + ", ".join(f"{lam:.12g}" for lam in summary.lam),
+        f"connected = {connected}, bipartite (spectral) = {bipartite}",
+    ]
+    return 0, payload, csv_lines, text_lines
+
+
+def _cmd_cheeger(graph: CayleyGraph, args: argparse.Namespace) -> Output:
+    name, gens = graph.group.name, graph.gens.elements
+    payload = graph_dict(name, gens, graph.n, graph.d)
+    csv_lines = ["quantity,value,witness"]
+    text_lines = [f"graph: {graph_label(name, gens)}", f"n = {graph.n}, d = {graph.d}"]
+    for key, fn, kwargs in (
+        ("h", vertex_cheeger, {"max_exact": args.max_exact}),
+        ("edge_h", edge_cheeger, {"max_exact": args.max_exact}),
+        ("dual_h", dual_cheeger, {"max_dual": args.max_dual}),
+    ):
+        try:
+            cert = fn(graph, **kwargs)
+        except CapExceededError as exc:
+            payload[key] = None
+            payload[f"{key}_reason"] = exc.reason
+            csv_lines.append(f"{key},,{exc.reason}")
+            text_lines.append(f"{key} skipped ({exc.reason})")
+            continue
+        # The dual witness is the pair (V1, V2); the others are one set.
+        witness = cert.witness_pair or cert.witness
+        parts = cert.witness_pair or (cert.witness,)
+        payload[key] = _fraction_dict(cert.value)
+        payload[f"{key}_witness"] = witness
+        csv_lines.append(f"{key},{cert.value},"
+                         + " | ".join(" ".join(map(str, part)) for part in parts))
+        text_lines.append(f"{key} = {cert.value}  witness = {witness}")
+    return 0, payload, csv_lines, text_lines
+
+
+def _cmd_subgroups(graph: CayleyGraph, args: argparse.Namespace) -> Output:
+    gen_set = set(graph.gens.elements)
+    rows = [(c.elements, gen_set.isdisjoint(c.elements)) for c in index2_subgroups(graph.group)]
+    bipartite = any(disjoint for _, disjoint in rows)
+    name, gens = graph.group.name, graph.gens.elements
+    payload = graph_dict(name, gens, graph.n, graph.d) | {
+        "index2_subgroups": [
+            {"elements": list(elems), "disjoint_from_s": disjoint}
+            for elems, disjoint in rows
+        ],
+        "bipartite_structural": bipartite,
+    }
+    csv_lines = ["elements,disjoint_from_s"] + [
+        f"{' '.join(map(str, elems))},{str(disjoint).lower()}"
+        for elems, disjoint in rows
+    ]
+    text_lines = [
+        f"graph: {graph_label(name, gens)}",
+        f"index-2 subgroups: {len(rows)}",
+        *(f"  {{{', '.join(map(str, elems))}}}  disjoint from S: {disjoint}"
+          for elems, disjoint in rows),
+        f"bipartite (structural) = {bipartite}",
+    ]
+    return 0, payload, csv_lines, text_lines
+
+
+def _forced_zeta(graph: CayleyGraph, args: argparse.Namespace) -> Fraction | None:
+    """--zeta, with a warning on stderr when it exceeds the in-regime ceiling."""
+    zeta = _parse_zeta(args.zeta)
+    if zeta is None:
+        return None
+    try:
+        h = vertex_cheeger(graph, max_exact=args.max_exact).value
+    except CapExceededError:
+        # No h to compare with; the report's rows carry the cap reason.
+        return zeta
+    if h > 0 and zeta > (ceiling := zeta_max(h, graph.d)):
+        print(
+            f"warning: zeta = {float(zeta):.6g} exceeds the in-regime "
+            f"ceiling {float(ceiling):.6g}; results are out of regime "
+            f"(forced mode)",
+            file=sys.stderr,
+        )
+    return zeta
+
+
+def _trace_lines(t: dict) -> list[str]:
+    lines = [
+        f"eps = {t['eps']['num']}/{t['eps']['den']}, zeta = {t['zeta']:.6g}, "
+        f"beta = {t['beta']:.6g}, z = {t['z']:.6g}, r = {t['r']:.6g}",
+        f"in regime: candidate = {t['candidate_regime']}, subgroup = "
+        f"{t['subgroup_regime']}, threshold = {t['threshold_regime']}",
+        f"hypothesis met: {t['hypothesis_met']} (t_min = {t['t_min']:.9g}, "
+        f"gap above -1 = {t['gap']:.6g})",
+    ]
+    if c := t["candidate"]:
+        lines.append(
+            f"candidate A = {{{', '.join(map(str, c['a_set']))}}}  "
+            f"excess: identified = {c['identified_excess']}, "
+            f"weighted = {c['weighted_excess']}, ratio ok = {c['ratio_ok']}")
+    if p := t["properties"]:
+        lines.append(
+            f"half-set properties: size ok = {p['size_ok']}, "
+            f"overlap ok = {p['overlap_ok']}, translates ok = {p['translate_ok']}")
+    if di := t["dichotomy"]:
+        lines.append(
+            f"overlap dichotomy: valid = {di['valid']} "
+            f"(low = {di['case_low_count']}, high = {di['case_high_count']}, "
+            f"violations = {di['violations']})")
+    if t["agreement_bounds_ok"] is not None:
+        lines.append(f"agreement-set bounds ok = {t['agreement_bounds_ok']}")
+    if s := t["subgroup"]:
+        lines.append(
+            f"H = {{{', '.join(map(str, s['elements']))}}}  "
+            f"index = {s['index']}, index-2 subgroup = {s['is_index_two']}")
+    if f := t["final"]:
+        lines.append(
+            f"S cap H = {{{', '.join(map(str, f['s_cap_h']))}}}  "
+            f"disjoint = {f['disjoint']}, structural match = {f['structural_match']}")
+        lines += [
+            f"  conflict at t = {rec['t']}: |tA cap A| = {rec['count']}, "
+            f"upper ok = {rec['upper_ok']}, lower ok = {rec['lower_ok']}"
+            for rec in f["conflicts"]
+        ]
+    return lines + [f"failure: {t['failure']}", f"succeeded: {t['succeeded']}"]
+
+
+def _cmd_proof(graph: CayleyGraph, args: argparse.Namespace) -> Output:
+    zeta = _forced_zeta(graph, args)
+    trace = run_pipeline(graph, zeta, max_exact=args.max_exact)
+    code = int(trace.hypothesis_met and not trace.succeeded and not trace.out_of_regime)
+    t = trace_json_dict(trace)
+    name, gens = graph.group.name, graph.gens.elements
+    payload = graph_dict(name, gens, graph.n, graph.d) | {"proof_trace": t}
+    # Each stage's verdict, or None when the pipeline stopped before it.
+    stages = {
+        "candidate": t["candidate"] and t["candidate"]["ratio_ok"],
+        "properties": t["properties"] and all(t["properties"].values()),
+        "dichotomy": t["dichotomy"] and t["dichotomy"]["valid"],
+        "agreement_bounds": t["agreement_bounds_ok"],
+        "subgroup": t["subgroup"] and t["subgroup"]["is_index_two"],
+        "disjointness": t["final"] and t["final"]["disjoint"],
+    }
+    csv_lines = [
+        "stage,status",
+        f"hypothesis,{'met' if t['hypothesis_met'] else 'not_met'}",
+        *(f"{stage},{'' if ok is None else 'ok' if ok else 'fail'}"
+          for stage, ok in stages.items()),
+        f"succeeded,{str(t['succeeded']).lower()}",
+    ]
+    return code, payload, csv_lines, [f"graph: {graph_label(name, gens)}", *_trace_lines(t)]
+
+
+def _cmd_verify(graph: CayleyGraph, args: argparse.Namespace) -> Output:
+    zeta = _forced_zeta(graph, args)
+    report = full_report(
+        graph, tol=args.tol, max_exact=args.max_exact, max_dual=args.max_dual,
+        zeta=zeta,
+    )
+    return (0 if report.all_pass else 1, report_json_dict(report),
+            [CSV_HEADER, report_csv_row(report)], report_text_lines(report))
+
+
+def _cmd_sweep(specs: list[str], args: argparse.Namespace) -> Output:
+    items = sweep(
+        specs, tol=args.tol, max_exact=args.max_exact,
+        max_dual=args.max_dual, zeta=_parse_zeta(args.zeta),
+        workers=args.workers,
+    )
+    errors = [item for item in items if item.error is not None]
+    for item in errors:
+        print(f"error: {item.spec}: {item.error}", file=sys.stderr)
+    any_fail = any(item.report is not None and not item.report.all_pass for item in items)
+    code = 1 if any_fail else (2 if errors else 0)
+    return (code, sweep_json_dict(items), sweep_csv_lines(items),
+            sweep_text_lines(items))
+
+
+FLAGS = {
+    "--group": {"required": True,
+                "help": "group spec, e.g. cyclic:6 or product:cyclic:2xcyclic:4"},
+    "--gens": {"default": "auto",
+               "help": "generator spec, e.g. 1,5 or ±1 (default: auto)"},
+    "specs": {"nargs": "+", "help": "items like 'cyclic:3..16 gens=±1' "
+                                    "(gens omitted = family default)"},
+    "--workers": {"type": _workers, "default": 1,
+                  "help": "parallel workers, at least 1; output is identical "
+                          "for any worker count (default: 1)"},
+    "--format": {"choices": ("json", "csv", "text"), "default": "text",
+                 "help": "output format (default: text)"},
+    "--tol": {"type": _tolerance, "default": DEFAULT_TOL,
+              "help": "tolerance for float comparisons, finite and >= 0 "
+                      "(default: 1e-9)"},
+    "--max-exact": {"type": int, "default": MAX_EXACT_DEFAULT,
+                    "help": "largest n for exact Cheeger search (default: 24)"},
+    "--max-dual": {"type": int, "default": MAX_DUAL_DEFAULT,
+                   "help": "largest n for exact dual-Cheeger search (default: 14)"},
+    "--zeta": {"default": "auto",
+               "help": "spectral proximity parameter; auto = largest "
+                       "in-regime value (default: auto)"},
+    "--out": {"default": None, "help": "write output to this path"},
+}
+_GRAPH = ("--group", "--gens", "--format")
+_REPORT = ("--tol", "--max-exact", "--max-dual", "--zeta")
+
+# command: (help, handler, the flags it registers, in help order).
+COMMANDS = {
+    "spectrum": ("normalised adjacency and Laplacian spectrum", _cmd_spectrum,
+                 (*_GRAPH, "--tol", "--out")),
+    "cheeger": ("exact vertex, edge, and dual Cheeger constants", _cmd_cheeger,
+                (*_GRAPH, "--max-exact", "--max-dual", "--out")),
+    "subgroups": ("index-2 subgroups and disjointness from the generators",
+                  _cmd_subgroups, (*_GRAPH, "--out")),
+    "proof": ("run the subgroup-extraction pipeline", _cmd_proof,
+              (*_GRAPH, "--max-exact", "--zeta", "--out")),
+    "verify": ("full per-graph verification report", _cmd_verify,
+               (*_GRAPH, *_REPORT, "--out")),
+    "sweep": ("verify a family of graphs", _cmd_sweep,
+              ("specs", "--workers", "--format", *_REPORT, "--out")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,314 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "normalised spectra, and bipartiteness certificates.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "normalised adjacency and Laplacian spectrum"),
-        ("cheeger", "exact vertex, edge, and dual Cheeger constants"),
-        ("subgroups", "index-2 subgroups and disjointness from the generators"),
-        ("proof", "run the subgroup-extraction pipeline"),
-        ("verify", "full per-graph verification report"),
-    ):
+    for name, (help_text, _, flags) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _common_flags(sub, group_required=True)
-    sw = subs.add_parser("sweep", help="verify a family of graphs")
-    sw.add_argument("specs", nargs="+",
-                    help="items like 'cyclic:3..16 gens=±1' "
-                         "(gens omitted = family default)")
-    sw.add_argument("--workers", type=int, default=1,
-                    help="parallel workers; output is identical for any "
-                         "worker count (default: 1)")
-    _common_flags(sw, group_required=False)
+        for flag in flags:
+            sub.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def _parse_zeta(text: str) -> Fraction | None:
-    if text == "auto":
-        return None
-    try:
-        return Fraction(text)
-    except ValueError:
-        pass
-    try:
-        return Fraction(float(text))
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"cannot parse zeta value {text!r}") from exc
-
-
-def _graph_header(graph: CayleyGraph) -> dict:
-    return {
-        "schema_version": 1,
-        "group": graph.group.name,
-        "gens": list(graph.gens.elements),
-        "n": graph.n,
-        "d": graph.d,
-    }
-
-
-def _cmd_spectrum(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
-    summary = spectrum(graph)
-    connected = is_connected(summary, args.tol)
-    bipartite = is_bipartite_spectral(summary, args.tol)
-    if args.format == "json":
-        payload = _graph_header(graph)
-        payload["spectrum"] = {"t": list(summary.t), "lambda": list(summary.lam)}
-        payload["connected"] = connected
-        payload["bipartite_spectral"] = bipartite
-        return json.dumps(payload, indent=2) + "\n", 0
-    if args.format == "csv":
-        lines = ["index,t,lambda"]
-        lines += [f"{i},{t!r},{lam!r}"
-                  for i, (t, lam) in enumerate(zip(summary.t, summary.lam))]
-        return "\n".join(lines) + "\n", 0
-    lines = [
-        f"graph: {graph.group.name} gens={','.join(map(str, graph.gens.elements))}",
-        f"n = {graph.n}, d = {graph.d}",
-        "t      = " + ", ".join(f"{t:.12g}" for t in summary.t),
-        "lambda = " + ", ".join(f"{lam:.12g}" for lam in summary.lam),
-        f"connected = {connected}, bipartite (spectral) = {bipartite}",
-    ]
-    return "\n".join(lines) + "\n", 0
-
-
-def _cmd_cheeger(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
-    results: dict[str, tuple] = {}
-    skips: dict[str, str] = {}
-    for key, fn, kwargs in (
-        ("h", vertex_cheeger, {"max_exact": args.max_exact}),
-        ("edge_h", edge_cheeger, {"max_exact": args.max_exact}),
-        ("dual_h", dual_cheeger, {"max_dual": args.max_dual}),
-    ):
-        try:
-            cert = fn(graph, **kwargs)
-            witness = cert.witness_pair if cert.witness_pair else cert.witness
-            results[key] = (cert.value, witness)
-        except CapExceededError as exc:
-            skips[key] = exc.reason
-    if args.format == "json":
-        payload = _graph_header(graph)
-        for key in ("h", "edge_h", "dual_h"):
-            if key in results:
-                value, witness = results[key]
-                payload[key] = _fraction_dict(value)
-                payload[f"{key}_witness"] = (
-                    [list(part) for part in witness]
-                    if witness and isinstance(witness[0], tuple)
-                    else list(witness)
-                )
-            else:
-                payload[key] = None
-                payload[f"{key}_reason"] = skips[key]
-        return json.dumps(payload, indent=2) + "\n", 0
-    if args.format == "csv":
-        lines = ["quantity,value,witness"]
-        for key in ("h", "edge_h", "dual_h"):
-            if key in results:
-                value, witness = results[key]
-                if witness and isinstance(witness[0], tuple):
-                    wtext = " | ".join(" ".join(map(str, part)) for part in witness)
-                else:
-                    wtext = " ".join(map(str, witness))
-                lines.append(f"{key},{value},{wtext}")
-            else:
-                lines.append(f"{key},,{skips[key]}")
-        return "\n".join(lines) + "\n", 0
-    lines = [
-        f"graph: {graph.group.name} gens={','.join(map(str, graph.gens.elements))}",
-        f"n = {graph.n}, d = {graph.d}",
-    ]
-    for key in ("h", "edge_h", "dual_h"):
-        if key in results:
-            value, witness = results[key]
-            lines.append(f"{key} = {value}  witness = {witness}")
-        else:
-            lines.append(f"{key} skipped ({skips[key]})")
-    return "\n".join(lines) + "\n", 0
-
-
-def _cmd_subgroups(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
-    certs = index2_subgroups(graph.group)
-    gen_set = set(graph.gens.elements)
-    rows = [
-        (cert.elements, not gen_set.intersection(cert.elements))
-        for cert in certs
-    ]
-    bipartite = any(disjoint for _, disjoint in rows)
-    if args.format == "json":
-        payload = _graph_header(graph)
-        payload["index2_subgroups"] = [
-            {"elements": list(elems), "disjoint_from_s": disjoint}
-            for elems, disjoint in rows
-        ]
-        payload["bipartite_structural"] = bipartite
-        return json.dumps(payload, indent=2) + "\n", 0
-    if args.format == "csv":
-        lines = ["elements,disjoint_from_s"]
-        lines += [
-            f"{' '.join(map(str, elems))},{'true' if disjoint else 'false'}"
-            for elems, disjoint in rows
-        ]
-        return "\n".join(lines) + "\n", 0
-    lines = [
-        f"graph: {graph.group.name} gens={','.join(map(str, graph.gens.elements))}",
-        f"index-2 subgroups: {len(rows)}",
-    ]
-    for elems, disjoint in rows:
-        lines.append(f"  {{{', '.join(map(str, elems))}}}"
-                     f"  disjoint from S: {disjoint}")
-    lines.append(f"bipartite (structural) = {bipartite}")
-    return "\n".join(lines) + "\n", 0
-
-
-def _forced_banner(graph: CayleyGraph, zeta: Fraction | None, max_exact: int) -> None:
-    if zeta is None:
-        return
-    try:
-        h = vertex_cheeger(graph, max_exact=max_exact).value
-    except CapExceededError:
-        # No h to compare with; the report's rows carry the cap reason.
-        return
-    if h > 0:
-        ceiling = zeta_max(h, graph.d)
-        if zeta > ceiling:
-            print(
-                f"warning: zeta = {float(zeta):.6g} exceeds the in-regime "
-                f"ceiling {float(ceiling):.6g}; results are out of regime "
-                f"(forced mode)",
-                file=sys.stderr,
-            )
-
-
-def _trace_text(trace_dict: dict) -> str:
-    lines = [
-        f"eps = {trace_dict['eps']['num']}/{trace_dict['eps']['den']}, "
-        f"zeta = {trace_dict['zeta']:.6g}, beta = {trace_dict['beta']:.6g}, "
-        f"z = {trace_dict['z']:.6g}, r = {trace_dict['r']:.6g}",
-        f"in regime: candidate = {trace_dict['candidate_regime']}, "
-        f"subgroup = {trace_dict['subgroup_regime']}, "
-        f"threshold = {trace_dict['threshold_regime']}",
-        f"hypothesis met: {trace_dict['hypothesis_met']} "
-        f"(t_min = {trace_dict['t_min']:.9g}, gap above -1 = "
-        f"{trace_dict['gap']:.6g})",
-    ]
-    if trace_dict["candidate"]:
-        c = trace_dict["candidate"]
-        lines.append(
-            f"candidate A = {{{', '.join(map(str, c['a_set']))}}}  "
-            f"excess: identified = {c['identified_excess']}, "
-            f"weighted = {c['weighted_excess']}, ratio ok = {c['ratio_ok']}"
-        )
-    if trace_dict["properties"]:
-        p = trace_dict["properties"]
-        lines.append(
-            f"half-set properties: size ok = {p['size_ok']}, "
-            f"overlap ok = {p['overlap_ok']}, translates ok = {p['translate_ok']}"
-        )
-    if trace_dict["dichotomy"]:
-        di = trace_dict["dichotomy"]
-        lines.append(
-            f"overlap dichotomy: valid = {di['valid']} "
-            f"(low = {di['case_low_count']}, high = {di['case_high_count']}, "
-            f"violations = {di['violations']})"
-        )
-    if trace_dict["agreement_bounds_ok"] is not None:
-        lines.append(f"agreement-set bounds ok = {trace_dict['agreement_bounds_ok']}")
-    if trace_dict["subgroup"]:
-        s = trace_dict["subgroup"]
-        lines.append(
-            f"H = {{{', '.join(map(str, s['elements']))}}}  "
-            f"index = {s['index']}, index-2 subgroup = {s['is_index_two']}"
-        )
-    if trace_dict["final"]:
-        f = trace_dict["final"]
-        lines.append(
-            f"S cap H = {{{', '.join(map(str, f['s_cap_h']))}}}  "
-            f"disjoint = {f['disjoint']}, structural match = "
-            f"{f['structural_match']}"
-        )
-        for rec in f["conflicts"]:
-            lines.append(
-                f"  conflict at t = {rec['t']}: |tA cap A| = {rec['count']}, "
-                f"upper ok = {rec['upper_ok']}, lower ok = {rec['lower_ok']}"
-            )
-    lines.append(f"failure: {trace_dict['failure']}")
-    lines.append(f"succeeded: {trace_dict['succeeded']}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_proof(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
-    zeta = _parse_zeta(args.zeta)
-    _forced_banner(graph, zeta, args.max_exact)
-    trace = run_pipeline(graph, zeta, max_exact=args.max_exact)
-    trace_dict = trace_json_dict(trace)
-    if trace.hypothesis_met and not trace.succeeded and not trace.out_of_regime:
-        code = 1
-    else:
-        code = 0
-    if args.format == "json":
-        payload = _graph_header(graph)
-        payload["proof_trace"] = trace_dict
-        return json.dumps(payload, indent=2) + "\n", code
-    if args.format == "csv":
-        stage_status = [
-            ("hypothesis", "met" if trace_dict["hypothesis_met"] else "not_met"),
-            ("candidate", "" if not trace_dict["candidate"]
-             else ("ok" if trace_dict["candidate"]["ratio_ok"] else "fail")),
-            ("properties", "" if not trace_dict["properties"]
-             else ("ok" if all(trace_dict["properties"].values()) else "fail")),
-            ("dichotomy", "" if not trace_dict["dichotomy"]
-             else ("ok" if trace_dict["dichotomy"]["valid"] else "fail")),
-            ("agreement_bounds", "" if trace_dict["agreement_bounds_ok"] is None
-             else ("ok" if trace_dict["agreement_bounds_ok"] else "fail")),
-            ("subgroup", "" if not trace_dict["subgroup"]
-             else ("ok" if trace_dict["subgroup"]["is_index_two"] else "fail")),
-            ("disjointness", "" if not trace_dict["final"]
-             else ("ok" if trace_dict["final"]["disjoint"] else "fail")),
-            ("succeeded", "true" if trace_dict["succeeded"] else "false"),
-        ]
-        lines = ["stage,status"] + [f"{name},{status}"
-                                    for name, status in stage_status]
-        return "\n".join(lines) + "\n", code
-    header = (
-        f"graph: {graph.group.name} "
-        f"gens={','.join(map(str, graph.gens.elements))}\n"
-    )
-    return header + _trace_text(trace_dict), code
-
-
-def _cmd_verify(graph: CayleyGraph, args: argparse.Namespace) -> tuple[str, int]:
-    zeta = _parse_zeta(args.zeta)
-    _forced_banner(graph, zeta, args.max_exact)
-    report = full_report(
-        graph, tol=args.tol, max_exact=args.max_exact, max_dual=args.max_dual,
-        zeta=zeta,
-    )
-    code = 0 if report.all_pass else 1
-    if args.format == "json":
-        return report_to_json(report) + "\n", code
-    if args.format == "csv":
-        return report_to_csv(report), code
-    return report_to_text(report), code
-
-
-def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    items = sweep(
-        args.specs, tol=args.tol, max_exact=args.max_exact,
-        max_dual=args.max_dual, zeta=_parse_zeta(args.zeta),
-        workers=args.workers,
-    )
-    any_fail = any(
-        item.report is not None and not item.report.all_pass for item in items
-    )
-    any_error = any(item.error is not None for item in items)
-    code = 1 if any_fail else (2 if any_error else 0)
-    if any_error:
-        for item in items:
-            if item.error is not None:
-                print(f"error: {item.spec}: {item.error}", file=sys.stderr)
-    if args.format == "json":
-        return sweep_to_json(items) + "\n", code
-    if args.format == "csv":
-        return sweep_to_csv(items), code
-    return sweep_to_text(items), code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -386,24 +335,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "sweep":
-            text, code = _cmd_sweep(args)
-        else:
-            graph = build_graph(args.group, args.gens)
-            handler = {
-                "spectrum": _cmd_spectrum,
-                "cheeger": _cmd_cheeger,
-                "subgroups": _cmd_subgroups,
-                "proof": _cmd_proof,
-                "verify": _cmd_verify,
-            }[args.command]
-            text, code = handler(graph, args)
+        subject = args.specs if args.command == "sweep" else build_graph(args.group, args.gens)
+        code, payload, csv_lines, text_lines = COMMANDS[args.command][1](subject, args)
     except (CayleyGapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join(csv_lines if args.format == "csv" else text_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley import CayleyGraph, square_multiset
+from .cayley import CayleyGraph
 from .errors import CapExceededError, ConvergenceError
 
 MAX_SPECTRUM_DEFAULT = 2048
@@ -233,33 +233,3 @@ def is_connected(summary: SpectralSummary, tol: float = 1e-9) -> bool:
 
 def is_bipartite_spectral(summary: SpectralSummary, tol: float = 1e-9) -> bool:
     return summary.lambda_max >= 2.0 - tol
-
-
-def square_normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
-    """Dense operator of the product multiset S·S: entry [x][y] = m(y x^-1)/d².
-
-    Equals T @ T for the same graph (left action: x -> g x steps by g = t*s).
-    """
-    multiset = square_multiset(graph.gens, graph.group)
-    group = graph.group
-    n = graph.n
-    d2 = multiset.total
-    rows = []
-    for x in range(n):
-        inv_x = group.inv[x]
-        row = [0.0] * n
-        for y in range(n):
-            m = multiset.counts.get(group.mult[y][inv_x], 0)
-            if m:
-                row[y] = m / d2
-        rows.append(row)
-    return rows
-
-
-def square_spectrum_consistency(graph: CayleyGraph, tol: float = 1e-9) -> bool:
-    """True iff spec of the S·S operator equals {t_i^2} elementwise (sorted)."""
-    direct = eigenvalues_symmetric(square_normalized_adjacency(graph))
-    squared = sorted(t * t for t in spectrum(graph).t)
-    if len(direct) != len(squared):
-        return False
-    return max(abs(x - y) for x, y in zip(direct, squared)) <= tol

@@ -402,6 +402,16 @@ def full_report(
 # Serialisation
 
 
+def graph_label(group: str, gens: tuple[int, ...]) -> str:
+    """How text and CSV output name a graph, e.g. 'cyclic:6 gens=1,5'."""
+    return f"{group} gens={','.join(map(str, gens))}"
+
+
+def graph_dict(group: str, gens: tuple[int, ...], n: int, d: int) -> dict:
+    """The leading keys of every per-graph JSON payload."""
+    return {"schema_version": 1, "group": group, "gens": list(gens), "n": n, "d": d}
+
+
 def _fraction_dict(value: Fraction | None) -> dict | None:
     if value is None:
         return None
@@ -490,12 +500,7 @@ def trace_json_dict(trace: ProofTrace | None) -> dict | None:
 
 
 def report_json_dict(report: VerificationReport) -> dict:
-    return {
-        "schema_version": 1,
-        "group": report.group_label,
-        "gens": list(report.gens),
-        "n": report.n,
-        "d": report.d,
+    return graph_dict(report.group_label, report.gens, report.n, report.d) | {
         "h": _fraction_dict(report.h),
         "edge_h": _fraction_dict(report.edge_h),
         "dual_h": _fraction_dict(report.dual_h),
@@ -541,9 +546,8 @@ def report_csv_row(report: VerificationReport) -> str:
         if row.name == "main_bound" and row.margin is not None:
             main_margin = repr(row.margin)
     tightness = "" if report.tightness is None else repr(report.tightness)
-    graph_label = f"{report.group_label} gens={','.join(map(str, report.gens))}"
     fields = (
-        graph_label,
+        graph_label(report.group_label, report.gens),
         str(report.n),
         str(report.d),
         _format_fraction(report.h),
@@ -564,8 +568,12 @@ def report_to_csv(report: VerificationReport) -> str:
 
 
 def report_to_text(report: VerificationReport) -> str:
+    return "\n".join(report_text_lines(report)) + "\n"
+
+
+def report_text_lines(report: VerificationReport) -> list[str]:
     lines = [
-        f"graph: {report.group_label} gens={','.join(map(str, report.gens))}",
+        f"graph: {graph_label(report.group_label, report.gens)}",
         f"n = {report.n}, d = {report.d}",
         f"h = {report.h}, edge_h = {report.edge_h}, dual_h = {report.dual_h}",
         f"lambda_2 = {report.summary.lambda2 if report.n > 1 else 'n/a'}, "
@@ -580,7 +588,7 @@ def report_to_text(report: VerificationReport) -> str:
         margin = "" if row.margin is None else f"  margin = {row.margin:.6g}"
         reason = "" if row.reason is None else f"  ({row.reason})"
         lines.append(f"  {row.name:28s} {row.status}{margin}{reason}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +669,8 @@ def sweep(
     return [_sweep_worker(task) for task in tasks]
 
 
-def sweep_to_json(items: list[SweepItem]) -> str:
-    payload = {
+def sweep_json_dict(items: list[SweepItem]) -> dict:
+    return {
         "schema_version": 1,
         "reports": [
             report_json_dict(item.report)
@@ -671,22 +679,34 @@ def sweep_to_json(items: list[SweepItem]) -> str:
             for item in items
         ],
     }
-    return json.dumps(payload, indent=2)
+
+
+def sweep_csv_lines(items: list[SweepItem]) -> list[str]:
+    return [CSV_HEADER] + [
+        report_csv_row(item.report) for item in items if item.report is not None
+    ]
+
+
+def sweep_text_lines(items: list[SweepItem]) -> list[str]:
+    """Each item's text block, with a blank line between blocks."""
+    lines: list[str] = []
+    for item in items:
+        if lines:
+            lines.append("")
+        if item.report is not None:
+            lines += report_text_lines(item.report)
+        else:
+            lines += [f"graph: {item.spec}", f"  error: {item.error}"]
+    return lines
+
+
+def sweep_to_json(items: list[SweepItem]) -> str:
+    return json.dumps(sweep_json_dict(items), indent=2)
 
 
 def sweep_to_csv(items: list[SweepItem]) -> str:
-    lines = [CSV_HEADER]
-    for item in items:
-        if item.report is not None:
-            lines.append(report_csv_row(item.report))
-    return "\n".join(lines) + "\n"
+    return "\n".join(sweep_csv_lines(items)) + "\n"
 
 
 def sweep_to_text(items: list[SweepItem]) -> str:
-    blocks = []
-    for item in items:
-        if item.report is not None:
-            blocks.append(report_to_text(item.report))
-        else:
-            blocks.append(f"graph: {item.spec}\n  error: {item.error}\n")
-    return "\n".join(blocks)
+    return "".join(f"{line}\n" for line in sweep_text_lines(items))

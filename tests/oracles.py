@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from cayleygap import CayleyGraph, FiniteGroup
+from cayleygap import (
+    CayleyGraph,
+    FiniteGroup,
+    eigenvalues_symmetric,
+    set_image,
+    spectrum,
+    square_multiset,
+)
+from cayleygap.cayley import iter_bits
 
 
 def _better(num: int, size: int, mask: int,
@@ -185,3 +193,51 @@ def normalized_adjacency_lists(graph: CayleyGraph) -> list[list[float]]:
             if count_rows[x][y] != count_rows[y][x]:
                 raise AssertionError("adjacency counts not symmetric")
     return [[c / d for c in row] for row in count_rows]
+
+
+# Set boundaries and the S·S operator, computed directly from their
+# definitions. Only the tests use them.
+
+
+def vertex_boundary(graph: CayleyGraph, a_mask: int) -> int:
+    """Bitmask of the outer vertex boundary (S·A) \\ A."""
+    return set_image(graph, a_mask) & ~a_mask
+
+
+def edge_boundary_count(graph: CayleyGraph, a_mask: int) -> int:
+    """Number of pairs (a, s) with a in A and s*a outside A."""
+    masks = graph.nbr_masks
+    total = 0
+    for a in iter_bits(a_mask):
+        total += (masks[a] & ~a_mask).bit_count()
+    return total
+
+
+def square_normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
+    """Dense operator of the product multiset S·S: entry [x][y] = m(y x^-1)/d².
+
+    Equals T @ T for the same graph (left action: x -> g x steps by g = t*s).
+    """
+    multiset = square_multiset(graph.gens, graph.group)
+    group = graph.group
+    n = graph.n
+    d2 = multiset.total
+    rows = []
+    for x in range(n):
+        inv_x = group.inv[x]
+        row = [0.0] * n
+        for y in range(n):
+            m = multiset.counts.get(group.mult[y][inv_x], 0)
+            if m:
+                row[y] = m / d2
+        rows.append(row)
+    return rows
+
+
+def square_spectrum_consistency(graph: CayleyGraph, tol: float = 1e-9) -> bool:
+    """True iff spec of the S·S operator equals {t_i^2} elementwise (sorted)."""
+    direct = eigenvalues_symmetric(square_normalized_adjacency(graph))
+    squared = sorted(t * t for t in spectrum(graph).t)
+    if len(direct) != len(squared):
+        return False
+    return max(abs(x - y) for x, y in zip(direct, squared)) <= tol

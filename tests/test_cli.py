@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from fractions import Fraction
@@ -332,3 +333,85 @@ def test_sweep_honours_zeta(capsys):
     assert swept["proof_trace"]["zeta"] == 0.5
     assert swept["proof_trace"]["hypothesis_met"] is True
     assert swept == verified
+
+
+def _options(command):
+    """The option strings and positionals a subcommand accepts, minus -h."""
+    parser = cayleygap.cli._build_parser()
+    [subs] = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {action.option_strings[-1] if action.option_strings else action.dest
+            for action in subs.choices[command]._actions
+            if action.dest != "help"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    graph = {"--group", "--gens", "--format", "--out"}
+    everything = {"--tol", "--max-exact", "--max-dual", "--zeta"}
+    assert _options("spectrum") == graph | {"--tol"}
+    assert _options("cheeger") == graph | {"--max-exact", "--max-dual"}
+    assert _options("subgroups") == graph
+    assert _options("proof") == graph | {"--max-exact", "--zeta"}
+    assert _options("verify") == graph | everything
+    assert _options("sweep") == (
+        {"specs", "--workers", "--format", "--out"} | everything)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--group", "cyclic:7", "--zeta", "1/2"],
+    ["subgroups", "--group", "cyclic:7", "--tol", "1e-6"],
+    ["cheeger", "--group", "cyclic:7", "--zeta", "1/2"],
+    ["proof", "--group", "cyclic:7", "--max-dual", "10"],
+])
+def test_flag_a_subcommand_does_not_read_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--group", "cyclic:7", "--gens", "±1"],
+    ["verify", "--group", "cyclic:7", "--gens", "±1"],
+    ["sweep", "cyclic:7 gens=±1"],
+], ids=["spectrum", "verify", "sweep"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_tol_must_be_finite_and_nonnegative(capsys, command, tol):
+    assert main(command + ["--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --tol: must be a finite number >= 0" in out.err
+
+
+def test_tol_zero_is_valid(capsys):
+    assert main(["verify", "--group", "cyclic:7", "--gens", "±1",
+                 "--tol", "0"]) == 0
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(capsys, workers):
+    assert main(["sweep", "cyclic:4", "--workers", workers]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --workers: must be an integer >= 1" in out.err
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."],
+                         ids=["missing_dir", "directory"])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, target):
+    path = tmp_path / target
+    code = main(["verify", "--group", "cyclic:5", "--gens", "±1",
+                 "--out", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"error: cannot write {path}: ")
+    assert out.err.count("\n") == 1
+
+
+def test_zeta_with_zero_denominator_is_input_error(capsys):
+    code = main(["proof", "--group", "cyclic:6", "--gens", "±1",
+                 "--zeta", "1/0"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == "error: cannot parse zeta value '1/0'\n"

@@ -176,17 +176,42 @@ def _crossing_search(
     by an edge of weight w for each layer of weight w whose mask holds y.
     Loops (bit u in rows[u]) never cross. Unit weights in one layer give the
     edge Cheeger count |E(A, A^c)|.
+
+    Below a node, A holds `mask`, the passed-over set P can never join, and
+    the future vertices y (above the last one decided) are free. Let c_y and
+    p_y be y's weight to A and to P. In any completion y pays at least
+    min(c_y, p_y): its edges to P cross if it joins A, its edges to A if it
+    does not. These edges are disjoint from each other and from the
+    A-P edges, so every completion crosses at least
+        lb = w(A, P) + sum over future y of min(c_y, p_y).
+    min(c, p) is the number of k >= 1 with c >= k and p >= k; counting only
+    k = 1, 2 keeps lb a lower bound and fits in bit planes c1 = {c >= 1},
+    c2 = {c >= 2} (likewise p1, p2), so the sum is two popcounts. A subtree
+    (or the rest of a loop) is pruned when lb/kmax exceeds the incumbent
+    ratio strictly; every set in it is then strictly worse than the
+    incumbent, so the first minimiser in enumeration order, and with it the
+    smallest-translate witness, is the one the unpruned scan finds.
     """
     kcap = n // 2
     # deg[u]: weight from u to every other vertex; low[u]: to vertices below u.
     deg = [sum(w * (m & ~(1 << u)).bit_count() for w, m in rows[u]) for u in range(n)]
     low = [sum(w * (m & ((1 << u) - 1)).bit_count() for w, m in rows[u]) for u in range(n)]
+    # one[u], two[u]: vertices joined to u with weight >= 1 and >= 2. Adding u
+    # to a set with planes (x1, x2) gives (x1 | one[u], x2 | two[u] | x1 & one[u]).
+    one, two = [0] * n, [0] * n
+    for u in range(n):
+        for w, m in rows[u]:
+            two[u] |= m if w > 1 else one[u] & m
+            one[u] |= m
+    above = [~((1 << u) - 1) for u in range(n + 1)]   # vertices u, u+1, ...
     smallest = _translate_minimiser(group, n)
     best_num, best_size, best_mask = deg[0], 1, 1   # the rooted set {0}
 
-    def extend(start: int, mask: int, size: int, eb: int, pe: int) -> None:
+    def extend(start: int, mask: int, size: int, eb: int, pe: int,
+               c1: int, c2: int, p1: int, p2: int) -> None:
         # eb: crossing weight of `mask`; pe: crossing weight between `mask`
-        # and vertices already passed over (they can never join A).
+        # and vertices already passed over (they can never join A); c1, c2
+        # and p1, p2: the planes of `mask` and of the passed-over vertices.
         nonlocal best_num, best_size, best_mask
         bn, bs = best_num, best_size
         pe_run = pe
@@ -194,7 +219,9 @@ def _crossing_search(
             kmax_loop = size + (n - u)
             if kmax_loop > kcap:
                 kmax_loop = kcap
-            if pe_run * bs > bn * kmax_loop:
+            f = above[u]
+            lb = pe_run + (c1 & p1 & f).bit_count() + (c2 & p2 & f).bit_count()
+            if lb * bs > bn * kmax_loop:
                 break
             inner = 0   # weight between u and `mask`, which lies below u
             for w, m in rows[u]:
@@ -209,19 +236,26 @@ def _crossing_search(
                 best_mask = smallest(mask2, best_mask if tie else mask2)
                 best_num, best_size = eb2, size2
                 bn, bs = eb2, size2
+            r1, r2 = one[u], two[u]
             if size2 < kcap and u + 1 < n:
                 kmax = size2 + (n - u - 1)
                 if kmax > kcap:
                     kmax = kcap
                 pe2 = pe_run + low[u] - inner
-                if pe2 * bs <= bn * kmax:
-                    extend(u + 1, mask2, size2, eb2, pe2)
+                d1 = c1 | r1
+                d2 = c2 | r2 | (c1 & r1)
+                f = above[u + 1]
+                lb = pe2 + (d1 & p1 & f).bit_count() + (d2 & p2 & f).bit_count()
+                if lb * bs <= bn * kmax:
+                    extend(u + 1, mask2, size2, eb2, pe2, d1, d2, p1, p2)
                     bn, bs = best_num, best_size
             pe_run += inner
+            p2 |= r2 | (p1 & r1)
+            p1 |= r1
         return
 
     if kcap > 1:
-        extend(1, 1, 1, deg[0], 0)
+        extend(1, 1, 1, deg[0], 0, one[0], two[0], 0, 0)
     return best_num, best_size, best_mask
 
 

@@ -60,7 +60,7 @@ def _tolerance(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
 
 
-def _workers(text: str) -> int:
+def _positive_int(text: str) -> int:
     with contextlib.suppress(ValueError):
         if int(text) >= 1:
             return int(text)
@@ -277,7 +277,7 @@ FLAGS = {
                "help": "generator spec, e.g. 1,5 or ±1 (default: auto)"},
     "specs": {"nargs": "+", "help": "items like 'cyclic:3..16 gens=±1' "
                                     "(gens omitted = family default)"},
-    "--workers": {"type": _workers, "default": 1,
+    "--workers": {"type": _positive_int, "default": 1,
                   "help": "parallel workers, at least 1; output is identical "
                           "for any worker count (default: 1)"},
     "--format": {"choices": ("json", "csv", "text"), "default": "text",
@@ -285,9 +285,9 @@ FLAGS = {
     "--tol": {"type": _tolerance, "default": DEFAULT_TOL,
               "help": "tolerance for float comparisons, finite and >= 0 "
                       "(default: 1e-9)"},
-    "--max-exact": {"type": int, "default": MAX_EXACT_DEFAULT,
+    "--max-exact": {"type": _positive_int, "default": MAX_EXACT_DEFAULT,
                     "help": "largest n for exact Cheeger search (default: 24)"},
-    "--max-dual": {"type": int, "default": MAX_DUAL_DEFAULT,
+    "--max-dual": {"type": _positive_int, "default": MAX_DUAL_DEFAULT,
                    "help": "largest n for exact dual-Cheeger search (default: 14)"},
     "--zeta": {"default": "auto",
                "help": "spectral proximity parameter; auto = largest "

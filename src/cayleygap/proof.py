@@ -835,8 +835,7 @@ def run_pipeline(
             "generators intersect the extracted subgroup: "
             + ", ".join(str(t) for t in final.s_cap_h)
         )
-    elif structural_mismatch := (final.structural_match is False):
-        assert structural_mismatch
+    elif final.structural_match is False:
         note("extracted subgroup does not match any structural certificate")
 
     return ProofTrace(

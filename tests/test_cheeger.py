@@ -129,7 +129,9 @@ def test_s4_adjacent_witnesses():
 def test_s4_transpositions_values():
     graph = families.graph_of(_member("symmetric:4", "auto"))
     assert vertex_cheeger(graph).value == Fraction(5, 6)
-    assert edge_cheeger(graph).value == Fraction(1, 3)
+    edge = edge_cheeger(graph)
+    assert edge.value == Fraction(1, 3)
+    assert edge.witness == (0, 1, 3, 4, 5, 7, 8, 10, 15, 16, 18, 19)
 
 
 def test_dual_witness_z4():
@@ -167,6 +169,32 @@ DUAL_PAIRS = {
 def test_frozen_dual_witness_pairs(key):
     cert = dual_cheeger(build_graph(*key))
     assert (cert.value, cert.witness_pair) == DUAL_PAIRS[key]
+
+
+# (crossing, size, mask) of `_crossing_search` on unit rows (the edge count)
+# and on the S'-weighted `_support_adjacency` rows, for graphs above the
+# naive oracles' reach. Frozen from the search when its only lower bound was
+# the crossings to passed-over vertices, so that a pruning change that moves
+# the first minimiser fails.
+CROSSING_MINIMA = {
+    ("symmetric:4", "auto"): ((24, 12, 886203), (0, 12, 262017)),
+    ("symmetric:4", "(0 1);(1 2);(2 3)"): ((6, 12, 1247991), (0, 12, 262017)),
+    ("dihedral:12", "auto"): ((4, 12, 262017), (0, 12, 5593770)),
+    ("dihedral:11", "auto"): ((4, 10, 65409), (8, 11, 699734)),
+    ("cyclic:23", "±1,±2"): ((6, 11, 2047), (28, 11, 2047)),
+}
+
+
+@pytest.mark.parametrize("key", list(CROSSING_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_crossing_minima(key):
+    graph = build_graph(*key)
+    n = graph.n
+    unit = [((1, m),) for m in graph.nbr_masks]
+    _, weighted = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    assert (
+        _crossing_search(unit, n, graph.group),
+        _crossing_search(weighted, n, graph.group),
+    ) == CROSSING_MINIMA[key]
 
 
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
@@ -246,6 +274,40 @@ def test_rooted_searches_match_oracles(graph):
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
         dual = dual_cheeger(graph)
         assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
+
+
+@st.composite
+def _weighted_rows(draw):
+    """Crossing-search rows on a group of order <= 12: one to four layers of
+    weight 1-3, each an inverse-closed set T joining x to t·x (t in T).
+    Layers may overlap, and T may hold the identity (a loop)."""
+    group = draw(st.sampled_from(_SMALL_GROUPS))
+    mult, n = group.mult, group.order
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        weight = draw(st.integers(1, 3))
+        picks = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        layers.append((weight, picks | {group.inv[t] for t in picks}))
+    rows = [
+        tuple((w, mask_of(mult[t][x] for t in elems)) for w, elems in layers)
+        for x in range(n)
+    ]
+    return group, rows
+
+
+@settings(max_examples=60)
+@given(_weighted_rows())
+def test_crossing_search_matches_oracle_on_weighted_rows(case):
+    group, rows = case
+    n = group.order
+    pairs = []
+    for x in range(n):
+        weight = {}
+        for w, m in rows[x]:
+            for y in mask_members(m):
+                weight[y] = weight.get(y, 0) + w
+        pairs.append(tuple(sorted(weight.items())))
+    assert _crossing_search(rows, n, group) == oracles.naive_weighted_edge_min(pairs, n)
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)

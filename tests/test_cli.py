@@ -396,6 +396,39 @@ def test_workers_below_one_is_usage_error(capsys, workers):
     assert "argument --workers: must be an integer >= 1" in out.err
 
 
+_CAP_FLAGS = [
+    (command, flag)
+    for command in ("cheeger", "proof", "verify", "sweep")
+    for flag in ("--max-exact", "--max-dual")
+    if (command, flag) != ("proof", "--max-dual")   # proof does not read it
+]
+
+
+@pytest.mark.parametrize("command,flag", _CAP_FLAGS,
+                         ids=[f"{c}{f}" for c, f in _CAP_FLAGS])
+@pytest.mark.parametrize("value", ["0", "-5", "1.5"])
+def test_caps_must_be_positive_integers(capsys, command, flag, value):
+    graph = (["cyclic:6 gens=±1"] if command == "sweep"
+             else ["--group", "cyclic:6", "--gens", "±1"])
+    assert main([command, *graph, flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"cayleygap {command}: error: argument {flag}: "
+        f"must be an integer >= 1, got '{value}'"
+    ]
+
+
+def test_caps_of_one_are_valid(capsys):
+    code = main(["verify", "--group", "cyclic:6", "--gens", "±1",
+                 "--max-exact", "1", "--max-dual", "1"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert "skipped  (cap:max_exact=1,needed=6)" in out.out
+    assert "skipped  (cap:max_dual=1,needed=6)" in out.out
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."],
                          ids=["missing_dir", "directory"])
 def test_unwritable_out_is_one_error_line(capsys, tmp_path, target):

@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cayley import (
     CayleyGraph,
     MultisetGenerators,
@@ -48,6 +50,9 @@ from .spectral import spectrum
 from .subgroups import MAX_RANK_DEFAULT, index2_subgroups
 
 _SAMPLE_SEED = 0x5E7C0DE
+_EXHAUSTIVE_LIMIT = 12               # large-set check: all 2^n sets up to here
+_SAMPLES = 10_000                    # ... else this many seeded draws
+_CHUNK = 1 << 16                     # ... tested this many at a time
 
 
 def zeta_max(eps: Fraction | int, d: int) -> Fraction:
@@ -584,26 +589,76 @@ def disjointness_check(
 # Large-set expansion check
 
 
-def _image_tables(nbr_masks: tuple[int, ...], n: int) -> list[list[int]]:
-    """Per-byte lookup tables for S·A: tables[c][b] is the union of the
-    neighbor masks of the vertices 8c + i over the bits i of the byte b."""
-    tables = []
-    for c in range(0, n, 8):
-        nbr = list(nbr_masks[c:c + 8]) + [0] * (c + 8 - n)
-        table = [0] * 256
-        for b in range(1, 256):
-            table[b] = table[b & (b - 1)] | nbr[(b & -b).bit_length() - 1]
-        tables.append(table)
+def _words(masks, words: int) -> np.ndarray:
+    """Python-int bitmasks as rows of `words` uint64 words, least significant
+    word first."""
+    low = (1 << 64) - 1
+    return np.array(
+        [[(m >> (64 * w)) & low for w in range(words)] for m in masks],
+        dtype=np.uint64,
+    ).reshape(len(masks), words)
+
+
+def _mask_int(row: np.ndarray) -> int:
+    """Inverse of `_words` for one row."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(row))
+
+
+def _image_tables(nbr_masks: tuple[int, ...], n: int) -> np.ndarray:
+    """Per-byte lookup tables for S·A: tables[c, b] is the union of the
+    neighbor masks of the vertices 8c + i over the bits i of the byte b, as
+    ceil(n/64) uint64 words."""
+    words = -(-n // 64)
+    nbr = np.zeros((-(-n // 8) * 8, words), dtype=np.uint64)
+    nbr[:n] = _words(nbr_masks, words)
+    nbr = nbr.reshape(-1, 8, 1, words)
+    tables = np.zeros((len(nbr), 1, words), dtype=np.uint64)
+    for i in range(8):                   # bytes < 2^i, then those | bit i
+        tables = np.concatenate([tables, tables | nbr[:, i]], axis=1)
     return tables
 
 
-def _table_image(tables: list[list[int]], mask: int) -> int:
-    """Bitmask of S·A from the tables of `_image_tables`; equals set_image."""
-    img = 0
-    for table in tables:
-        img |= table[mask & 255]
-        mask >>= 8
+def _image(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """S·A for each row of `masks`, one table lookup per byte of A."""
+    img = np.zeros_like(masks)
+    for c, table in enumerate(tables):
+        shift = np.uint64(8 * (c % 8))
+        img |= table[((masks[:, c // 8] >> shift) & np.uint64(255))
+                     .astype(np.intp)]
     return img
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).sum(axis=1, dtype=np.intp)
+
+
+def _candidate_chunks(n: int):
+    """The tested sets, in test order, as chunks of at most _CHUNK rows of
+    ceil(n/64) uint64 words: every mask 0 .. 2^n - 1 for n <=
+    _EXHAUSTIVE_LIMIT, otherwise the first _SAMPLES values of
+    random.Random(_SAMPLE_SEED).getrandbits(n).
+
+    getrandbits(n) takes ceil(n/32) 32-bit generator outputs, least
+    significant first, and drops the lowest 32 ceil(n/32) - n bits of the
+    last. One getrandbits call for a whole chunk returns the same outputs in the
+    same order, so the draws are cut out of it without a loop per draw."""
+    if n <= _EXHAUSTIVE_LIMIT:
+        for start in range(0, 1 << n, _CHUNK):
+            stop = min(start + _CHUNK, 1 << n)
+            yield np.arange(start, stop, dtype=np.uint64)[:, None]
+        return
+    rng = random.Random(_SAMPLE_SEED)
+    per = -(-n // 32)
+    for start in range(0, _SAMPLES, _CHUNK):
+        count = min(_CHUNK, _SAMPLES - start)
+        raw = rng.getrandbits(32 * per * count).to_bytes(4 * per * count,
+                                                         "little")
+        out = np.frombuffer(raw, dtype="<u4").reshape(count, per)
+        out = out.astype(np.uint64)
+        out[:, -1] >>= np.uint64(32 * per - n)
+        if per % 2:
+            out = np.pad(out, ((0, 0), (0, 1)))
+        yield out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
 
 
 @dataclass(frozen=True)
@@ -628,19 +683,19 @@ def large_set_expansion_check(
     graph: CayleyGraph,
     eps: Fraction | None = None,
     *,
-    exhaustive_limit: int = 12,
-    samples: int = 10_000,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> LargeSetExpansionReport:
     """Check |SA \\ A| >= (eps/d)|G \\ A| on every set of at least half the
     vertices, plus the sidedness step d|SA \\ A| >= |SA^c \\ A^c| on all sets.
 
-    Exhaustive over all 2^n subsets for n <= exhaustive_limit, otherwise a
-    seeded uniform sample of at least `samples` subsets. All comparisons are
-    cross-multiplied integers.
+    Exhaustive over all 2^n subsets for n <= 12, otherwise the first 10 000
+    draws of a fixed seed. Each witness is the first tested set of least
+    slack. The sets are tested in chunks of uint64 words: images by per-byte
+    table lookup, sizes by popcount. The internal slack is an int64; the main
+    slack d q |SA \\ A| - p |G \\ A| depends only on (|SA \\ A|, |A|), so it
+    is evaluated in Python ints once per distinct pair, exact for any eps.
     """
     n = graph.n
-    full = graph.full_mask
     d = graph.d
     if eps is not None:
         eps = Fraction(eps)
@@ -655,47 +710,45 @@ def large_set_expansion_check(
         )
     p, q = eps.numerator, eps.denominator
 
-    exhaustive = n <= exhaustive_limit
-    if exhaustive:
-        candidates = range(1 << n)
-        tested = 1 << n
-    else:
-        rng = random.Random(_SAMPLE_SEED)
-        tested = max(samples, 10_000)
-        candidates = (rng.getrandbits(n) for _ in range(tested))
-
-    main_ok = True
-    internal_ok = True
+    tables = _image_tables(graph.nbr_masks, n)
+    full = _words([graph.full_mask], tables.shape[2])[0]
     main_worst: tuple[int, int] | None = None      # (slack, mask)
     internal_worst: tuple[int, int] | None = None
-    tables = _image_tables(graph.nbr_masks, n)
-    for mask in candidates:
-        comp = ~mask & full
-        exc = (_table_image(tables, mask) & comp).bit_count()
-        exc_c = (_table_image(tables, comp) & mask).bit_count()
-        islack = d * exc - exc_c
-        if islack < 0:
-            internal_ok = False
-        if internal_worst is None or islack < internal_worst[0]:
-            internal_worst = (islack, mask)
-        size = mask.bit_count()
-        if 2 * size >= n:
-            mslack = d * q * exc - p * (n - size)
-            if mslack < 0:
-                main_ok = False
-            if main_worst is None or mslack < main_worst[0]:
-                main_worst = (mslack, mask)
+    for masks in _candidate_chunks(n):
+        comp = ~masks & full
+        exc = _popcount(_image(tables, masks) & comp)
+        islack = d * exc - _popcount(_image(tables, comp) & masks)
+        i = int(np.argmin(islack))
+        if internal_worst is None or islack[i] < internal_worst[0]:
+            internal_worst = (int(islack[i]), _mask_int(masks[i]))
+        size = _popcount(masks)
+        pairs = np.zeros((n + 1, n + 1), dtype=bool)   # (|SA\A|, |A|) seen
+        pairs[exc, size] = True
+        pairs[:, :(n + 1) // 2] = False                 # keep 2|A| >= n
+        found = np.nonzero(pairs)
+        if not found[0].size:
+            continue
+        slack = [d * q * e - p * (n - s)
+                 for e, s in zip(found[0].tolist(), found[1].tolist())]
+        low = min(slack)
+        if main_worst is None or low < main_worst[0]:
+            pairs[found] = [v == low for v in slack]
+            i = int(np.argmax(pairs[exc, size]))
+            main_worst = (low, _mask_int(masks[i]))
 
     def witness(pair: tuple[int, int] | None) -> ExpansionWitness | None:
         if pair is None:
             return None
         return ExpansionWitness(mask_members(pair[1]), pair[0])
 
+    main_ok = main_worst is None or main_worst[0] >= 0
+    internal_ok = internal_worst[0] >= 0
+    exhaustive = n <= _EXHAUSTIVE_LIMIT
     return LargeSetExpansionReport(
         ok=main_ok and internal_ok,
         eps=eps,
         exhaustive=exhaustive,
-        tested=tested,
+        tested=1 << n if exhaustive else _SAMPLES,
         main_ok=main_ok,
         main_worst=witness(main_worst),
         internal_ok=internal_ok,

@@ -206,7 +206,6 @@ def full_report(
     max_exact: int = MAX_EXACT_DEFAULT,
     max_dual: int = MAX_DUAL_DEFAULT,
     zeta: Fraction | float | None = None,
-    exhaustive_limit: int = 12,
 ) -> VerificationReport:
     """Run every applicable check; failures are recorded, never raised."""
     group = graph.group
@@ -330,9 +329,7 @@ def full_report(
     elif not connected:
         put("large_set_expansion", "skipped", reason="disconnected")
     else:
-        exp = large_set_expansion_check(
-            graph, h, exhaustive_limit=exhaustive_limit, max_exact=max_exact,
-        )
+        exp = large_set_expansion_check(graph, h, max_exact=max_exact)
         worst = min(exp.main_worst.slack, exp.internal_worst.slack)
         put("large_set_expansion",
             "pass" if exp.ok else "fail",

@@ -7,6 +7,7 @@ spectra, and numpy's eigensolver. None of these are imported by the package.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,14 @@ from cayleygap import (
     spectrum,
     square_multiset,
 )
-from cayleygap.cayley import iter_bits
+from cayleygap.cayley import iter_bits, mask_members
+from cayleygap.proof import (
+    _EXHAUSTIVE_LIMIT,
+    _SAMPLE_SEED,
+    _SAMPLES,
+    ExpansionWitness,
+    LargeSetExpansionReport,
+)
 
 
 def _better(num: int, size: int, mask: int,
@@ -241,3 +249,84 @@ def square_spectrum_consistency(graph: CayleyGraph, tol: float = 1e-9) -> bool:
     if len(direct) != len(squared):
         return False
     return max(abs(x - y) for x, y in zip(direct, squared)) <= tol
+
+
+def _image_tables(nbr_masks: tuple[int, ...], n: int) -> list[list[int]]:
+    """Per-byte lookup tables for S·A: tables[c][b] is the union of the
+    neighbor masks of the vertices 8c + i over the bits i of the byte b."""
+    tables = []
+    for c in range(0, n, 8):
+        nbr = list(nbr_masks[c:c + 8]) + [0] * (c + 8 - n)
+        table = [0] * 256
+        for b in range(1, 256):
+            table[b] = table[b & (b - 1)] | nbr[(b & -b).bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _table_image(tables: list[list[int]], mask: int) -> int:
+    """Bitmask of S·A from the tables of `_image_tables`; equals set_image."""
+    img = 0
+    for table in tables:
+        img |= table[mask & 255]
+        mask >>= 8
+    return img
+
+
+def naive_large_set_expansion(
+    graph: CayleyGraph, eps: Fraction,
+) -> LargeSetExpansionReport:
+    """`proof.large_set_expansion_check` one Python-int mask at a time, on
+    the same sets in the same order: all 2^n for n <= 12, else the first
+    10 000 draws of random.Random(_SAMPLE_SEED).getrandbits(n)."""
+    n = graph.n
+    full = graph.full_mask
+    d = graph.d
+    p, q = eps.numerator, eps.denominator
+
+    exhaustive = n <= _EXHAUSTIVE_LIMIT
+    if exhaustive:
+        candidates = range(1 << n)
+        tested = 1 << n
+    else:
+        rng = random.Random(_SAMPLE_SEED)
+        tested = _SAMPLES
+        candidates = (rng.getrandbits(n) for _ in range(tested))
+
+    main_ok = True
+    internal_ok = True
+    main_worst: tuple[int, int] | None = None      # (slack, mask)
+    internal_worst: tuple[int, int] | None = None
+    tables = _image_tables(graph.nbr_masks, n)
+    for mask in candidates:
+        comp = ~mask & full
+        exc = (_table_image(tables, mask) & comp).bit_count()
+        exc_c = (_table_image(tables, comp) & mask).bit_count()
+        islack = d * exc - exc_c
+        if islack < 0:
+            internal_ok = False
+        if internal_worst is None or islack < internal_worst[0]:
+            internal_worst = (islack, mask)
+        size = mask.bit_count()
+        if 2 * size >= n:
+            mslack = d * q * exc - p * (n - size)
+            if mslack < 0:
+                main_ok = False
+            if main_worst is None or mslack < main_worst[0]:
+                main_worst = (mslack, mask)
+
+    def witness(pair: tuple[int, int] | None) -> ExpansionWitness | None:
+        if pair is None:
+            return None
+        return ExpansionWitness(mask_members(pair[1]), pair[0])
+
+    return LargeSetExpansionReport(
+        ok=main_ok and internal_ok,
+        eps=eps,
+        exhaustive=exhaustive,
+        tested=tested,
+        main_ok=main_ok,
+        main_worst=witness(main_worst),
+        internal_ok=internal_ok,
+        internal_worst=witness(internal_worst),
+    )

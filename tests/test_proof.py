@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,11 +23,19 @@ from cayleygap import (
     set_property_check,
     square_multiset,
     translate_profile,
+    vertex_cheeger,
     zeta_max,
     zeta_max_candidate,
 )
 from cayleygap.cheeger import _crossing_search
-from cayleygap.proof import _image_tables, _support_adjacency, _table_image
+from cayleygap.proof import (
+    _candidate_chunks,
+    _image,
+    _image_tables,
+    _mask_int,
+    _support_adjacency,
+    _words,
+)
 
 import families
 import oracles
@@ -336,8 +345,8 @@ def test_large_set_expansion_exhaustive():
 
 def test_large_set_expansion_sampled_deterministic():
     graph = _graph("cyclic:14", "±1")
-    rep1 = large_set_expansion_check(graph, exhaustive_limit=12)
-    rep2 = large_set_expansion_check(graph, exhaustive_limit=12)
+    rep1 = large_set_expansion_check(graph)
+    rep2 = large_set_expansion_check(graph)
     assert not rep1.exhaustive
     assert rep1.tested == 10_000
     assert rep1 == rep2
@@ -388,15 +397,74 @@ def test_large_set_expansion_rejects_negative_eps_before_h_search():
 
 @pytest.mark.parametrize(
     "spec",
-    [("cyclic:13", "±1,±2"), ("dihedral:5", "auto"), ("symmetric:4", "auto")],
+    [("cyclic:13", "±1,±2"), ("dihedral:5", "auto"), ("symmetric:4", "auto"),
+     ("cyclic:66", "±1")],
     ids=lambda k: f"{k[0]} {k[1]}",
 )
-@given(mask=st.integers(min_value=0, max_value=(1 << 24) - 1))
+@given(mask=st.integers(min_value=0, max_value=(1 << 66) - 1))
 def test_image_tables_match_set_image(spec, mask):
     graph = _graph(*spec)
     tables = _image_tables(graph.nbr_masks, graph.n)
-    for a in (mask & graph.full_mask, 0, graph.full_mask):
-        assert _table_image(tables, a) == set_image(graph, a)
+    a_sets = [mask & graph.full_mask, 0, graph.full_mask]
+    images = _image(tables, _words(a_sets, tables.shape[2]))
+    assert [_mask_int(row) for row in images] == [
+        set_image(graph, a) for a in a_sets
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 12, 13, 31, 32, 33, 63, 64, 65, 66, 97])
+def test_candidate_chunks_follow_the_seeded_stream(n, monkeypatch):
+    monkeypatch.setattr(cayleygap.proof, "_CHUNK", 1_000)
+    got = [_mask_int(row) for chunk in _candidate_chunks(n) for row in chunk]
+    if n <= 12:
+        assert got == list(range(1 << n))
+    else:
+        rng = random.Random(cayleygap.proof._SAMPLE_SEED)
+        assert got == [rng.getrandbits(n) for _ in range(10_000)]
+
+
+def _kernel_and_oracle(graph, eps=None, max_exact=24):
+    h = vertex_cheeger(graph, max_exact=max_exact).value
+    eps = h if eps is None else eps(h)
+    rep = large_set_expansion_check(graph, eps, max_exact=max_exact)
+    return rep, oracles.naive_large_set_expansion(graph, eps)
+
+
+@pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)
+def test_large_set_kernel_matches_loop_on_family(member):
+    rep, ref = _kernel_and_oracle(families.graph_of(member))
+    assert rep == ref
+
+
+def test_large_set_kernel_matches_loop_on_two_words():
+    rep, ref = _kernel_and_oracle(_graph("cyclic:66", "±1"), max_exact=66)
+    assert not rep.exhaustive
+    assert rep == ref
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("cyclic:12", "±1,±2"), ("dihedral:6", "auto"), ("cyclic:16", "±1,±2"),
+     ("product:cyclic:2xcyclic:4", "4,1,3")],
+    ids=lambda k: f"{k[0]} {k[1]}",
+)
+def test_large_set_kernel_matches_loop_past_int64(spec):
+    rep, ref = _kernel_and_oracle(
+        _graph(*spec), eps=lambda h: h - Fraction(1, 10**40),
+    )
+    assert rep.eps.denominator > 2**63
+    assert rep == ref
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [("cyclic:12", "±1,±2"), ("cyclic:15", "±1"), ("cyclic:66", "±1")],
+    ids=lambda k: f"{k[0]} {k[1]}",
+)
+def test_large_set_kernel_matches_loop_across_chunks(spec, monkeypatch):
+    monkeypatch.setattr(cayleygap.proof, "_CHUNK", 1_000)
+    rep, ref = _kernel_and_oracle(_graph(*spec), max_exact=66)
+    assert rep == ref
 
 
 # ---------------------------------------------------------------------------

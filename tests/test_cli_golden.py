@@ -1,8 +1,9 @@
 """Golden CLI output: stdout, stderr and the exit code of fixed invocations.
 
 Each case runs `cayleygap.cli.main` in-process and compares its output, byte
-for byte, with the files under tests/golden/. A change that alters CLI output
-on purpose regenerates them with
+for byte, with the files under tests/golden/. The scripts under scripts/ are
+pinned the same way: their `main(argv)` runs in-process and must exit 0. A
+change that alters CLI or script output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -12,6 +13,8 @@ and shows the diff of tests/golden/ in review.
 from __future__ import annotations
 
 import contextlib
+import functools
+import importlib.util
 import io
 import json
 import sys
@@ -22,6 +25,7 @@ import pytest
 from cayleygap.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SCRIPTS_DIR = Path(__file__).parent.parent / "scripts"
 
 GRAPHS = (
     ("c6", "cyclic:6", "±1"),                           # bipartite
@@ -58,11 +62,26 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
+# Golden name -> (script under scripts/, argv).
+SCRIPT_CASES = {
+    "script-tightness_scan-csv": ("tightness_scan", ["--format", "csv"]),
+    "script-run_family_sweep-csv": ("run_family_sweep", ["--format", "csv"]),
+}
 
-def run_case(argv: list[str]) -> tuple[str, str, int]:
+
+@functools.cache
+def script_main(script: str):
+    spec = importlib.util.spec_from_file_location(
+        f"script_{script}", SCRIPTS_DIR / f"{script}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def run_case(argv: list[str], entry=main) -> tuple[str, str, int]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = entry(list(argv))
     return out.getvalue(), err.getvalue(), code
 
 
@@ -79,6 +98,15 @@ def test_cli_output_matches_golden(name):
     assert stderr == _read(GOLDEN_DIR / f"{name}.stderr")
 
 
+@pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
+def test_script_output_matches_golden(name):
+    script, argv = SCRIPT_CASES[name]
+    stdout, stderr, code = run_case(argv, script_main(script))
+    assert code == 0
+    assert stdout == _read(GOLDEN_DIR / f"{name}.stdout")
+    assert stderr == _read(GOLDEN_DIR / f"{name}.stderr")
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for path in GOLDEN_DIR.iterdir():
@@ -90,7 +118,14 @@ def regenerate() -> None:
         (GOLDEN_DIR / f"{name}.stderr").write_bytes(stderr.encode("utf-8"))
     (GOLDEN_DIR / "exit_codes.json").write_bytes(
         (json.dumps(codes, indent=2) + "\n").encode("utf-8"))
-    print(f"wrote {len(codes)} cases to {GOLDEN_DIR}", file=sys.stderr)
+    for name, (script, argv) in sorted(SCRIPT_CASES.items()):
+        stdout, stderr, code = run_case(argv, script_main(script))
+        if code != 0:
+            raise SystemExit(f"{name} exited {code}")
+        (GOLDEN_DIR / f"{name}.stdout").write_bytes(stdout.encode("utf-8"))
+        (GOLDEN_DIR / f"{name}.stderr").write_bytes(stderr.encode("utf-8"))
+    print(f"wrote {len(codes) + len(SCRIPT_CASES)} cases to {GOLDEN_DIR}",
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -12,15 +12,7 @@ import argparse
 import csv
 import sys
 
-from cayleygap import (
-    build_graph,
-    expand_group_specs,
-    is_bipartite_spectral,
-    main_bound_check,
-    spectrum,
-    tightness_ratio,
-    vertex_cheeger,
-)
+from cayleygap import build_graph, expand_group_specs, full_report
 
 DEFAULT_SPECS = ["cyclic:3..23", "dihedral:3..7", "product:cyclic:3xcyclic:3"]
 DEFAULT_GENS = {"dihedral": "auto", "product": "3,6,1,2"}
@@ -34,22 +26,20 @@ def scan_rows(specs: list[str]) -> list[dict]:
         for single in expand_group_specs(spec):
             kind = single.label().split(":", 1)[0]
             gens = DEFAULT_GENS.get(kind)
-            graph = build_graph(single.label(), gens)
-            summary = spectrum(graph)
-            if is_bipartite_spectral(summary):
+            report = full_report(build_graph(single.label(), gens))
+            if report.tightness is None:
                 continue
-            h = vertex_cheeger(graph).value
-            check = main_bound_check(graph)
+            main = next(row for row in report.checks if row.name == "main_bound")
             rows.append(
                 {
                     "graph": f"{single.label()} gens="
-                    + ",".join(str(s) for s in graph.gens.elements),
-                    "n": graph.n,
-                    "d": graph.d,
-                    "h": str(h),
-                    "lambda_n": f"{summary.lambda_max:.12f}",
-                    "margin": f"{check.margin:.6g}",
-                    "tightness": f"{tightness_ratio(graph):.6g}",
+                    + ",".join(str(s) for s in report.gens),
+                    "n": report.n,
+                    "d": report.d,
+                    "h": str(report.h),
+                    "lambda_n": f"{report.summary.lambda_max:.12f}",
+                    "margin": f"{main.margin:.6g}",
+                    "tightness": f"{report.tightness:.6g}",
                 }
             )
     return rows
@@ -59,7 +49,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "specs", nargs="*", default=DEFAULT_SPECS,
-        help="group specs to scan (ranges allowed, bipartite graphs skipped)",
+        help="group specs to scan (ranges allowed; graphs without a tightness "
+        "ratio, i.e. bipartite, disconnected or over the exact cap, skipped)",
     )
     parser.add_argument("--format", choices=["table", "csv"], default="table")
     args = parser.parse_args(argv)

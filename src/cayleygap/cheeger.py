@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 from .cayley import CayleyGraph, mask_members, right_translate
 from .errors import CapExceededError
 from .groups import FiniteGroup
-from .spectral import spectrum
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -357,73 +356,3 @@ def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
     pair = (mask_members(best_pair[0]), mask_members(best_pair[1]))
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
 
-
-# ---------------------------------------------------------------------------
-# Inequality checks
-
-
-def vertex_edge_relation_check(
-    graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT
-) -> bool:
-    """Exact check of h/d <= h_edge <= h."""
-    h = vertex_cheeger(graph, max_exact=max_exact).value
-    edge_h = edge_cheeger(graph, max_exact=max_exact).value
-    return Fraction(h, graph.d) <= edge_h <= h
-
-
-@dataclass(frozen=True)
-class CheegerBuserResult:
-    ok: bool
-    lower_margin: float   # lambda_2 - h_edge^2/2
-    upper_margin: float   # 2 h_edge - lambda_2
-
-    @classmethod
-    def of(cls, edge_h: Fraction, lambda2: float, tol: float) -> CheegerBuserResult:
-        lower = lambda2 - float(edge_h * edge_h / 2)
-        upper = 2 * float(edge_h) - lambda2
-        return cls(lower >= -tol and upper >= -tol, lower, upper)
-
-
-def cheeger_buser_check(
-    graph: CayleyGraph,
-    tol: float = 1e-9,
-    *,
-    max_exact: int = MAX_EXACT_DEFAULT,
-) -> CheegerBuserResult:
-    """h_edge^2/2 <= lambda_2 <= 2 h_edge within tol."""
-    return CheegerBuserResult.of(
-        edge_cheeger(graph, max_exact=max_exact).value,
-        spectrum(graph).lambda2,
-        tol,
-    )
-
-
-@dataclass(frozen=True)
-class BauerJostResult:
-    ok: bool
-    lower_margin: float       # (2 - lambda_n) - (1 - dual)^2/2
-    upper_margin: float       # 2(1 - dual) - (2 - lambda_n)
-    equivalence_ok: bool      # dual == 1 exactly iff lambda_n == 2 within tol
-
-    @classmethod
-    def of(cls, dual_h: Fraction, lambda_n: float, tol: float) -> BauerJostResult:
-        gap = 2.0 - lambda_n
-        one_minus = 1 - dual_h
-        lower = gap - float(one_minus * one_minus / 2)
-        upper = 2 * float(one_minus) - gap
-        equivalence = (dual_h == 1) == (lambda_n >= 2 - tol)
-        return cls(lower >= -tol and upper >= -tol, lower, upper, equivalence)
-
-
-def bauer_jost_check(
-    graph: CayleyGraph,
-    tol: float = 1e-9,
-    *,
-    max_dual: int = MAX_DUAL_DEFAULT,
-) -> BauerJostResult:
-    """(1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and dual = 1 iff bipartite."""
-    return BauerJostResult.of(
-        dual_cheeger(graph, max_dual=max_dual).value,
-        spectrum(graph).lambda_max,
-        tol,
-    )

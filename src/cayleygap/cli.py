@@ -68,16 +68,20 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_zeta(text: str) -> Fraction | None:
+    """--zeta as an exact value in (0, 2], or None for auto. Handlers call it
+    before any search, so a bad value costs one error line and nothing else."""
     if text == "auto":
         return None
     try:
-        return Fraction(text)
+        zeta = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(float(text))
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"cannot parse zeta value {text!r}") from exc
+        try:
+            zeta = Fraction(float(text))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"cannot parse zeta value {text!r}") from exc
+    if not 0 < zeta <= 2:
+        raise ValueError(f"zeta must lie in (0, 2], got {text}")
+    return zeta
 
 
 def _cmd_spectrum(graph: CayleyGraph, args: argparse.Namespace) -> Output:

@@ -27,10 +27,6 @@ class ConvergenceError(CayleyGapError):
     """The eigensolver failed to converge within its round cap."""
 
 
-class DisconnectedGraphError(CayleyGapError):
-    """An operation that requires a connected graph was given a disconnected one."""
-
-
 class CapExceededError(CayleyGapError):
     """An exact search was requested beyond its configured size cap.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,15 +36,6 @@ class FiniteGroup:
     labels: tuple[str, ...] | None = None
     perms: tuple[tuple[int, ...], ...] | None = None
     name: str = ""
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def label(self, a: int) -> str:
         if self.labels is not None:

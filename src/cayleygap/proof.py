@@ -79,7 +79,7 @@ def beta_of_zeta(zeta: Fraction | float, d: int) -> float:
     """Boundary-ratio constant beta = d^2 sqrt(2 zeta (2 - zeta))."""
     z = float(zeta)
     if not 0.0 < z <= 2.0:
-        raise ValueError(f"zeta must lie in (0, 2], got {zeta!r}")
+        raise ValueError(f"zeta must lie in (0, 2], got {zeta}")
     if d < 1:
         raise ValueError("degree must be at least 1")
     return d * d * math.sqrt(2.0 * z * (2.0 - z))

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cayley import CayleyGraph
-from .errors import CapExceededError, DisconnectedGraphError
+from .errors import CapExceededError
 from .groups import FiniteGroup
-from .spectral import is_bipartite_spectral, is_connected, spectrum
 
 MAX_RANK_DEFAULT = 20
 
@@ -183,30 +182,3 @@ def is_bipartite_structural(
             return SubgroupCertificate(cert.elements, cert.index, True)
     return None
 
-
-@dataclass(frozen=True)
-class EquivalenceResult:
-    ok: bool
-    spectral: bool
-    structural: bool
-    certificate: SubgroupCertificate | None
-
-
-def proposition_equivalence_check(
-    graph: CayleyGraph,
-    tol: float = 1e-9,
-) -> EquivalenceResult:
-    """Spectral bipartiteness must agree with the structural certificate."""
-    summary = spectrum(graph)
-    if not is_connected(summary, tol):
-        raise DisconnectedGraphError(
-            "bipartiteness equivalence is only meaningful for connected graphs"
-        )
-    cert = is_bipartite_structural(graph)
-    spectral = is_bipartite_spectral(summary, tol)
-    return EquivalenceResult(
-        ok=(cert is not None) == spectral,
-        spectral=spectral,
-        structural=cert is not None,
-        certificate=cert,
-    )

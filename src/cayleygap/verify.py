@@ -24,8 +24,6 @@ from .cayley import CayleyGraph, build, generating_set, parse_generators
 from .cheeger import (
     MAX_DUAL_DEFAULT,
     MAX_EXACT_DEFAULT,
-    BauerJostResult,
-    CheegerBuserResult,
     dual_cheeger,
     edge_cheeger,
     vertex_cheeger,
@@ -74,104 +72,12 @@ def main_bound_constant(d: int) -> int:
     return 2**9 * d**6 * (d + 1) ** 2
 
 
-# The three formulas below are shared by the standalone checks and
-# full_report, which reads h and the spectrum once and derives every row.
-
-
-def _main_bound_margin(h: Fraction, d: int, summary: SpectralSummary) -> float:
-    """(2 - h^4 / (2^9 d^6 (d+1)^2)) - lambda_n."""
-    return (2.0 - float(h**4 / main_bound_constant(d))) - summary.lambda_max
-
-
-def _interval_margins(
-    h: Fraction, d: int, summary: SpectralSummary
-) -> tuple[float, float]:
-    """Margins of the smallest and the second-largest eigenvalue of T inside
-    [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)]."""
-    lower_end = -1.0 + float(h**4 / main_bound_constant(d))
-    upper_end = 1.0 - float(h**2 / (2 * d * d))
-    return summary.t[0] - lower_end, upper_end - summary.t[-2]
-
-
-def _tightness(h: Fraction, d: int, summary: SpectralSummary) -> float:
-    if h == 0:
-        raise ValueError("tightness ratio needs a positive expansion constant")
-    return (2.0 - summary.lambda_max) / float(h**4 / main_bound_constant(d))
-
-
 @dataclass(frozen=True)
 class CheckRow:
     name: str
     status: str                      # pass | fail | skipped | not_applicable
     margin: float | None = None
     reason: str | None = None
-
-
-@dataclass(frozen=True)
-class BoundCheckResult:
-    applicable: bool
-    ok: bool | None = None
-    margin: float | None = None
-
-
-def main_bound_check(
-    graph: CayleyGraph,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_exact: int = MAX_EXACT_DEFAULT,
-) -> BoundCheckResult:
-    """lambda_n <= 2 - h^4 / (2^9 d^6 (d+1)^2), vacuous for bipartite graphs."""
-    summary = spectrum(graph)
-    if is_bipartite_spectral(summary, tol):
-        return BoundCheckResult(applicable=False)
-    h = vertex_cheeger(graph, max_exact=max_exact).value
-    margin = _main_bound_margin(h, graph.d, summary)
-    return BoundCheckResult(applicable=True, ok=margin >= -tol, margin=margin)
-
-
-@dataclass(frozen=True)
-class IntervalCheckResult:
-    applicable: bool
-    ok: bool | None = None
-    lower_margin: float | None = None
-    upper_margin: float | None = None
-
-
-def eigenvalue_interval_check(
-    graph: CayleyGraph,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_exact: int = MAX_EXACT_DEFAULT,
-) -> IntervalCheckResult:
-    """Every nontrivial adjacency eigenvalue lies in
-    [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)], vacuous for bipartite
-    graphs. Nontrivial means all but the single top eigenvalue."""
-    summary = spectrum(graph)
-    if is_bipartite_spectral(summary, tol):
-        return IntervalCheckResult(applicable=False)
-    if summary.n < 2:
-        return IntervalCheckResult(applicable=False)
-    h = vertex_cheeger(graph, max_exact=max_exact).value
-    lower_margin, upper_margin = _interval_margins(h, graph.d, summary)
-    ok = lower_margin >= -tol and upper_margin >= -tol
-    return IntervalCheckResult(
-        applicable=True,
-        ok=ok,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-    )
-
-
-def tightness_ratio(
-    graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT
-) -> float:
-    """Slack factor (2 - lambda_n) / (h^4 / (2^9 d^6 (d+1)^2)); at least 1
-    whenever the main bound holds. Undefined for bipartite graphs."""
-    summary = spectrum(graph)
-    if is_bipartite_spectral(summary):
-        raise ValueError("tightness ratio is undefined for bipartite graphs")
-    return _tightness(vertex_cheeger(graph, max_exact=max_exact).value,
-                      graph.d, summary)
 
 
 @dataclass(frozen=True)
@@ -207,7 +113,11 @@ def full_report(
     max_dual: int = MAX_DUAL_DEFAULT,
     zeta: Fraction | float | None = None,
 ) -> VerificationReport:
-    """Run every applicable check; failures are recorded, never raised."""
+    """Run every applicable check; failures are recorded, never raised.
+
+    The rows are where the library decides each inequality: h and the
+    spectrum are computed once per graph and every row is derived from them.
+    """
     group = graph.group
     n = graph.n
     summary = spectrum(graph)
@@ -250,53 +160,50 @@ def full_report(
             reason: str | None = None) -> None:
         rows[name] = CheckRow(name, status, margin, reason)
 
-    def skip_if_blocked(name: str) -> bool:
-        """Common skip/not-applicable gating for spectral bound rows."""
-        if not connected:
-            put(name, "skipped", reason="disconnected")
-            return True
-        if bipartite:
-            put(name, "not_applicable", reason="bipartite")
-            return True
-        if h is None:
-            put(name, "skipped", reason=h_reason)
-            return True
-        return False
+    def within(name: str, margin: float) -> None:
+        put(name, "pass" if margin >= -tol else "fail", margin=margin)
 
     put("connectivity", "pass" if connected else "fail",
         margin=summary.lambda2 if n > 1 else None)
 
-    if not skip_if_blocked("main_bound"):
-        margin = _main_bound_margin(h, graph.d, summary)
-        put("main_bound", "pass" if margin >= -tol else "fail", margin=margin)
-
-    if not skip_if_blocked("eigenvalue_interval_lower"):
+    # The spectral bound rows: lambda_n <= 2 - h^4/(2^9 d^6 (d+1)^2), the
+    # interval [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)] for every
+    # nontrivial eigenvalue of T, and the slack factor of the first.
+    if not connected:
+        blocked = ("skipped", "disconnected")
+    elif bipartite:
+        blocked = ("not_applicable", "bipartite")
+    elif h is None:
+        blocked = ("skipped", h_reason)
+    else:
+        blocked = None
+    tightness: float | None = None
+    if blocked is not None:
+        for name in ("main_bound", "eigenvalue_interval_lower",
+                     "eigenvalue_interval_upper", "tightness_ratio"):
+            put(name, blocked[0], reason=blocked[1])
+    else:
+        d = graph.d
+        guaranteed = float(h**4 / main_bound_constant(d))
+        within("main_bound", (2.0 - guaranteed) - summary.lambda_max)
         # h exists, so n >= 2 and there are nontrivial eigenvalues.
-        lower, upper = _interval_margins(h, graph.d, summary)
-        put("eigenvalue_interval_lower",
-            "pass" if lower >= -tol else "fail", margin=lower)
-        put("eigenvalue_interval_upper",
-            "pass" if upper >= -tol else "fail", margin=upper)
-    else:
-        rows["eigenvalue_interval_upper"] = CheckRow(
-            "eigenvalue_interval_upper",
-            rows["eigenvalue_interval_lower"].status,
-            reason=rows["eigenvalue_interval_lower"].reason,
-        )
+        within("eigenvalue_interval_lower", summary.t[0] - (-1.0 + guaranteed))
+        within("eigenvalue_interval_upper",
+               (1.0 - float(h**2 / (2 * d * d))) - summary.t[-2])
+        tightness = (2.0 - summary.lambda_max) / guaranteed
+        put("tightness_ratio", rows["main_bound"].status,
+            margin=tightness - 1.0)
 
+    # Cheeger-Buser h_edge^2/2 <= lambda_2 <= 2 h_edge, and the exact
+    # vertex-edge relation h/d <= h_edge <= h.
     if h is None:
-        put("cheeger_buser_lower", "skipped", reason=h_reason)
-        put("cheeger_buser_upper", "skipped", reason=h_reason)
-        put("vertex_edge_lower", "skipped", reason=h_reason)
-        put("vertex_edge_upper", "skipped", reason=h_reason)
+        for name in ("cheeger_buser_lower", "cheeger_buser_upper",
+                     "vertex_edge_lower", "vertex_edge_upper"):
+            put(name, "skipped", reason=h_reason)
     else:
-        cb = CheegerBuserResult.of(edge_h, summary.lambda2, tol)
-        put("cheeger_buser_lower",
-            "pass" if cb.lower_margin >= -tol else "fail",
-            margin=cb.lower_margin)
-        put("cheeger_buser_upper",
-            "pass" if cb.upper_margin >= -tol else "fail",
-            margin=cb.upper_margin)
+        within("cheeger_buser_lower",
+               summary.lambda2 - float(edge_h * edge_h / 2))
+        within("cheeger_buser_upper", 2 * float(edge_h) - summary.lambda2)
         ve_lower = edge_h - Fraction(h, graph.d)
         ve_upper = h - edge_h
         put("vertex_edge_lower",
@@ -306,23 +213,22 @@ def full_report(
             "pass" if ve_upper >= 0 else "fail",
             margin=float(ve_upper))
 
+    # Dual Cheeger (1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and
+    # dual = 1 exactly iff lambda_n = 2 within tol.
     if dual_h is None:
-        put("dual_cheeger_lower", "skipped", reason=dual_reason)
-        put("dual_cheeger_upper", "skipped", reason=dual_reason)
-        put("dual_cheeger_equivalence", "skipped", reason=dual_reason)
+        for name in ("dual_cheeger_lower", "dual_cheeger_upper",
+                     "dual_cheeger_equivalence"):
+            put(name, "skipped", reason=dual_reason)
     else:
-        bj = BauerJostResult.of(dual_h, summary.lambda_max, tol)
-        put("dual_cheeger_lower",
-            "pass" if bj.lower_margin >= -tol else "fail",
-            margin=bj.lower_margin)
-        put("dual_cheeger_upper",
-            "pass" if bj.upper_margin >= -tol else "fail",
-            margin=bj.upper_margin)
+        gap = 2.0 - summary.lambda_max
+        one_minus = 1 - dual_h
+        within("dual_cheeger_lower", gap - float(one_minus * one_minus / 2))
+        within("dual_cheeger_upper", 2 * float(one_minus) - gap)
         if not connected:
             put("dual_cheeger_equivalence", "skipped", reason="disconnected")
         else:
-            put("dual_cheeger_equivalence",
-                "pass" if bj.equivalence_ok else "fail")
+            equivalent = (dual_h == 1) == (summary.lambda_max >= 2 - tol)
+            put("dual_cheeger_equivalence", "pass" if equivalent else "fail")
 
     if h is None:
         put("large_set_expansion", "skipped", reason=h_reason)
@@ -370,12 +276,6 @@ def full_report(
                     reason="out_of_regime")
             else:
                 put("proof_pipeline", "fail")
-
-    tightness: float | None = None
-    if not skip_if_blocked("tightness_ratio"):
-        tightness = _tightness(h, graph.d, summary)
-        main_status = rows["main_bound"].status
-        put("tightness_ratio", main_status, margin=tightness - 1.0)
 
     checks = tuple(rows[name] for name in CHECK_NAMES)
     return VerificationReport(
@@ -522,10 +422,6 @@ def report_json_dict(report: VerificationReport) -> dict:
     }
 
 
-def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_json_dict(report), indent=2)
-
-
 def _format_fraction(value: Fraction | None) -> str:
     if value is None:
         return ""
@@ -558,14 +454,6 @@ def report_csv_row(report: VerificationReport) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(fields)
     return buf.getvalue()
-
-
-def report_to_csv(report: VerificationReport) -> str:
-    return CSV_HEADER + "\n" + report_csv_row(report) + "\n"
-
-
-def report_to_text(report: VerificationReport) -> str:
-    return "\n".join(report_text_lines(report)) + "\n"
 
 
 def report_text_lines(report: VerificationReport) -> list[str]:

@@ -19,7 +19,7 @@ from cayleygap import (
     spectrum,
     vertex_cheeger,
 )
-from cayleygap.verify import VerificationReport
+from cayleygap.verify import CheckRow, VerificationReport
 
 
 class FamilyMember(NamedTuple):
@@ -86,6 +86,11 @@ def dual_h_of(member: FamilyMember):
 @functools.cache
 def report_of(member: FamilyMember) -> VerificationReport:
     return full_report(graph_of(member))
+
+
+def rows_of(member: FamilyMember) -> dict[str, CheckRow]:
+    """The member's report rows by check name."""
+    return {row.name: row for row in report_of(member).checks}
 
 
 def small(limit: int) -> list[FamilyMember]:

@@ -1,26 +1,21 @@
 """End-to-end acceptance gate, one test per criterion.
 
 Each test prints a single ACCEPTANCE line (visible under pytest -s or on
-failure) and then asserts, so the suite doubles as a checklist.
+failure) and then asserts, so the suite doubles as a checklist. The paper's
+inequalities are read off each member's `full_report` rows, which are where
+the library decides them.
 """
 
 import math
 import time
-from fractions import Fraction
 
 from cayleygap import (
-    bauer_jost_check,
-    cheeger_buser_check,
-    eigenvalue_interval_check,
     index2_subgroups,
     is_bipartite_spectral,
     is_connected,
-    main_bound_check,
-    proposition_equivalence_check,
     run_pipeline,
     sweep,
     sweep_to_json,
-    vertex_edge_relation_check,
     zeta_max,
 )
 
@@ -41,10 +36,9 @@ def test_acceptance_01_main_bound():
         summary = families.summary_of(member)
         if not is_connected(summary) or is_bipartite_spectral(summary):
             continue
-        graph = families.graph_of(member)
-        check = main_bound_check(graph)
-        if not (check.applicable and check.ok and check.margin > 0):
-            failures.append((member.name, check))
+        row = families.rows_of(member)["main_bound"]
+        if not (row.status == "pass" and row.margin > 0):
+            failures.append((member.name, row))
     elapsed = time.monotonic() - start
     if elapsed >= 60:
         failures.append(("runtime seconds", elapsed))
@@ -56,36 +50,36 @@ def test_acceptance_02_eigenvalue_interval():
     for member in families.MEMBERS:
         if member.bipartite:
             continue
-        graph = families.graph_of(member)
-        check = eigenvalue_interval_check(graph)
-        if not (check.applicable and check.ok):
-            failures.append((member.name, check))
+        rows = families.rows_of(member)
+        for name in ("eigenvalue_interval_lower", "eigenvalue_interval_upper"):
+            if rows[name].status != "pass":
+                failures.append((member.name, rows[name]))
     _verdict(2, "eigenvalue_interval", failures)
 
 
 def test_acceptance_03_bipartite_equivalence():
     failures = []
     for member in families.MEMBERS:
-        graph = families.graph_of(member)
-        result = proposition_equivalence_check(graph)
-        if not (result.ok and result.structural == member.bipartite):
-            failures.append((member.name, result))
+        row = families.rows_of(member)["bipartite_equivalence"]
+        structural = families.report_of(member).bipartite_structural
+        if not (row.status == "pass" and structural == member.bipartite):
+            failures.append((member.name, row, structural))
     _verdict(3, "bipartite_equivalence", failures)
 
 
 def test_acceptance_04_cheeger_buser_vertex_edge():
     failures = []
     for member in families.MEMBERS:
-        graph = families.graph_of(member)
-        if graph.n > 24:
+        report = families.report_of(member)
+        if report.n > 24:
             continue
-        h = families.h_of(member)
-        edge_h = families.edge_h_of(member)
-        if not vertex_edge_relation_check(graph):
-            failures.append((member.name, "vertex-edge", h, edge_h))
-        buser = cheeger_buser_check(graph)
-        if not buser.ok:
-            failures.append((member.name, buser))
+        rows = families.rows_of(member)
+        for name in ("vertex_edge_lower", "vertex_edge_upper"):
+            if rows[name].status != "pass":
+                failures.append((member.name, name, report.h, report.edge_h))
+        for name in ("cheeger_buser_lower", "cheeger_buser_upper"):
+            if rows[name].status != "pass":
+                failures.append((member.name, rows[name]))
     _verdict(4, "cheeger_buser_vertex_edge", failures)
 
 
@@ -190,11 +184,12 @@ def test_acceptance_08_cheeger_oracle():
 def test_acceptance_09_dual_cheeger_sandwich():
     failures = []
     for member in families.small(12):
-        graph = families.graph_of(member)
-        dual_h = families.dual_h_of(member)
-        check = bauer_jost_check(graph)
-        if not (check.ok and check.equivalence_ok):
-            failures.append((member.name, check))
+        dual_h = families.report_of(member).dual_h
+        rows = families.rows_of(member)
+        for name in ("dual_cheeger_lower", "dual_cheeger_upper",
+                     "dual_cheeger_equivalence"):
+            if rows[name].status != "pass":
+                failures.append((member.name, rows[name]))
         if (dual_h == 1) != member.bipartite:
             failures.append((member.name, "dual=1 iff bipartite", dual_h))
     _verdict(9, "dual_cheeger_sandwich", failures)

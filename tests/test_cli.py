@@ -448,3 +448,35 @@ def test_zeta_with_zero_denominator_is_input_error(capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.err == "error: cannot parse zeta value '1/0'\n"
+
+
+ZETA_COMMANDS = {
+    "proof": ["proof", "--group", "cyclic:4", "--gens", "±1"],
+    "verify": ["verify", "--group", "cyclic:4", "--gens", "±1"],
+    "sweep": ["sweep", "cyclic:4", "cyclic:5"],
+}
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a search ran before --zeta was checked")
+
+
+@pytest.mark.parametrize("zeta", ["0", "-1", "3"])
+@pytest.mark.parametrize("command", sorted(ZETA_COMMANDS))
+def test_zeta_out_of_range_is_one_error_line(capsys, monkeypatch, command, zeta):
+    for name in ("vertex_cheeger", "run_pipeline", "full_report", "sweep"):
+        monkeypatch.setattr(cayleygap.cli, name, _no_search)
+    code = main(ZETA_COMMANDS[command] + ["--zeta", zeta])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: zeta must lie in (0, 2], got {zeta}\n"
+
+
+@pytest.mark.parametrize("command", sorted(ZETA_COMMANDS))
+def test_zeta_two_is_valid(capsys, command):
+    code = main(ZETA_COMMANDS[command] + ["--zeta", "2", "--format", "csv"])
+    out = capsys.readouterr()
+    assert code == 0
+    assert "error" not in out.err
+    assert out.out.startswith("stage,status\n" if command == "proof" else CSV_HEADER)

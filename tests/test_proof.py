@@ -81,6 +81,8 @@ def test_beta_domain():
         beta_of_zeta(0, 2)
     with pytest.raises(ValueError):
         beta_of_zeta(2.5, 2)
+    with pytest.raises(ValueError, match=r"^zeta must lie in \(0, 2\], got 3$"):
+        beta_of_zeta(Fraction(3), 2)
     with pytest.raises(ValueError):
         beta_of_zeta(Fraction(1, 2), 0)
 

@@ -2,9 +2,6 @@ import pytest
 
 from cayleygap import (
     CapExceededError,
-    CayleyGraph,
-    DisconnectedGraphError,
-    GeneratingSet,
     closure,
     from_cyclic,
     from_dihedral,
@@ -12,7 +9,6 @@ from cayleygap import (
     from_symmetric,
     index2_subgroups,
     is_bipartite_structural,
-    proposition_equivalence_check,
     squares_commutators_subgroup,
 )
 
@@ -142,21 +138,9 @@ def test_structural_matches_expected_bipartiteness(member):
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
 def test_equivalence_on_family(member):
-    res = proposition_equivalence_check(families.graph_of(member))
-    assert res.ok
-    assert res.spectral == member.bipartite
-    assert res.structural == member.bipartite
-    assert (res.certificate is not None) == member.bipartite
-
-
-def test_equivalence_needs_connected():
-    g = from_cyclic(6)
-    neighbors = tuple((g.mult[3][x],) for x in range(6))
-    graph = CayleyGraph(
-        group=g,
-        gens=GeneratingSet((3,)),
-        neighbors=neighbors,
-        nbr_masks=tuple(1 << row[0] for row in neighbors),
-    )
-    with pytest.raises(DisconnectedGraphError):
-        proposition_equivalence_check(graph)
+    """The report's bipartite_equivalence row: spectral bipartiteness agrees
+    with the structural certificate (tested above)."""
+    report = families.report_of(member)
+    assert families.rows_of(member)["bipartite_equivalence"].status == "pass"
+    assert report.bipartite_spectral == member.bipartite
+    assert report.bipartite_structural == member.bipartite

@@ -9,27 +9,22 @@ from cayleygap import (
     CayleyGraph,
     GeneratingSet,
     build_graph,
-    eigenvalue_interval_check,
     from_cyclic,
     full_report,
-    main_bound_check,
     main_bound_constant,
-    report_to_csv,
-    report_to_json,
-    report_to_text,
-    spectrum,
     sweep,
     sweep_to_csv,
     sweep_to_json,
     sweep_to_text,
-    tightness_ratio,
 )
+from cayleygap.cheeger import MAX_DUAL_DEFAULT
 from cayleygap.verify import (
     CHECK_NAMES,
     CSV_HEADER,
     parse_sweep_spec,
     report_csv_row,
     report_json_dict,
+    report_text_lines,
 )
 
 import families
@@ -60,34 +55,33 @@ def test_main_bound_constant():
         main_bound_constant(0)
 
 
-def test_main_bound_check_direct():
-    graph = build_graph("cyclic:5", "±1")
-    res = main_bound_check(graph)
-    assert res.applicable and res.ok
-    assert res.margin == pytest.approx(0.1909796147830387, rel=1e-12)
-    bip = main_bound_check(build_graph("cyclic:6", "±1"))
-    assert not bip.applicable
-    assert bip.ok is None
-
-
 def test_interval_check_direct():
-    graph = build_graph("cyclic:5", "±1")
-    res = eigenvalue_interval_check(graph)
-    assert res.applicable and res.ok
-    assert res.lower_margin == pytest.approx(0.1909796147830386, rel=1e-12)
-    assert res.upper_margin == pytest.approx(0.5659830056250525, rel=1e-12)
-    assert not eigenvalue_interval_check(build_graph("cyclic:6", "±1")).applicable
-    # single vertex: no nontrivial eigenvalues
-    assert not eigenvalue_interval_check(build_graph("cyclic:1", "0")).applicable
+    report = families.report_of(families.MEMBERS[2])   # cyclic:5 gens=±1
+    lower = _row(report, "eigenvalue_interval_lower")
+    upper = _row(report, "eigenvalue_interval_upper")
+    assert lower.status == upper.status == "pass"
+    assert lower.margin == pytest.approx(0.1909796147830386, rel=1e-12)
+    assert upper.margin == pytest.approx(0.5659830056250525, rel=1e-12)
+    # single vertex: no nontrivial eigenvalues and no admissible set for h
+    report = full_report(build_graph("cyclic:1", "0"))
+    for name in ("eigenvalue_interval_lower", "eigenvalue_interval_upper"):
+        row = _row(report, name)
+        assert row.status == "skipped"
+        assert row.reason == "no admissible sets: need n >= 2"
+        assert row.margin is None
 
 
 def test_tightness_ratio_values():
-    assert tightness_ratio(build_graph("cyclic:3", "±1")) == 9216.0
-    assert tightness_ratio(build_graph("cyclic:5", "±1")) == pytest.approx(
+    report = families.report_of(families.MEMBERS[0])   # cyclic:3 gens=±1
+    assert report.tightness == 9216.0
+    assert _row(report, "tightness_ratio").margin == 9215.0
+    assert _row(report, "tightness_ratio").status == "pass"
+    assert families.report_of(families.MEMBERS[2]).tightness == pytest.approx(
         56323.1801548955, rel=1e-12
     )
-    with pytest.raises(ValueError, match="bipartite"):
-        tightness_ratio(build_graph("cyclic:6", "±1"))
+    report = families.report_of(families.MEMBERS[3])   # cyclic:6 gens=±1
+    assert report.tightness is None
+    assert _row(report, "tightness_ratio").reason == "bipartite"
 
 
 def test_full_report_z5_all_pass():
@@ -138,6 +132,10 @@ def test_full_report_family_passes(member):
     else:
         assert _row(report, "main_bound").status == "pass"
         assert report.tightness is not None and report.tightness >= 1.0
+    # dual Cheeger is exact up to max_dual, and dual = 1 iff bipartite
+    assert (report.dual_h is None) == (report.n > MAX_DUAL_DEFAULT)
+    if report.dual_h is not None:
+        assert (report.dual_h == 1) == member.bipartite
 
 
 def test_full_report_disconnected():
@@ -204,7 +202,7 @@ def test_json_schema_shape():
     assert trace["succeeded"] is False
     assert trace["candidate"] is None
     # everything must survive a JSON round trip unchanged
-    assert json.loads(report_to_json(report)) == payload
+    assert json.loads(json.dumps(payload, indent=2)) == payload
 
 
 def test_json_trace_shape_bipartite():
@@ -225,16 +223,16 @@ def test_json_trace_shape_bipartite():
 def test_json_deterministic():
     graph1 = build_graph("cyclic:5", "±1")
     graph2 = build_graph("cyclic:5", "±1")
-    assert report_to_json(full_report(graph1)) == report_to_json(full_report(graph2))
+    first = json.dumps(report_json_dict(full_report(graph1)), indent=2)
+    assert first == json.dumps(report_json_dict(full_report(graph2)), indent=2)
 
 
 def test_csv_row_shape():
     report = families.report_of(families.MEMBERS[2])
-    text = report_to_csv(report)
-    lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
-    parsed = next(csv.reader(io.StringIO(lines[1])))
-    assert len(parsed) == 10
+    row = report_csv_row(report)
+    assert "\n" not in row
+    parsed = next(csv.reader(io.StringIO(row)))
+    assert len(parsed) == len(CSV_HEADER.split(",")) == 10
     assert parsed[0] == "cyclic:5 gens=1,4"
     assert parsed[1] == "5"
     assert parsed[2] == "2"
@@ -243,7 +241,7 @@ def test_csv_row_shape():
     assert parsed[7] == "false"
     assert float(parsed[8]) == pytest.approx(0.1909796147830387, rel=1e-12)
     # the graph label contains a comma, so the raw field must be quoted
-    assert lines[1].startswith('"cyclic:5 gens=1,4",')
+    assert row.startswith('"cyclic:5 gens=1,4",')
 
 
 def test_csv_bipartite_empty_cells():
@@ -256,7 +254,7 @@ def test_csv_bipartite_empty_cells():
 
 def test_text_report_mentions_every_check():
     report = families.report_of(families.MEMBERS[2])
-    text = report_to_text(report)
+    text = "\n".join(report_text_lines(report))
     for name in CHECK_NAMES:
         assert name in text
     assert "tightness ratio" in text

@@ -31,9 +31,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("extra", nargs="*", help="additional sweep items")
     parser.add_argument("--format", choices=sorted(RENDERERS), default="text")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="parallel workers, at least 1 (default: 1)")
     parser.add_argument("--out", help="write here instead of stdout")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be an integer >= 1, got {args.workers}")
 
     items = sweep(FAMILY_SPECS + args.extra, workers=args.workers)
     rendered = RENDERERS[args.format](items)

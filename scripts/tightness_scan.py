@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from cayleygap import build_graph, expand_group_specs, full_report
+from cayleygap import CayleyGapError, build_graph, expand_group_specs, full_report
 
 DEFAULT_SPECS = ["cyclic:3..23", "dihedral:3..7", "product:cyclic:3xcyclic:3"]
 DEFAULT_GENS = {"dihedral": "auto", "product": "3,6,1,2"}
@@ -55,7 +55,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=["table", "csv"], default="table")
     args = parser.parse_args(argv)
 
-    rows = scan_rows(args.specs)
+    try:
+        rows = scan_rows(args.specs)
+    except (CayleyGapError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=COLUMNS)
         writer.writeheader()
@@ -63,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     widths = {
-        key: max(len(key), *(len(str(row[key])) for row in rows))
+        key: max([len(key), *(len(str(row[key])) for row in rows)])
         for key in COLUMNS
     }
     print("  ".join(key.ljust(widths[key]) for key in COLUMNS))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import GeneratingSetError, SpecParseError
 from .groups import FiniteGroup, parse_permutation
@@ -31,13 +31,6 @@ def mask_members(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ def left_translate(group: FiniteGroup, a_mask: int, s: int) -> int:
     """Bitmask of s·A."""
     row = group.mult[s]
     acc = 0
-    for a in iter_bits(a_mask):
+    for a in mask_members(a_mask):
         acc |= 1 << row[a]
     return acc
 
@@ -173,7 +166,7 @@ def right_translate(group: FiniteGroup, a_mask: int, g: int) -> int:
     """Bitmask of A·g."""
     mult = group.mult
     acc = 0
-    for a in iter_bits(a_mask):
+    for a in mask_members(a_mask):
         acc |= 1 << mult[a][g]
     return acc
 
@@ -183,19 +176,7 @@ class MultisetGenerators:
     """The multiset S·S of two-step products; total multiplicity is d^2."""
 
     group: FiniteGroup
-    base_size: int
     counts: dict[int, int]
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
-
-    def multiplicity(self, g: int) -> int:
-        return self.counts.get(g, 0)
-
-    @property
-    def total(self) -> int:
-        return self.base_size * self.base_size
 
 
 def square_multiset(gens: GeneratingSet, group: FiniteGroup) -> MultisetGenerators:
@@ -207,7 +188,7 @@ def square_multiset(gens: GeneratingSet, group: FiniteGroup) -> MultisetGenerato
         for t in gens.elements:
             g = row[t]
             counts[g] = counts.get(g, 0) + 1
-    ms = MultisetGenerators(group, gens.size, counts)
+    ms = MultisetGenerators(group, counts)
     for g, c in counts.items():
         if counts.get(group.inv[g], 0) != c:
             raise GeneratingSetError("square multiset lost its symmetry")

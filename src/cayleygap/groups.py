@@ -21,8 +21,8 @@ from .errors import (
 )
 
 ELEMENT_CAP = 10_000
-# Full associativity validation is O(n^3); run it automatically below this.
-ASSOCIATIVITY_AUTO_LIMIT = 512
+# Full associativity validation is O(n^3); it runs only up to this order.
+ASSOCIATIVITY_LIMIT = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,14 +33,8 @@ class FiniteGroup:
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     identity: int = 0
-    labels: tuple[str, ...] | None = None
     perms: tuple[tuple[int, ...], ...] | None = None
     name: str = ""
-
-    def label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
 
 
 def _inverses_from_table(mult: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -56,11 +50,11 @@ def _inverses_from_table(mult: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def validate_axioms(group: FiniteGroup, *, check_associativity: bool | None = None) -> None:
+def validate_axioms(group: FiniteGroup) -> None:
     """Raise GroupValidationError unless `group` satisfies all group axioms.
 
-    Associativity is the expensive part; by default it is checked exhaustively
-    only for order <= ASSOCIATIVITY_AUTO_LIMIT. Pass True/False to force.
+    Associativity is the expensive part; it is checked exhaustively only for
+    order <= ASSOCIATIVITY_LIMIT.
     """
     n = group.order
     if n < 1:
@@ -86,9 +80,7 @@ def validate_axioms(group: FiniteGroup, *, check_associativity: bool | None = No
         if not 0 <= b < n or group.mult[a][b] != 0 or group.mult[b][a] != 0:
             raise GroupValidationError(f"inv[{a}] = {b} is not a two-sided inverse")
 
-    if check_associativity is None:
-        check_associativity = n <= ASSOCIATIVITY_AUTO_LIMIT
-    if check_associativity:
+    if n <= ASSOCIATIVITY_LIMIT:
         m = np.array(group.mult, dtype=np.int64)
         for a in range(n):
             left = m[m[a]]          # left[b, c] = (a*b)*c
@@ -109,8 +101,7 @@ def from_cyclic(n: int) -> FiniteGroup:
         raise ElementCapError("element", ELEMENT_CAP, n)
     mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     inv = tuple((-a) % n for a in range(n))
-    labels = tuple(str(a) for a in range(n))
-    return FiniteGroup(n, mult, inv, labels=labels, name=f"cyclic:{n}")
+    return FiniteGroup(n, mult, inv, name=f"cyclic:{n}")
 
 
 def from_dihedral(m: int) -> FiniteGroup:
@@ -141,16 +132,7 @@ def from_dihedral(m: int) -> FiniteGroup:
         mult_rows.append(tuple(row))
     mult = tuple(mult_rows)
     inv = _inverses_from_table(mult)
-
-    def lab(x: int) -> str:
-        a, b = x % m, x // m
-        rot = "" if a == 0 else ("r" if a == 1 else f"r^{a}")
-        if b == 0:
-            return rot or "e"
-        return rot + "s"
-
-    labels = tuple(lab(x) for x in range(n))
-    return FiniteGroup(n, mult, inv, labels=labels, name=f"dihedral:{m}")
+    return FiniteGroup(n, mult, inv, name=f"dihedral:{m}")
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -179,14 +161,12 @@ def cycle_string(perm: Sequence[int]) -> str:
 
 
 def from_permutations(
-    generators: Sequence[Sequence[int]],
-    *,
-    max_order: int = ELEMENT_CAP,
-    name: str = "",
+    generators: Sequence[Sequence[int]], *, name: str = ""
 ) -> FiniteGroup:
     """Closure of the given permutations under composition, by BFS from the identity.
 
     Element 0 is the identity permutation; discovery order fixes the indexing.
+    At most ELEMENT_CAP elements are generated.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
@@ -208,8 +188,8 @@ def from_permutations(
         for g in gens:
             nxt = _compose(g, cur)
             if nxt not in index:
-                if len(perms) >= max_order:
-                    raise ElementCapError("element", max_order, len(perms) + 1)
+                if len(perms) >= ELEMENT_CAP:
+                    raise ElementCapError("element", ELEMENT_CAP, len(perms) + 1)
                 index[nxt] = len(perms)
                 perms.append(nxt)
 
@@ -218,10 +198,7 @@ def from_permutations(
         tuple(index[_compose(perms[a], perms[b])] for b in range(n)) for a in range(n)
     )
     inv = _inverses_from_table(mult)
-    labels = tuple(cycle_string(p) for p in perms)
-    return FiniteGroup(
-        n, mult, inv, labels=labels, perms=tuple(perms), name=name or "permutation"
-    )
+    return FiniteGroup(n, mult, inv, perms=tuple(perms), name=name or "permutation")
 
 
 def from_symmetric(k: int) -> FiniteGroup:
@@ -256,18 +233,15 @@ def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         )
     mult = tuple(mult_rows)
     inv = tuple(g1.inv[x // n2] * n2 + g2.inv[x % n2] for x in range(n))
-    labels = tuple(
-        f"({g1.label(x // n2)},{g2.label(x % n2)})" for x in range(n)
-    )
     name = f"product:{g1.name or '?'}x{g2.name or '?'}"
-    return FiniteGroup(n, mult, inv, labels=labels, name=name)
+    return FiniteGroup(n, mult, inv, name=name)
 
 
-def from_table(text: str, *, check_associativity: bool | None = None, name: str = "table") -> FiniteGroup:
+def from_table(text: str, *, name: str = "table") -> FiniteGroup:
     """Parse a Cayley-table file: first line n, then n rows of n indices.
 
     Row and column 0 must be the identity. All axioms are validated
-    (associativity per the auto limit unless forced).
+    (associativity up to ASSOCIATIVITY_LIMIT).
     """
     tokens_per_line = [ln.split() for ln in text.splitlines()]
     lines = [toks for toks in tokens_per_line if toks]
@@ -303,7 +277,7 @@ def from_table(text: str, *, check_associativity: bool | None = None, name: str 
                 )
     inv = _inverses_from_table(mult)
     group = FiniteGroup(n, mult, inv, name=name)
-    validate_axioms(group, check_associativity=check_associativity)
+    validate_axioms(group)
     return group
 
 

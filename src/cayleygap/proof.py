@@ -8,7 +8,8 @@ be an index-2 subgroup disjoint from S, i.e. an explicit bipartition. Every
 stage re-verifies its counting bound with exact set arithmetic against the
 derived constants; nothing is assumed from theory.
 
-Constants, for expansion eps and degree d:
+Constants, for expansion eps and degree d (the pipeline takes eps = h, the
+exact vertex Cheeger constant):
 
     beta = d^2 sqrt(2 zeta (2 - zeta))      boundary-ratio bound for A
     z    = (d beta / eps^2)(eps + d + 2)    overlap dichotomy width
@@ -42,12 +43,12 @@ from .cayley import (
 from .cheeger import (
     MAX_EXACT_DEFAULT,
     _crossing_search,
-    connected_components,
+    _zero_ratio_witness,
     vertex_cheeger,
 )
 from .errors import CapExceededError
 from .spectral import spectrum
-from .subgroups import MAX_RANK_DEFAULT, index2_subgroups
+from .subgroups import INDEX2_MEMO_KEY, index2_subgroups
 
 _SAMPLE_SEED = 0x5E7C0DE
 _EXHAUSTIVE_LIMIT = 12               # large-set check: all 2^n sets up to here
@@ -188,11 +189,10 @@ def find_candidate_set(
         return CandidateReport(False, t_min, gap)
     ms = square_multiset(graph.gens, graph.group)
     masks, rows = _support_adjacency(ms, n)
-    comps = connected_components(masks, n)
-    if len(comps) > 1:
+    a_mask = _zero_ratio_witness(masks, n)
+    if a_mask is not None:
         # Components are cosets of the subgroup generated by the support, so
         # each single component is admissible and has crossing weight zero.
-        a_mask = min(comps, key=lambda c: (c.bit_count(), c))
         size = a_mask.bit_count()
         if 2 * size > n:
             raise AssertionError("component larger than half the graph")
@@ -303,21 +303,16 @@ class DichotomyReport:
 
 
 def dichotomy_check(
-    graph: CayleyGraph,
-    a_mask: int,
-    params: ProofParameters,
-    *,
-    profile: tuple[int, ...] | None = None,
+    profile: tuple[int, ...], params: ProofParameters
 ) -> DichotomyReport:
-    """Classify every g by its overlap |A cap Ag|: at most z|A| or at least
-    (1-z)|A|. Meaningless when z >= 1/2, which is rejected."""
+    """Classify every g by its overlap profile[g] = |A cap Ag| (see
+    translate_profile): at most z|A| or at least (1-z)|A|. Meaningless when
+    z >= 1/2, which is rejected."""
     if params.z >= 0.5:
         raise ValueError(
             f"overlap dichotomy needs z < 1/2, got z = {params.z:.6g}"
         )
-    if profile is None:
-        profile = translate_profile(graph, a_mask)
-    size = a_mask.bit_count()
+    size = profile[0]                # |A cap A·e| = |A|, 0 being the identity
     low = params.z * size
     high = (1.0 - params.z) * size
     case_low, case_high, violations = [], [], []
@@ -443,19 +438,14 @@ class SubgroupExtraction:
 
 
 def construct_subgroup(
-    graph: CayleyGraph,
-    a_mask: int,
-    params: ProofParameters,
-    *,
-    profile: tuple[int, ...] | None = None,
+    graph: CayleyGraph, profile: tuple[int, ...], params: ProofParameters
 ) -> SubgroupExtraction:
-    """Threshold the overlap profile at r|A| and verify the result is an
-    index-2 subgroup: identity, inverses, closure, |H| > n/3, H != G."""
+    """Threshold the overlap profile (see translate_profile) at r|A| and
+    verify the result is an index-2 subgroup: identity, inverses, closure,
+    |H| > n/3, H != G."""
     group = graph.group
     n = graph.n
-    if profile is None:
-        profile = translate_profile(graph, a_mask)
-    size = a_mask.bit_count()
+    size = profile[group.identity]
     threshold = params.r * size
     members = [g for g in range(n) if profile[g] >= threshold]
     h_mask = mask_of(members)
@@ -554,9 +544,7 @@ def disjointness_check(
     structural_match: bool | None = None
     if disjoint:
         h_set = mask_members(h_mask)
-        # The memo key is_bipartite_structural stores the list under.
-        certs = graph.memo(("index2_subgroups", MAX_RANK_DEFAULT),
-                           lambda: index2_subgroups(group))
+        certs = graph.memo(INDEX2_MEMO_KEY, lambda: index2_subgroups(group))
         structural_match = any(
             cert.elements == h_set
             and not set(graph.gens.elements).intersection(cert.elements)
@@ -680,34 +668,22 @@ class LargeSetExpansionReport:
 
 
 def large_set_expansion_check(
-    graph: CayleyGraph,
-    eps: Fraction | None = None,
-    *,
-    max_exact: int = MAX_EXACT_DEFAULT,
+    graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT
 ) -> LargeSetExpansionReport:
     """Check |SA \\ A| >= (eps/d)|G \\ A| on every set of at least half the
-    vertices, plus the sidedness step d|SA \\ A| >= |SA^c \\ A^c| on all sets.
+    vertices, plus the sidedness step d|SA \\ A| >= |SA^c \\ A^c| on all sets,
+    with eps = h, the graph's exact vertex Cheeger constant.
 
     Exhaustive over all 2^n subsets for n <= 12, otherwise the first 10 000
     draws of a fixed seed. Each witness is the first tested set of least
     slack. The sets are tested in chunks of uint64 words: images by per-byte
     table lookup, sizes by popcount. The internal slack is an int64; the main
     slack d q |SA \\ A| - p |G \\ A| depends only on (|SA \\ A|, |A|), so it
-    is evaluated in Python ints once per distinct pair, exact for any eps.
+    is evaluated in Python ints once per distinct pair.
     """
     n = graph.n
     d = graph.d
-    if eps is not None:
-        eps = Fraction(eps)
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
-    h = vertex_cheeger(graph, max_exact=max_exact).value
-    if eps is None:
-        eps = h
-    elif eps > h:
-        raise ValueError(
-            f"eps = {eps} exceeds the exact expansion constant h = {h}"
-        )
+    eps = vertex_cheeger(graph, max_exact=max_exact).value
     p, q = eps.numerator, eps.denominator
 
     tables = _image_tables(graph.nbr_masks, n)
@@ -797,27 +773,18 @@ def run_pipeline(
     graph: CayleyGraph,
     zeta: Fraction | float | None = None,
     *,
-    eps: Fraction | None = None,
     max_exact: int = MAX_EXACT_DEFAULT,
 ) -> ProofTrace:
     """Run every stage in order, recording the first failed check.
 
-    zeta defaults to the largest in-regime value for eps, and eps defaults to
-    the graph's exact vertex expansion constant. When the spectrum is not
-    within zeta of -1 the trace stops at the hypothesis stage, which is the
+    eps is the graph's exact vertex expansion constant h, and zeta defaults
+    to the largest in-regime value for it. When the spectrum is not within
+    zeta of -1 the trace stops at the hypothesis stage, which is the
     expected outcome for non-bipartite graphs in regime.
     """
     if graph.n > max_exact:
         raise CapExceededError("max_exact", max_exact, graph.n)
-    h = vertex_cheeger(graph, max_exact=max_exact).value
-    if eps is None:
-        eps = h
-    else:
-        eps = Fraction(eps)
-        if eps > h:
-            raise ValueError(
-                f"eps = {eps} exceeds the exact expansion constant h = {h}"
-            )
+    eps = vertex_cheeger(graph, max_exact=max_exact).value
     if eps <= 0:
         raise ValueError("pipeline needs a positive expansion constant")
     if zeta is None:
@@ -851,7 +818,7 @@ def run_pipeline(
     profile = translate_profile(graph, a_mask)
 
     try:
-        dichotomy = dichotomy_check(graph, a_mask, params, profile=profile)
+        dichotomy = dichotomy_check(profile, params)
     except ValueError as exc:
         note(str(exc))
         return ProofTrace(
@@ -878,7 +845,7 @@ def run_pipeline(
             + ", ".join(str(g) for g in bad[:4])
         )
 
-    subgroup = construct_subgroup(graph, a_mask, params, profile=profile)
+    subgroup = construct_subgroup(graph, profile, params)
     if not subgroup.is_index_two:
         note("extracted set is not an index-2 subgroup")
 

@@ -21,7 +21,7 @@ import numpy as np
 from .cayley import CayleyGraph
 from .errors import CapExceededError, ConvergenceError
 
-MAX_SPECTRUM_DEFAULT = 2048
+MAX_SPECTRUM = 2048
 _SYMMETRY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
@@ -185,7 +185,6 @@ def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 class SpectralSummary:
     t: tuple[float, ...]     # adjacency eigenvalues, ascending
     lam: tuple[float, ...]   # Laplacian eigenvalues, ascending
-    d: int
 
     @property
     def n(self) -> int:
@@ -208,9 +207,9 @@ class SpectralSummary:
         return self.lam[-1]
 
 
-def spectrum(graph: CayleyGraph, *, max_n: int = MAX_SPECTRUM_DEFAULT) -> SpectralSummary:
-    if graph.n > max_n:
-        raise CapExceededError("max_spectrum", max_n, graph.n)
+def spectrum(graph: CayleyGraph) -> SpectralSummary:
+    if graph.n > MAX_SPECTRUM:
+        raise CapExceededError("max_spectrum", MAX_SPECTRUM, graph.n)
     return graph.memo("spectrum", lambda: _summary(graph))
 
 
@@ -222,7 +221,7 @@ def _summary(graph: CayleyGraph) -> SpectralSummary:
     if abs(t[-1] - 1.0) > 1e-9:
         raise AssertionError(f"top adjacency eigenvalue {t[-1]!r}, expected 1")
     lam = tuple(1.0 - t[len(t) - 1 - i] for i in range(len(t)))
-    return SpectralSummary(tuple(t), lam, graph.d)
+    return SpectralSummary(tuple(t), lam)
 
 
 def is_connected(summary: SpectralSummary, tol: float = 1e-9) -> bool:

@@ -16,14 +16,15 @@ from .cayley import CayleyGraph
 from .errors import CapExceededError
 from .groups import FiniteGroup
 
-MAX_RANK_DEFAULT = 20
+MAX_RANK = 20
+# The graph memo key of the index-2 list (see CayleyGraph.memo).
+INDEX2_MEMO_KEY = "index2_subgroups"
 
 
 @dataclass(frozen=True)
 class SubgroupCertificate:
     elements: tuple[int, ...]
     index: int
-    disjoint_from_s: bool | None = None
 
 
 def closure(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
@@ -90,14 +91,12 @@ def squares_commutators_subgroup(group: FiniteGroup) -> SubgroupCertificate:
     return SubgroupCertificate(members, n // len(members))
 
 
-def index2_subgroups(
-    group: FiniteGroup, *, max_rank: int = MAX_RANK_DEFAULT
-) -> tuple[SubgroupCertificate, ...]:
+def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
     """All index-2 subgroups, sorted by element tuple.
 
     They are the preimages of the 2^k - 1 hyperplanes of the quotient
-    (Z/2)^k by the squares-commutators subgroup; each one is re-validated by
-    an explicit closure check.
+    (Z/2)^k by the squares-commutators subgroup, for k <= MAX_RANK; each one
+    is re-validated by an explicit closure check.
     """
     n = group.order
     mult = group.mult
@@ -110,8 +109,8 @@ def index2_subgroups(
     if q & (q - 1):
         raise AssertionError(f"quotient order {q} is not a power of 2")
     k = q.bit_length() - 1
-    if k > max_rank:
-        raise CapExceededError("max_rank", max_rank, k)
+    if k > MAX_RANK:
+        raise CapExceededError("max_rank", MAX_RANK, k)
 
     # Minimal-element coset representatives; scanning g in increasing order
     # makes the first unseen element the minimum of its coset.
@@ -165,20 +164,16 @@ def index2_subgroups(
     return tuple(out)
 
 
-def is_bipartite_structural(
-    graph: CayleyGraph, *, max_rank: int = MAX_RANK_DEFAULT
-) -> SubgroupCertificate | None:
+def is_bipartite_structural(graph: CayleyGraph) -> SubgroupCertificate | None:
     """First index-2 subgroup disjoint from S, or None.
 
     "First" is by element-tuple order, so the certificate is deterministic.
-    The index-2 list is kept in the graph's memo under
-    ("index2_subgroups", max_rank).
+    The index-2 list is kept in the graph's memo under INDEX2_MEMO_KEY.
     """
     s_set = set(graph.gens.elements)
-    certs = graph.memo(("index2_subgroups", max_rank),
-                       lambda: index2_subgroups(graph.group, max_rank=max_rank))
+    certs = graph.memo(INDEX2_MEMO_KEY, lambda: index2_subgroups(graph.group))
     for cert in certs:
         if not s_set.intersection(cert.elements):
-            return SubgroupCertificate(cert.elements, cert.index, True)
+            return cert
     return None
 

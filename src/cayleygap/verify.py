@@ -235,7 +235,7 @@ def full_report(
     elif not connected:
         put("large_set_expansion", "skipped", reason="disconnected")
     else:
-        exp = large_set_expansion_check(graph, h, max_exact=max_exact)
+        exp = large_set_expansion_check(graph, max_exact=max_exact)
         worst = min(exp.main_worst.slack, exp.internal_worst.slack)
         put("large_set_expansion",
             "pass" if exp.ok else "fail",

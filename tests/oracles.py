@@ -20,7 +20,7 @@ from cayleygap import (
     spectrum,
     square_multiset,
 )
-from cayleygap.cayley import iter_bits, mask_members
+from cayleygap.cayley import mask_members
 from cayleygap.proof import (
     _EXHAUSTIVE_LIMIT,
     _SAMPLE_SEED,
@@ -216,7 +216,7 @@ def edge_boundary_count(graph: CayleyGraph, a_mask: int) -> int:
     """Number of pairs (a, s) with a in A and s*a outside A."""
     masks = graph.nbr_masks
     total = 0
-    for a in iter_bits(a_mask):
+    for a in mask_members(a_mask):
         total += (masks[a] & ~a_mask).bit_count()
     return total
 
@@ -229,7 +229,7 @@ def square_normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
     multiset = square_multiset(graph.gens, graph.group)
     group = graph.group
     n = graph.n
-    d2 = multiset.total
+    d2 = graph.d * graph.d
     rows = []
     for x in range(n):
         inv_x = group.inv[x]

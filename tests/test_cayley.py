@@ -147,12 +147,7 @@ def test_square_multiset_z5():
     g = from_cyclic(5)
     graph = build(g, [1, 4])
     ms = square_multiset(graph.gens, g)
-    assert ms.support == (0, 2, 3)
-    assert ms.multiplicity(0) == 2
-    assert ms.multiplicity(2) == 1
-    assert ms.multiplicity(3) == 1
-    assert ms.multiplicity(1) == 0
-    assert ms.total == 4
+    assert ms.counts == {0: 2, 2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)
@@ -160,9 +155,9 @@ def test_square_multiset_total_and_symmetry(member):
     graph = families.graph_of(member)
     ms = square_multiset(graph.gens, graph.group)
     assert sum(ms.counts.values()) == graph.d * graph.d
-    assert ms.multiplicity(graph.group.identity) >= graph.d
+    assert ms.counts[graph.group.identity] >= graph.d
     for g, c in ms.counts.items():
-        assert ms.multiplicity(graph.group.inv[g]) == c
+        assert ms.counts.get(graph.group.inv[g], 0) == c
 
 
 def test_multiset_image_excess_z5_singleton():

@@ -2,8 +2,9 @@
 
 Each case runs `cayleygap.cli.main` in-process and compares its output, byte
 for byte, with the files under tests/golden/. The scripts under scripts/ are
-pinned the same way: their `main(argv)` runs in-process and must exit 0. A
-change that alters CLI or script output on purpose regenerates them with
+pinned the same way: their `main(argv)` runs in-process and must return the
+exit code listed with the case. A change that alters CLI or script output on
+purpose regenerates them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -62,10 +63,13 @@ def _cases() -> dict[str, list[str]]:
 
 CASES = _cases()
 
-# Golden name -> (script under scripts/, argv).
+# Golden name -> (script under scripts/, argv, exit code).
 SCRIPT_CASES = {
-    "script-tightness_scan-csv": ("tightness_scan", ["--format", "csv"]),
-    "script-run_family_sweep-csv": ("run_family_sweep", ["--format", "csv"]),
+    "script-tightness_scan-csv": ("tightness_scan", ["--format", "csv"], 0),
+    # bipartite, so no tightness ratio: the table is its header alone
+    "script-tightness_scan-empty-table": ("tightness_scan", ["cyclic:4"], 0),
+    "script-tightness_scan-bad-spec": ("tightness_scan", ["florble"], 2),
+    "script-run_family_sweep-csv": ("run_family_sweep", ["--format", "csv"], 0),
 }
 
 
@@ -100,11 +104,20 @@ def test_cli_output_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(SCRIPT_CASES))
 def test_script_output_matches_golden(name):
-    script, argv = SCRIPT_CASES[name]
+    script, argv, expected_code = SCRIPT_CASES[name]
     stdout, stderr, code = run_case(argv, script_main(script))
-    assert code == 0
+    assert code == expected_code
     assert stdout == _read(GOLDEN_DIR / f"{name}.stdout")
     assert stderr == _read(GOLDEN_DIR / f"{name}.stderr")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_family_sweep_rejects_workers_below_one(workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        script_main("run_family_sweep")(["--workers", workers])
+    assert exc.value.code == 2
+    assert (f"argument --workers: must be an integer >= 1, got {workers}"
+            in capsys.readouterr().err)
 
 
 def regenerate() -> None:
@@ -118,10 +131,10 @@ def regenerate() -> None:
         (GOLDEN_DIR / f"{name}.stderr").write_bytes(stderr.encode("utf-8"))
     (GOLDEN_DIR / "exit_codes.json").write_bytes(
         (json.dumps(codes, indent=2) + "\n").encode("utf-8"))
-    for name, (script, argv) in sorted(SCRIPT_CASES.items()):
+    for name, (script, argv, expected_code) in sorted(SCRIPT_CASES.items()):
         stdout, stderr, code = run_case(argv, script_main(script))
-        if code != 0:
-            raise SystemExit(f"{name} exited {code}")
+        if code != expected_code:
+            raise SystemExit(f"{name} exited {code}, expected {expected_code}")
         (GOLDEN_DIR / f"{name}.stdout").write_bytes(stdout.encode("utf-8"))
         (GOLDEN_DIR / f"{name}.stderr").write_bytes(stderr.encode("utf-8"))
     print(f"wrote {len(codes) + len(SCRIPT_CASES)} cases to {GOLDEN_DIR}",

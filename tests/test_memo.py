@@ -67,22 +67,22 @@ def test_cli_verify_runs_each_engine_once(engine_runs, capsys):
     assert engine_runs == _once_each()
 
 
-def test_caps_hold_across_memo_hits():
+def test_caps_hold_across_memo_hits(monkeypatch):
     graph = build_graph("cyclic:8", "±1")
     for call, cap in ((vertex_cheeger, "max_exact"), (edge_cheeger, "max_exact"),
-                      (dual_cheeger, "max_dual"), (spectrum, "max_n")):
+                      (dual_cheeger, "max_dual")):
         first = call(graph, **{cap: graph.n})
         assert call(graph, **{cap: graph.n}) is first
         with pytest.raises(CapExceededError) as exc:
             call(graph, **{cap: graph.n - 1})
         assert exc.value.needed == graph.n
-
-
-def test_index2_memo_is_per_rank_cap():
-    graph = build_graph("product:cyclic:2xcyclic:2xcyclic:2", "4,2,1")
-    assert is_bipartite_structural(graph, max_rank=3) is not None
-    with pytest.raises(CapExceededError):
-        is_bipartite_structural(graph, max_rank=2)
+    monkeypatch.setattr(cayleygap.spectral, "MAX_SPECTRUM", graph.n)
+    first = spectrum(graph)
+    assert spectrum(graph) is first
+    monkeypatch.setattr(cayleygap.spectral, "MAX_SPECTRUM", graph.n - 1)
+    with pytest.raises(CapExceededError) as exc:
+        spectrum(graph)
+    assert exc.value.needed == graph.n
 
 
 def test_separate_graphs_share_no_memo(engine_runs):

@@ -1,5 +1,6 @@
 import pytest
 
+import cayleygap.subgroups
 from cayleygap import (
     CapExceededError,
     closure,
@@ -110,12 +111,13 @@ def test_index2_count_elementary_abelian():
     assert len(subs) == 7   # hyperplanes of F2^3
 
 
-def test_max_rank_cap():
+def test_max_rank_cap(monkeypatch):
+    monkeypatch.setattr(cayleygap.subgroups, "MAX_RANK", 2)
     cube = from_direct_product(
         from_direct_product(from_cyclic(2), from_cyclic(2)), from_cyclic(2)
     )
     with pytest.raises(CapExceededError) as exc:
-        index2_subgroups(cube, max_rank=2)
+        index2_subgroups(cube)
     assert exc.value.cap_name == "max_rank"
     assert exc.value.needed == 3
 
@@ -127,7 +129,6 @@ def test_structural_matches_expected_bipartiteness(member):
     assert (cert is not None) == member.bipartite
     if cert is not None:
         assert cert.index == 2
-        assert cert.disjoint_from_s
         assert not set(graph.gens.elements) & set(cert.elements)
         # parts H and G \ H: all edges cross
         h = set(cert.elements)

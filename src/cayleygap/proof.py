@@ -89,7 +89,6 @@ def beta_of_zeta(zeta: Fraction | float, d: int) -> float:
 @dataclass(frozen=True)
 class ProofParameters:
     eps: Fraction
-    d: int
     zeta: float
     beta: float
     z: float
@@ -113,7 +112,6 @@ def make_parameters(eps: Fraction, d: int, zeta: Fraction | float) -> ProofParam
     zeta_exact = Fraction(zeta)
     return ProofParameters(
         eps=eps,
-        d=d,
         zeta=float(zeta),
         beta=beta,
         z=z,
@@ -218,16 +216,10 @@ def find_candidate_set(
 
 @dataclass(frozen=True)
 class SetPropertyReport:
-    size_ok: bool
-    size_lower: float                # n / (2 + beta + d beta / eps)
-    size: int
+    size_ok: bool                    # n / (2 + beta + d beta / eps) <= |A| <= n/2
     overlap_ok: bool                 # |SA cap A| <= (beta/eps)|A|
-    overlap_count: int
-    overlap_threshold: float
-    translate_ok: bool               # all s,g: |sAg delta (Ag)^c| <= threshold
-    translate_worst: int
-    translate_worst_pair: tuple[int, int] | None
-    translate_threshold: float       # beta (1 + d/eps + 2/eps) |A|
+    translate_ok: bool               # all s,g: |sAg delta (Ag)^c|
+                                     #   <= beta (1 + d/eps + 2/eps) |A|
 
     @property
     def all_ok(self) -> bool:
@@ -248,37 +240,18 @@ def set_property_check(
     beta = params.beta
     size = a_mask.bit_count()
 
-    size_lower = n / (2 + beta + d * beta / eps_f)
-    size_ok = size >= size_lower and 2 * size <= n
-
     overlap = (set_image(graph, a_mask) & a_mask).bit_count()
-    overlap_threshold = (beta / eps_f) * size
-    overlap_ok = overlap <= overlap_threshold
-
     translate_threshold = beta * (1 + d / eps_f + 2 / eps_f) * size
-    worst = -1
-    worst_pair: tuple[int, int] | None = None
-    for g in range(n):
-        ag = right_translate(group, a_mask, g)
-        target = ~ag & full
-        for s in graph.gens.elements:
-            sym = (left_translate(group, ag, s) ^ target).bit_count()
-            if sym > worst:
-                worst = sym
-                worst_pair = (s, g)
-    translate_ok = worst <= translate_threshold
-
+    translates = (right_translate(group, a_mask, g) for g in range(n))
     return SetPropertyReport(
-        size_ok=size_ok,
-        size_lower=size_lower,
-        size=size,
-        overlap_ok=overlap_ok,
-        overlap_count=overlap,
-        overlap_threshold=overlap_threshold,
-        translate_ok=translate_ok,
-        translate_worst=worst,
-        translate_worst_pair=worst_pair,
-        translate_threshold=translate_threshold,
+        size_ok=size >= n / (2 + beta + d * beta / eps_f) and 2 * size <= n,
+        overlap_ok=overlap <= (beta / eps_f) * size,
+        translate_ok=all(
+            (left_translate(group, ag, s) ^ (~ag & full)).bit_count()
+            <= translate_threshold
+            for ag in translates
+            for s in graph.gens.elements
+        ),
     )
 
 
@@ -294,9 +267,6 @@ def translate_profile(graph: CayleyGraph, a_mask: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class DichotomyReport:
     valid: bool
-    z: float
-    low_threshold: float             # z |A|
-    high_threshold: float            # (1 - z)|A|
     case_low: tuple[int, ...]        # g with overlap <= z|A|
     case_high: tuple[int, ...]       # g with overlap >= (1-z)|A|
     violations: tuple[int, ...]      # g strictly between the thresholds
@@ -325,9 +295,6 @@ def dichotomy_check(
             violations.append(g)
     return DichotomyReport(
         valid=not violations,
-        z=params.z,
-        low_threshold=low,
-        high_threshold=high,
         case_low=tuple(case_low),
         case_high=tuple(case_high),
         violations=tuple(violations),
@@ -340,16 +307,10 @@ class AgreementBoundsReport:
     and Ag agrees; its complement is the symmetric difference A delta Ag."""
 
     g: int
-    b_mask: int
     complement_ok: bool              # B^c == A delta Ag (exact identity)
-    sb_delta: int                    # |SB delta B|
-    sbc_delta: int                   # |SB^c delta B^c|
-    delta_threshold: float           # 2 d beta (1 + d/eps + 2/eps) |A|
-    delta_ok: bool
-    branch: str                      # "small" if |B| <= n/2 else "large"
-    size_count: int                  # |B| or |G \ B| per branch
-    size_threshold: float            # 2 z |A|
-    size_ok: bool
+    delta_ok: bool                   # |SB delta B| and |SB^c delta B^c|
+                                     #   <= 2 d beta (1 + d/eps + 2/eps) |A|
+    size_ok: bool                    # min(|B|, |G \ B|) <= 2 z |A|
 
     @property
     def all_ok(self) -> bool:
@@ -375,33 +336,14 @@ def agreement_set_bounds_check(
     def delta(mask: int) -> int:
         return (set_image(graph, mask) ^ mask).bit_count()
 
-    sb_delta = delta(b_mask)
-    sbc_delta = delta(bc_mask)
     delta_threshold = 2 * d * beta * (1 + d / eps_f + 2 / eps_f) * size
-    delta_ok = sb_delta <= delta_threshold and sbc_delta <= delta_threshold
-
     b_size = b_mask.bit_count()
-    size_threshold = 2 * params.z * size
-    if 2 * b_size <= n:
-        branch = "small"
-        size_count = b_size
-    else:
-        branch = "large"
-        size_count = n - b_size
-    size_ok = size_count <= size_threshold
-
     return AgreementBoundsReport(
         g=g,
-        b_mask=b_mask,
         complement_ok=complement_ok,
-        sb_delta=sb_delta,
-        sbc_delta=sbc_delta,
-        delta_threshold=delta_threshold,
-        delta_ok=delta_ok,
-        branch=branch,
-        size_count=size_count,
-        size_threshold=size_threshold,
-        size_ok=size_ok,
+        delta_ok=(delta(b_mask) <= delta_threshold
+                  and delta(bc_mask) <= delta_threshold),
+        size_ok=min(b_size, n - b_size) <= 2 * params.z * size,
     )
 
 
@@ -413,17 +355,13 @@ def agreement_set_bounds_check(
 class SubgroupExtraction:
     h_mask: int
     h_set: tuple[int, ...]
-    threshold: float                 # r |A|
     identity_ok: bool
     symmetric_ok: bool
-    symmetric_witness: int | None
     closed: bool
-    closure_witness: tuple[int, int] | None
     large_ok: bool                   # 3|H| > n
     proper_ok: bool                  # H != G
     index: int | None                # n / |H| when H is a genuine subgroup
     triangle_ok: bool                # g,h in H: |A cap A(gh)| >= (2r-1)|A|
-    triangle_worst: tuple[int, int] | None
 
     @property
     def is_index_two(self) -> bool:
@@ -446,29 +384,13 @@ def construct_subgroup(
     group = graph.group
     n = graph.n
     size = profile[group.identity]
-    threshold = params.r * size
-    members = [g for g in range(n) if profile[g] >= threshold]
+    members = [g for g in range(n) if profile[g] >= params.r * size]
     h_mask = mask_of(members)
 
     identity_ok = bool(h_mask & 1)
-    symmetric_ok = True
-    symmetric_witness = None
-    for g in members:
-        if not (h_mask >> group.inv[g]) & 1:
-            symmetric_ok = False
-            symmetric_witness = g
-            break
-    closed = True
-    closure_witness = None
-    for g in members:
-        row = group.mult[g]
-        for h in members:
-            if not (h_mask >> row[h]) & 1:
-                closed = False
-                closure_witness = (g, h)
-                break
-        if not closed:
-            break
+    symmetric_ok = all((h_mask >> group.inv[g]) & 1 for g in members)
+    products = [group.mult[g][h] for g in members for h in members]
+    closed = all((h_mask >> gh) & 1 for gh in products)
     large_ok = 3 * len(members) > n
     proper_ok = h_mask != graph.full_mask
     index = None
@@ -476,32 +398,16 @@ def construct_subgroup(
         index = n // len(members)
 
     triangle_threshold = (2 * params.r - 1) * size
-    triangle_ok = True
-    triangle_worst = None
-    worst_count = None
-    for g in members:
-        row = group.mult[g]
-        for h in members:
-            count = profile[row[h]]
-            if count < triangle_threshold:
-                triangle_ok = False
-            if worst_count is None or count < worst_count:
-                worst_count = count
-                triangle_worst = (g, h)
     return SubgroupExtraction(
         h_mask=h_mask,
         h_set=tuple(members),
-        threshold=threshold,
         identity_ok=identity_ok,
         symmetric_ok=symmetric_ok,
-        symmetric_witness=symmetric_witness,
         closed=closed,
-        closure_witness=closure_witness,
         large_ok=large_ok,
         proper_ok=proper_ok,
         index=index,
-        triangle_ok=triangle_ok,
-        triangle_worst=triangle_worst,
+        triangle_ok=all(profile[gh] >= triangle_threshold for gh in products),
     )
 
 
@@ -521,8 +427,6 @@ class FinalReport:
     disjoint: bool
     structural_match: bool | None    # H equals a structural index-2 certificate
     conflicts: tuple[ConflictRecord, ...]
-    r_value: float
-    beta_over_eps: float
     r_exceeds_ratio: bool            # r > beta/eps, the numeric impossibility
 
 
@@ -561,15 +465,12 @@ def disjointness_check(
                 lower_ok=count >= params.r * size,
             )
         )
-    beta_over_eps = params.beta / eps_f
     return FinalReport(
         s_cap_h=s_cap_h,
         disjoint=disjoint,
         structural_match=structural_match,
         conflicts=tuple(conflicts),
-        r_value=params.r,
-        beta_over_eps=beta_over_eps,
-        r_exceeds_ratio=params.r > beta_over_eps,
+        r_exceeds_ratio=params.r > params.beta / eps_f,
     )
 
 
@@ -585,11 +486,6 @@ def _words(masks, words: int) -> np.ndarray:
         [[(m >> (64 * w)) & low for w in range(words)] for m in masks],
         dtype=np.uint64,
     ).reshape(len(masks), words)
-
-
-def _mask_int(row: np.ndarray) -> int:
-    """Inverse of `_words` for one row."""
-    return sum(int(w) << (64 * i) for i, w in enumerate(row))
 
 
 def _image_tables(nbr_masks: tuple[int, ...], n: int) -> np.ndarray:
@@ -650,21 +546,15 @@ def _candidate_chunks(n: int):
 
 
 @dataclass(frozen=True)
-class ExpansionWitness:
-    a_set: tuple[int, ...]
-    slack: int                       # left side minus right side, integers
-
-
-@dataclass(frozen=True)
 class LargeSetExpansionReport:
+    """Least slack (left side minus right side, an integer) of each
+    inequality over the tested sets; ok when neither is negative."""
+
     ok: bool
-    eps: Fraction
     exhaustive: bool
     tested: int
-    main_ok: bool                    # d q |SA\A| >= p |G\A| for 2|A| >= n
-    main_worst: ExpansionWitness | None
-    internal_ok: bool                # d |SA\A| >= |SA^c \ A^c| for all A
-    internal_worst: ExpansionWitness | None
+    main_slack: int | None           # d q |SA\A| - p |G\A| over 2|A| >= n
+    internal_slack: int              # d |SA\A| - |SA^c \ A^c| over all A
 
 
 def large_set_expansion_check(
@@ -675,11 +565,12 @@ def large_set_expansion_check(
     with eps = h, the graph's exact vertex Cheeger constant.
 
     Exhaustive over all 2^n subsets for n <= 12, otherwise the first 10 000
-    draws of a fixed seed. Each witness is the first tested set of least
-    slack. The sets are tested in chunks of uint64 words: images by per-byte
-    table lookup, sizes by popcount. The internal slack is an int64; the main
-    slack d q |SA \\ A| - p |G \\ A| depends only on (|SA \\ A|, |A|), so it
-    is evaluated in Python ints once per distinct pair.
+    draws of a fixed seed. The sets are tested in chunks of uint64 words:
+    images by per-byte table lookup, sizes by popcount. Both slacks are exact
+    int64 arrays. h = p/q in lowest terms is the boundary ratio of some set
+    of at most n/2 vertices, so q <= n/2 and p <= n; with d <= n the main
+    slack d q |SA \\ A| - p |G \\ A| is at most n^3 <= 10^12 < 2^63 in size
+    for n <= ELEMENT_CAP = 10 000, and the internal one at most d n.
     """
     n = graph.n
     d = graph.d
@@ -688,47 +579,27 @@ def large_set_expansion_check(
 
     tables = _image_tables(graph.nbr_masks, n)
     full = _words([graph.full_mask], tables.shape[2])[0]
-    main_worst: tuple[int, int] | None = None      # (slack, mask)
-    internal_worst: tuple[int, int] | None = None
+    main_lows: list[int] = []                 # least slack of each chunk
+    internal_lows: list[int] = []
     for masks in _candidate_chunks(n):
         comp = ~masks & full
         exc = _popcount(_image(tables, masks) & comp)
         islack = d * exc - _popcount(_image(tables, comp) & masks)
-        i = int(np.argmin(islack))
-        if internal_worst is None or islack[i] < internal_worst[0]:
-            internal_worst = (int(islack[i]), _mask_int(masks[i]))
+        internal_lows.append(int(islack.min()))
         size = _popcount(masks)
-        pairs = np.zeros((n + 1, n + 1), dtype=bool)   # (|SA\A|, |A|) seen
-        pairs[exc, size] = True
-        pairs[:, :(n + 1) // 2] = False                 # keep 2|A| >= n
-        found = np.nonzero(pairs)
-        if not found[0].size:
-            continue
-        slack = [d * q * e - p * (n - s)
-                 for e, s in zip(found[0].tolist(), found[1].tolist())]
-        low = min(slack)
-        if main_worst is None or low < main_worst[0]:
-            pairs[found] = [v == low for v in slack]
-            i = int(np.argmax(pairs[exc, size]))
-            main_worst = (low, _mask_int(masks[i]))
+        slack = (d * q * exc - p * (n - size))[2 * size >= n]
+        if slack.size:
+            main_lows.append(int(slack.min()))
 
-    def witness(pair: tuple[int, int] | None) -> ExpansionWitness | None:
-        if pair is None:
-            return None
-        return ExpansionWitness(mask_members(pair[1]), pair[0])
-
-    main_ok = main_worst is None or main_worst[0] >= 0
-    internal_ok = internal_worst[0] >= 0
+    main_slack = min(main_lows, default=None)
+    internal_slack = min(internal_lows)
     exhaustive = n <= _EXHAUSTIVE_LIMIT
     return LargeSetExpansionReport(
-        ok=main_ok and internal_ok,
-        eps=eps,
+        ok=(main_slack is None or main_slack >= 0) and internal_slack >= 0,
         exhaustive=exhaustive,
         tested=1 << n if exhaustive else _SAMPLES,
-        main_ok=main_ok,
-        main_worst=witness(main_worst),
-        internal_ok=internal_ok,
-        internal_worst=witness(internal_worst),
+        main_slack=main_slack,
+        internal_slack=internal_slack,
     )
 
 
@@ -741,7 +612,6 @@ class ProofTrace:
     params: ProofParameters
     candidate: CandidateReport
     properties: SetPropertyReport | None = None
-    profile: tuple[int, ...] | None = None
     dichotomy: DichotomyReport | None = None
     agreement_bounds: tuple[AgreementBoundsReport, ...] | None = None
     subgroup: SubgroupExtraction | None = None
@@ -782,8 +652,6 @@ def run_pipeline(
     zeta of -1 the trace stops at the hypothesis stage, which is the
     expected outcome for non-bipartite graphs in regime.
     """
-    if graph.n > max_exact:
-        raise CapExceededError("max_exact", max_exact, graph.n)
     eps = vertex_cheeger(graph, max_exact=max_exact).value
     if eps <= 0:
         raise ValueError("pipeline needs a positive expansion constant")
@@ -825,7 +693,6 @@ def run_pipeline(
             params=params,
             candidate=candidate,
             properties=properties,
-            profile=profile,
             failure=failure,
         )
     if not dichotomy.valid:
@@ -862,7 +729,6 @@ def run_pipeline(
         params=params,
         candidate=candidate,
         properties=properties,
-        profile=profile,
         dichotomy=dichotomy,
         agreement_bounds=agreement,
         subgroup=subgroup,

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cayley import CayleyGraph
-from .errors import CapExceededError
 from .groups import FiniteGroup
 
-MAX_RANK = 20
 # The graph memo key of the index-2 list (see CayleyGraph.memo).
 INDEX2_MEMO_KEY = "index2_subgroups"
 
@@ -95,8 +93,8 @@ def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
     """All index-2 subgroups, sorted by element tuple.
 
     They are the preimages of the 2^k - 1 hyperplanes of the quotient
-    (Z/2)^k by the squares-commutators subgroup, for k <= MAX_RANK; each one
-    is re-validated by an explicit closure check.
+    (Z/2)^k by the squares-commutators subgroup; each one is re-validated by
+    an explicit closure check.
     """
     n = group.order
     mult = group.mult
@@ -109,8 +107,6 @@ def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
     if q & (q - 1):
         raise AssertionError(f"quotient order {q} is not a power of 2")
     k = q.bit_length() - 1
-    if k > MAX_RANK:
-        raise CapExceededError("max_rank", MAX_RANK, k)
 
     # Minimal-element coset representatives; scanning g in increasing order
     # makes the first unseen element the minimum of its coset.

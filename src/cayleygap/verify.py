@@ -91,7 +91,7 @@ class VerificationReport:
     dual_h: Fraction | None
     summary: SpectralSummary
     bipartite_spectral: bool
-    bipartite_structural: bool | None
+    bipartite_structural: bool
     checks: tuple[CheckRow, ...]
     trace: ProofTrace | None
     tightness: float | None
@@ -143,16 +143,7 @@ def full_report(
         dual_reason = str(exc)
 
     bip_spectral = is_bipartite_spectral(summary, tol)
-    structural_cert = None
-    structural_reason: str | None = None
-    bip_structural: bool | None = None
-    try:
-        structural_cert = is_bipartite_structural(graph)
-        bip_structural = structural_cert is not None
-    except CapExceededError as exc:
-        structural_reason = exc.reason
-
-    bipartite = bip_structural if bip_structural is not None else bip_spectral
+    bip_structural = is_bipartite_structural(graph) is not None
 
     rows: dict[str, CheckRow] = {}
 
@@ -171,7 +162,7 @@ def full_report(
     # nontrivial eigenvalue of T, and the slack factor of the first.
     if not connected:
         blocked = ("skipped", "disconnected")
-    elif bipartite:
+    elif bip_structural:
         blocked = ("not_applicable", "bipartite")
     elif h is None:
         blocked = ("skipped", h_reason)
@@ -236,7 +227,7 @@ def full_report(
         put("large_set_expansion", "skipped", reason="disconnected")
     else:
         exp = large_set_expansion_check(graph, max_exact=max_exact)
-        worst = min(exp.main_worst.slack, exp.internal_worst.slack)
+        worst = min(exp.main_slack, exp.internal_slack)
         put("large_set_expansion",
             "pass" if exp.ok else "fail",
             margin=float(worst),
@@ -244,8 +235,6 @@ def full_report(
 
     if not connected:
         put("bipartite_equivalence", "skipped", reason="disconnected")
-    elif structural_reason is not None:
-        put("bipartite_equivalence", "skipped", reason=structural_reason)
     else:
         put("bipartite_equivalence",
             "pass" if bip_structural == bip_spectral else "fail")
@@ -264,7 +253,7 @@ def full_report(
             if trace.hypothesis_met:
                 ok = trace.succeeded
             else:
-                ok = bip_structural is not True
+                ok = not bip_structural
             if ok:
                 put("proof_pipeline", "pass",
                     reason=None if trace.hypothesis_met
@@ -429,11 +418,6 @@ def _format_fraction(value: Fraction | None) -> str:
 
 
 def report_csv_row(report: VerificationReport) -> str:
-    bipartite = (
-        report.bipartite_structural
-        if report.bipartite_structural is not None
-        else report.bipartite_spectral
-    )
     main_margin = ""
     for row in report.checks:
         if row.name == "main_bound" and row.margin is not None:
@@ -447,7 +431,7 @@ def report_csv_row(report: VerificationReport) -> str:
         _format_fraction(report.edge_h),
         repr(report.summary.lambda2) if report.n > 1 else "",
         repr(report.summary.lambda_max),
-        "true" if bipartite else "false",
+        "true" if report.bipartite_structural else "false",
         main_margin,
         tightness,
     )

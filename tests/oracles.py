@@ -25,7 +25,6 @@ from cayleygap.proof import (
     _EXHAUSTIVE_LIMIT,
     _SAMPLE_SEED,
     _SAMPLES,
-    ExpansionWitness,
     LargeSetExpansionReport,
 )
 
@@ -212,6 +211,28 @@ def vertex_boundary(graph: CayleyGraph, a_mask: int) -> int:
     return set_image(graph, a_mask) & ~a_mask
 
 
+def translate_defect(graph: CayleyGraph, a_mask: int) -> int:
+    """max over s in S and g in G of |sAg delta (G \\ Ag)|, from the sets."""
+    mult = graph.group.mult
+    members = mask_members(a_mask)
+    everything = set(range(graph.n))
+    worst = 0
+    for g in range(graph.n):
+        ag = {mult[a][g] for a in members}
+        for s in graph.gens.elements:
+            sag = {mult[s][x] for x in ag}
+            worst = max(worst, len(sag ^ (everything - ag)))
+    return worst
+
+
+def agreement_set(graph: CayleyGraph, a_mask: int, g: int) -> set[int]:
+    """B = {x : x in A exactly when x in Ag}, from the sets."""
+    mult = graph.group.mult
+    members = set(mask_members(a_mask))
+    ag = {mult[a][g] for a in members}
+    return {x for x in range(graph.n) if (x in members) == (x in ag)}
+
+
 def edge_boundary_count(graph: CayleyGraph, a_mask: int) -> int:
     """Number of pairs (a, s) with a in A and s*a outside A."""
     masks = graph.nbr_masks
@@ -295,8 +316,8 @@ def naive_large_set_expansion(
 
     main_ok = True
     internal_ok = True
-    main_worst: tuple[int, int] | None = None      # (slack, mask)
-    internal_worst: tuple[int, int] | None = None
+    main_slack: int | None = None
+    internal_slack: int | None = None
     tables = _image_tables(graph.nbr_masks, n)
     for mask in candidates:
         comp = ~mask & full
@@ -305,28 +326,20 @@ def naive_large_set_expansion(
         islack = d * exc - exc_c
         if islack < 0:
             internal_ok = False
-        if internal_worst is None or islack < internal_worst[0]:
-            internal_worst = (islack, mask)
+        if internal_slack is None or islack < internal_slack:
+            internal_slack = islack
         size = mask.bit_count()
         if 2 * size >= n:
             mslack = d * q * exc - p * (n - size)
             if mslack < 0:
                 main_ok = False
-            if main_worst is None or mslack < main_worst[0]:
-                main_worst = (mslack, mask)
-
-    def witness(pair: tuple[int, int] | None) -> ExpansionWitness | None:
-        if pair is None:
-            return None
-        return ExpansionWitness(mask_members(pair[1]), pair[0])
+            if main_slack is None or mslack < main_slack:
+                main_slack = mslack
 
     return LargeSetExpansionReport(
         ok=main_ok and internal_ok,
-        eps=eps,
         exhaustive=exhaustive,
         tested=tested,
-        main_ok=main_ok,
-        main_worst=witness(main_worst),
-        internal_ok=internal_ok,
-        internal_worst=witness(internal_worst),
+        main_slack=main_slack,
+        internal_slack=internal_slack,
     )

@@ -70,6 +70,8 @@ SCRIPT_CASES = {
     "script-tightness_scan-empty-table": ("tightness_scan", ["cyclic:4"], 0),
     "script-tightness_scan-bad-spec": ("tightness_scan", ["florble"], 2),
     "script-run_family_sweep-csv": ("run_family_sweep", ["--format", "csv"], 0),
+    "script-run_family_sweep-json": ("run_family_sweep", ["--format", "json"], 0),
+    "script-run_family_sweep-text": ("run_family_sweep", ["--format", "text"], 0),
 }
 
 

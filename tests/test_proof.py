@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -36,7 +35,6 @@ from cayleygap.proof import (
     _candidate_chunks,
     _image,
     _image_tables,
-    _mask_int,
     _support_adjacency,
     _words,
 )
@@ -47,6 +45,11 @@ import oracles
 
 def _graph(spec, gens):
     return build_graph(spec, gens)
+
+
+def _mask_int(row):
+    """A row of uint64 words, least significant first, as a Python int."""
+    return sum(int(w) << (64 * i) for i, w in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +219,28 @@ A6 = mask_of([0, 2, 4])
 def test_set_properties_z6():
     rep = set_property_check(Z6, A6, P6)
     assert rep.all_ok
-    assert rep.size == 3
-    assert rep.size_lower == pytest.approx(2.961224050808927, rel=1e-14)
-    assert rep.overlap_count == 0
-    assert rep.translate_worst == 0
+    size_lower = Z6.n / (2 + P6.beta + Z6.d * P6.beta / float(P6.eps))
+    assert size_lower == pytest.approx(2.961224050808927, rel=1e-14)
+    assert size_lower <= A6.bit_count() == 3
+    assert (set_image(Z6, A6) & A6).bit_count() == 0
+    assert oracles.translate_defect(Z6, A6) == 0
+
+
+@pytest.mark.parametrize("zeta", [zeta_max(Fraction(2, 3), 2), Fraction(1, 1000)])
+def test_set_properties_match_recomputation(zeta):
+    # every nonempty A in Z/6, once in regime and once at a wider beta
+    params = make_parameters(Fraction(2, 3), 2, zeta)
+    eps = float(params.eps)
+    for a_mask in range(1, 1 << Z6.n):
+        rep = set_property_check(Z6, a_mask, params)
+        size = a_mask.bit_count()
+        assert rep.size_ok == (
+            Z6.n / (2 + params.beta + Z6.d * params.beta / eps) <= size <= Z6.n / 2)
+        assert rep.overlap_ok == (
+            (set_image(Z6, a_mask) & a_mask).bit_count() <= params.beta / eps * size)
+        assert rep.translate_ok == (
+            oracles.translate_defect(Z6, a_mask)
+            <= params.beta * (1 + Z6.d / eps + 2 / eps) * size)
 
 
 def test_set_properties_reject_empty():
@@ -232,6 +253,7 @@ def test_set_properties_flag_bad_set():
     rep = set_property_check(Z6, mask_of([0, 1]), P6)
     assert not rep.size_ok
     assert not rep.overlap_ok
+    assert not rep.translate_ok
     assert not rep.all_ok
 
 
@@ -245,20 +267,22 @@ def test_translate_profile_z6():
 def test_profile_symmetric_under_inverse(member):
     graph = families.graph_of(member)
     trace = run_pipeline(graph)
-    assert trace.profile is not None
+    profile = translate_profile(graph, trace.candidate.a_mask)
     inv = graph.group.inv
     for g in range(graph.n):
-        assert trace.profile[g] == trace.profile[inv[g]]
-    assert trace.profile[graph.group.identity] == len(trace.candidate.a_set)
+        assert profile[g] == profile[inv[g]]
+    assert profile[graph.group.identity] == len(trace.candidate.a_set)
 
 
 def test_dichotomy_z6():
-    rep = dichotomy_check(translate_profile(Z6, A6), P6)
+    profile = translate_profile(Z6, A6)
+    rep = dichotomy_check(profile, P6)
     assert rep.valid
     assert rep.case_low == (1, 3, 5)
     assert rep.case_high == (0, 2, 4)
     assert rep.violations == ()
-    assert rep.low_threshold == pytest.approx(P6.z * 3, rel=1e-15)
+    assert all(profile[g] <= P6.z * 3 for g in rep.case_low)
+    assert all(profile[g] >= (1 - P6.z) * 3 for g in rep.case_high)
 
 
 def test_dichotomy_rejects_wide_z():
@@ -268,19 +292,29 @@ def test_dichotomy_rejects_wide_z():
 
 
 def test_agreement_bounds_z6():
-    # g = 1: A and A+1 partition the vertices, so B is empty (small branch)
+    # g = 1: A and A+1 partition the vertices, so B is empty
+    assert oracles.agreement_set(Z6, A6, 1) == set()
     rep1 = agreement_set_bounds_check(Z6, A6, 1, P6)
     assert rep1.all_ok
-    assert rep1.b_mask == 0
-    assert rep1.branch == "small"
-    assert rep1.size_count == 0
-    # g = 2: A+2 = A, so B is everything (large branch)
+    # g = 2: A+2 = A, so B is everything and its complement is empty
+    assert oracles.agreement_set(Z6, A6, 2) == set(range(6))
     rep2 = agreement_set_bounds_check(Z6, A6, 2, P6)
     assert rep2.all_ok
-    assert rep2.b_mask == Z6.full_mask
-    assert rep2.branch == "large"
-    assert rep2.size_count == 0
     assert rep2.complement_ok
+
+
+def test_agreement_bounds_flag_bad_set():
+    # A = {0, 1}, g = 1: B = {1, 3, 4, 5} and SB = {0, 2, 3, 4, 5}, so
+    # |SB delta B| = 3 is far above 2 d beta (1 + d/eps + 2/eps)|A| ~ 0.37
+    a_mask = mask_of([0, 1])
+    assert oracles.agreement_set(Z6, a_mask, 1) == {1, 3, 4, 5}
+    b_mask = mask_of([1, 3, 4, 5])
+    assert (set_image(Z6, b_mask) ^ b_mask).bit_count() == 3
+    rep = agreement_set_bounds_check(Z6, a_mask, 1, P6)
+    assert rep.complement_ok
+    assert not rep.delta_ok
+    assert not rep.size_ok
+    assert not rep.all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +329,8 @@ def test_construct_subgroup_z6():
     assert sub.identity_ok and sub.symmetric_ok and sub.closed
     assert sub.large_ok and sub.proper_ok
     assert sub.triangle_ok
-    assert sub.threshold == pytest.approx(P6.r * 3, rel=1e-15)
+    assert sub.h_set == tuple(
+        g for g, count in enumerate(translate_profile(Z6, A6)) if count >= P6.r * 3)
 
 
 def test_construct_subgroup_flags_non_subgroup():
@@ -304,6 +339,17 @@ def test_construct_subgroup_flags_non_subgroup():
     assert sub.h_set == (0,)
     assert not sub.large_ok
     assert not sub.is_index_two
+
+
+def test_construct_subgroup_flags_failed_group_laws():
+    # H = {0, 1}: 1 + 1 = 2 is outside H, so is -1 = 5, and |A cap A2| = 0
+    sub = construct_subgroup(Z6, (3, 3, 0, 0, 0, 0), P6)
+    assert sub.h_set == (0, 1)
+    assert sub.identity_ok
+    assert not sub.symmetric_ok
+    assert not sub.closed
+    assert not sub.triangle_ok
+    assert sub.index is None
 
 
 def test_disjointness_bipartite_case():
@@ -341,12 +387,11 @@ def test_disjointness_conflicts():
 
 def test_large_set_expansion_exhaustive():
     rep = large_set_expansion_check(Z6)
-    assert rep.ok and rep.main_ok and rep.internal_ok
+    assert rep.ok
     assert rep.exhaustive
     assert rep.tested == 64
-    assert rep.eps == Fraction(2, 3)
-    assert rep.main_worst is not None and rep.main_worst.slack >= 0
-    assert rep.internal_worst is not None and rep.internal_worst.slack >= 0
+    assert rep.main_slack is not None and rep.main_slack >= 0
+    assert rep.internal_slack >= 0
 
 
 def test_large_set_expansion_sampled_deterministic():
@@ -375,7 +420,7 @@ def test_large_set_expansion_default_eps_runs_one_h_search(monkeypatch):
 
     monkeypatch.setattr(cayleygap.proof, "vertex_cheeger", counting)
     rep = large_set_expansion_check(Z6)
-    assert rep.eps == Fraction(2, 3)
+    assert rep == oracles.naive_large_set_expansion(Z6, Fraction(2, 3))
     assert calls == [6]
 
 
@@ -423,25 +468,6 @@ def test_large_set_kernel_matches_loop_on_two_words():
     rep, ref = _kernel_and_oracle(_graph("cyclic:66", "±1"), max_exact=66)
     assert not rep.exhaustive
     assert rep == ref
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [("cyclic:12", "±1,±2"), ("dihedral:6", "auto"), ("cyclic:16", "±1,±2"),
-     ("product:cyclic:2xcyclic:4", "4,1,3")],
-    ids=lambda k: f"{k[0]} {k[1]}",
-)
-def test_large_set_kernel_matches_loop_past_int64(spec, monkeypatch):
-    # The check takes eps = h; an h just below the true one puts p and q of
-    # the main slack past int64, where the kernel must stay exact.
-    graph = _graph(*spec)
-    cert = vertex_cheeger(graph)
-    eps = cert.value - Fraction(1, 10**40)
-    monkeypatch.setattr(cayleygap.proof, "vertex_cheeger",
-                        lambda graph, **kwargs: dataclasses.replace(cert, value=eps))
-    rep = large_set_expansion_check(graph)
-    assert rep.eps == eps and eps.denominator > 2**63
-    assert rep == oracles.naive_large_set_expansion(graph, eps)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,6 @@
 import pytest
 
-import cayleygap.subgroups
 from cayleygap import (
-    CapExceededError,
     closure,
     from_cyclic,
     from_dihedral,
@@ -109,17 +107,6 @@ def test_index2_count_elementary_abelian():
     )
     subs = index2_subgroups(cube)
     assert len(subs) == 7   # hyperplanes of F2^3
-
-
-def test_max_rank_cap(monkeypatch):
-    monkeypatch.setattr(cayleygap.subgroups, "MAX_RANK", 2)
-    cube = from_direct_product(
-        from_direct_product(from_cyclic(2), from_cyclic(2)), from_cyclic(2)
-    )
-    with pytest.raises(CapExceededError) as exc:
-        index2_subgroups(cube)
-    assert exc.value.cap_name == "max_rank"
-    assert exc.value.needed == 3
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)

@@ -27,7 +27,18 @@ ASSOCIATIVITY_LIMIT = 512
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Concrete finite group: ``mult[a][b]`` is the index of the product a*b."""
+    """Concrete finite group: ``mult[a][b]`` is the index of the product a*b.
+
+    A constructor that knows the group's structure records it, and nothing
+    else (not ``name``) is read for it:
+
+    - ``radices`` = (m_1, ..., m_k) for Z/m_1 x ... x Z/m_k, where the
+      element with digits (a_1, ..., a_k) has the mixed-radix index
+      (...(a_1 m_2 + a_2) m_3 + ...) m_k + a_k;
+    - ``dihedral`` = m for D_m numbered as in from_dihedral.
+
+    Groups built any other way record neither.
+    """
 
     order: int
     mult: tuple[tuple[int, ...], ...]
@@ -35,6 +46,8 @@ class FiniteGroup:
     identity: int = 0
     perms: tuple[tuple[int, ...], ...] | None = None
     name: str = ""
+    radices: tuple[int, ...] = ()
+    dihedral: int | None = None
 
 
 def _inverses_from_table(mult: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -101,7 +114,7 @@ def from_cyclic(n: int) -> FiniteGroup:
         raise ElementCapError("element", ELEMENT_CAP, n)
     mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     inv = tuple((-a) % n for a in range(n))
-    return FiniteGroup(n, mult, inv, name=f"cyclic:{n}")
+    return FiniteGroup(n, mult, inv, name=f"cyclic:{n}", radices=(n,))
 
 
 def from_dihedral(m: int) -> FiniteGroup:
@@ -132,7 +145,7 @@ def from_dihedral(m: int) -> FiniteGroup:
         mult_rows.append(tuple(row))
     mult = tuple(mult_rows)
     inv = _inverses_from_table(mult)
-    return FiniteGroup(n, mult, inv, name=f"dihedral:{m}")
+    return FiniteGroup(n, mult, inv, name=f"dihedral:{m}", dihedral=m)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -217,7 +230,8 @@ def from_symmetric(k: int) -> FiniteGroup:
 
 
 def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """Direct product; the pair (a, b) gets index a * |G2| + b."""
+    """Direct product; the pair (a, b) gets index a * |G2| + b, so a product
+    of two groups that both record radices has the radices of both, in order."""
     n1, n2 = g1.order, g2.order
     n = n1 * n2
     if n > ELEMENT_CAP:
@@ -234,7 +248,8 @@ def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     mult = tuple(mult_rows)
     inv = tuple(g1.inv[x // n2] * n2 + g2.inv[x % n2] for x in range(n))
     name = f"product:{g1.name or '?'}x{g2.name or '?'}"
-    return FiniteGroup(n, mult, inv, name=name)
+    radices = g1.radices + g2.radices if g1.radices and g2.radices else ()
+    return FiniteGroup(n, mult, inv, name=name, radices=radices)
 
 
 def from_table(text: str, *, name: str = "table") -> FiniteGroup:

@@ -307,14 +307,13 @@ class AgreementBoundsReport:
     and Ag agrees; its complement is the symmetric difference A delta Ag."""
 
     g: int
-    complement_ok: bool              # B^c == A delta Ag (exact identity)
     delta_ok: bool                   # |SB delta B| and |SB^c delta B^c|
                                      #   <= 2 d beta (1 + d/eps + 2/eps) |A|
     size_ok: bool                    # min(|B|, |G \ B|) <= 2 z |A|
 
     @property
     def all_ok(self) -> bool:
-        return self.complement_ok and self.delta_ok and self.size_ok
+        return self.delta_ok and self.size_ok
 
 
 def agreement_set_bounds_check(
@@ -331,7 +330,6 @@ def agreement_set_bounds_check(
     ag = right_translate(group, a_mask, g)
     b_mask = (a_mask & ag) | (~(a_mask | ag) & full)
     bc_mask = ~b_mask & full
-    complement_ok = bc_mask == a_mask ^ ag
 
     def delta(mask: int) -> int:
         return (set_image(graph, mask) ^ mask).bit_count()
@@ -340,7 +338,6 @@ def agreement_set_bounds_check(
     b_size = b_mask.bit_count()
     return AgreementBoundsReport(
         g=g,
-        complement_ok=complement_ok,
         delta_ok=(delta(b_mask) <= delta_threshold
                   and delta(bc_mask) <= delta_threshold),
         size_ok=min(b_size, n - b_size) <= 2 * params.z * size,

@@ -5,10 +5,22 @@ It is symmetric with row sums 1, so its spectrum lies in [-1, 1]. We report
 both the adjacency eigenvalues t_1 <= ... <= t_n and the Laplacian eigenvalues
 lambda_i = 1 - t_{n+1-i}, sorted ascending, with lambda_1 = 0 always.
 
-Eigenvalues come from an in-repo solver (Householder tridiagonalisation, then
-Sturm-count bisection) written in numpy elementwise arithmetic; no BLAS or
-LAPACK routine is called, so results are bitwise reproducible, and no
-external solver is consulted outside the test suite.
+The eigenvalues come from characters when the group constructor recorded
+the structure (Babai, "Spectra of Cayley graphs", 1979), in O(n d):
+
+- an abelian group Z/m_1 x ... x Z/m_k (``FiniteGroup.radices``) has
+  t_k = (1/d) sum_{s in S} cos(2 pi sum_j k_j s_j / m_j), one per element k;
+- the dihedral group D_m (``FiniteGroup.dihedral``) has one eigenvalue per
+  one-dimensional character, and A +- sqrt(B^2 + C^2) with multiplicity 2
+  for each two-dimensional representation (see _dihedral_eigenvalues).
+
+Every other group goes to an in-repo dense solver (Householder
+tridiagonalisation, then Sturm-count bisection), which stays the tests'
+oracle for the character path. Both paths use only numpy elementwise
+arithmetic, ``np.sum`` and ``sqrt``; no BLAS, LAPACK or libm transcendental
+is called (the cosines are Taylor series on an angle reduced exactly in
+integers), so results are bitwise reproducible, and no external solver is
+consulted outside the test suite.
 """
 
 from __future__ import annotations
@@ -28,6 +40,10 @@ _SAFE_MIN = float(np.finfo(np.float64).tiny)
 _SAFE_EXPONENT = 400    # |log2 max|A_ij|| beyond which the input is rescaled
 _MULTISECTION = 16      # each bisection round splits a bracket into 16
 _MAX_ROUNDS = 64
+# Taylor coefficients of cos and sin on [0, pi/4], where the 11th term of
+# either series is below 1e-19.
+_COS_TERMS = tuple((-1) ** k / math.factorial(2 * k) for k in range(11))
+_SIN_TERMS = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(11))
 
 
 def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
@@ -214,14 +230,110 @@ def spectrum(graph: CayleyGraph) -> SpectralSummary:
 
 
 def _summary(graph: CayleyGraph) -> SpectralSummary:
+    group = graph.group
+    if group.radices:
+        values = _abelian_eigenvalues(graph)
+    elif group.dihedral is not None:
+        values = _dihedral_eigenvalues(graph)
+    else:
+        values = eigenvalues_symmetric(normalized_adjacency(graph))
     # T is symmetric and stochastic, so its spectrum lies in [-1, 1] exactly;
     # anything outside is rounding, and clamping it only removes error.
-    t = [min(1.0, max(-1.0, x))
-         for x in eigenvalues_symmetric(normalized_adjacency(graph))]
+    t = [min(1.0, max(-1.0, x)) for x in values]
     if abs(t[-1] - 1.0) > 1e-9:
         raise AssertionError(f"top adjacency eigenvalue {t[-1]!r}, expected 1")
     lam = tuple(1.0 - t[len(t) - 1 - i] for i in range(len(t)))
     return SpectralSummary(tuple(t), lam)
+
+
+def _cos_table(q: int) -> np.ndarray:
+    """cos(2 pi p / q) for p = 0..q-1, from + - * / on exactly reduced angles.
+
+    4p = quadrant q + r with 0 <= r < q, so the angle is quadrant pi/2 + phi
+    with phi = (pi/2) r/q; reflecting r to q - r when 2r > q swaps cos and
+    sin and leaves phi' in [0, pi/4], where both Taylor series converge to
+    the last bit. The rational values of cos (Niven: 0, +-1/2, +-1, at
+    multiples of 60 and 90 degrees) are exact: phi' = 0 gives 1 and 0, and
+    3 r' = q (phi' = 30 degrees) is given sin = 1/2.
+    """
+    quadrant, r = np.divmod(4 * np.arange(q, dtype=np.int64), q)
+    flip = 2 * r > q
+    r = np.where(flip, q - r, r)
+    x = r / q * (math.pi / 2)
+    x2 = x * x
+    cos, sin = np.full(q, _COS_TERMS[-1]), np.full(q, _SIN_TERMS[-1])
+    for c, s in zip(_COS_TERMS[-2::-1], _SIN_TERMS[-2::-1]):
+        cos = cos * x2 + c
+        sin = sin * x2 + s
+    sin = np.where(3 * r == q, 0.5, sin * x)
+    # cos(quadrant pi/2 + phi) is cos, -sin, -cos, sin of phi by quadrant.
+    value = np.where((quadrant % 2 == 1) != flip, sin, cos)
+    # 0.0 - 0.0 is +0.0, so the zeros at 90 and 270 degrees are not -0.0.
+    return np.where((quadrant == 1) | (quadrant == 2), 0.0 - value, value)
+
+
+def _column_sums(values: np.ndarray) -> np.ndarray:
+    """Row sums of a (rows, d) array, adding the columns left to right, so
+    the order of the additions is fixed by the generator order alone."""
+    total = np.zeros(values.shape[0])
+    for column in values.T:
+        total += column
+    return total
+
+
+def _abelian_eigenvalues(graph: CayleyGraph) -> list[float]:
+    """t_k = (1/d) sum_{s in S} cos(2 pi sum_j k_j s_j / m_j) for every k.
+
+    With L = lcm(m_j), the phase sum_j k_j s_j (L/m_j) mod L is exact in
+    integers, and one table of cos(2 pi p / L) serves every (k, s).
+    """
+    radices = graph.group.radices
+    lcm = math.lcm(*radices)
+    digits = np.empty((graph.n, len(radices)), dtype=np.int64)
+    rest = np.arange(graph.n, dtype=np.int64)
+    for j in reversed(range(len(radices))):
+        rest, digits[:, j] = np.divmod(rest, radices[j])
+    scaled = digits[list(graph.gens.elements)] * [lcm // m for m in radices]
+    phases = digits @ scaled.T % lcm
+    t = _column_sums(_cos_table(lcm)[phases]) / graph.d
+    return sorted(t.tolist())
+
+
+def _dihedral_eigenvalues(graph: CayleyGraph) -> list[float]:
+    """Eigenvalues of T on D_m, one block per irreducible representation.
+
+    Element a < m is r^a and element m + a is r^a s. A one-dimensional
+    character sends r to +-1 (-1 only for even m) and s to +-1, and its
+    eigenvalue is the exact integer sum_{s in S} chi(s) over d. The j-th
+    two-dimensional representation (1 <= j < m/2) sends r^a to the rotation
+    and r^a s to the reflection by theta = 2 pi j a / m; S is symmetric, so
+    the rotations' sines cancel and sum_{s in S} rho_j(s) is
+    [[A + B, C], [C, A - B]], with A the sum of cos theta over rotations in
+    S and B, C the sums of cos theta and sin theta over reflections. Its
+    eigenvalues A +- sqrt(B^2 + C^2), over d, each have multiplicity 2.
+    """
+    m, d = graph.group.dihedral, graph.d
+    rotation = [x % m for x in graph.gens.elements]
+    reflection = [x >= m for x in graph.gens.elements]
+    values = []
+    for r_sign in ((1, -1) if m % 2 == 0 else (1,)):
+        for s_sign in (1, -1):
+            chi = sum(r_sign ** a * (s_sign if f else 1)
+                      for a, f in zip(rotation, reflection))
+            values.append(chi / d)
+    # cos(2 pi p / m) is table[4p mod 4m] and sin(2 pi p / m) is
+    # table[(4p - m) mod 4m].
+    table = _cos_table(4 * m)
+    phases = 4 * np.arange(1, (m - 1) // 2 + 1)[:, None] * rotation
+    cos = table[phases % (4 * m)]
+    sin = table[(phases - m) % (4 * m)]
+    a = _column_sums(np.where(reflection, 0.0, cos))
+    b = _column_sums(np.where(reflection, cos, 0.0))
+    c = _column_sums(np.where(reflection, sin, 0.0))
+    root = np.sqrt(b * b + c * c)
+    for block in ((a - root) / d, (a + root) / d):
+        values += 2 * block.tolist()
+    return sorted(values)
 
 
 def is_connected(summary: SpectralSummary, tol: float = 1e-9) -> bool:

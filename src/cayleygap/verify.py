@@ -245,26 +245,23 @@ def full_report(
     elif h is None:
         put("proof_pipeline", "skipped", reason=h_reason)
     else:
-        try:
-            trace = run_pipeline(graph, zeta, max_exact=max_exact)
-        except CapExceededError as exc:
-            put("proof_pipeline", "skipped", reason=exc.reason)
+        # h passed max_exact, the only cap run_pipeline applies.
+        trace = run_pipeline(graph, zeta, max_exact=max_exact)
+        if trace.hypothesis_met:
+            ok = trace.succeeded
         else:
-            if trace.hypothesis_met:
-                ok = trace.succeeded
-            else:
-                ok = not bip_structural
-            if ok:
-                put("proof_pipeline", "pass",
-                    reason=None if trace.hypothesis_met
-                    else "hypothesis not met")
-            elif trace.out_of_regime:
-                # A forced zeta above the ceiling voids the guarantee, so a
-                # failed run is neither a pass nor a counterexample.
-                put("proof_pipeline", "not_applicable",
-                    reason="out_of_regime")
-            else:
-                put("proof_pipeline", "fail")
+            ok = not bip_structural
+        if ok:
+            put("proof_pipeline", "pass",
+                reason=None if trace.hypothesis_met
+                else "hypothesis not met")
+        elif trace.out_of_regime:
+            # A forced zeta above the ceiling voids the guarantee, so a
+            # failed run is neither a pass nor a counterexample.
+            put("proof_pipeline", "not_applicable",
+                reason="out_of_regime")
+        else:
+            put("proof_pipeline", "fail")
 
     checks = tuple(rows[name] for name in CHECK_NAMES)
     return VerificationReport(

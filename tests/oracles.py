@@ -15,6 +15,7 @@ import numpy as np
 from cayleygap import (
     CayleyGraph,
     FiniteGroup,
+    closure,
     eigenvalues_symmetric,
     set_image,
     spectrum,
@@ -182,6 +183,38 @@ def brute_force_index2(group: FiniteGroup) -> list[tuple[int, ...]]:
         if all((mask >> group.mult[a][b]) & 1 for a in members for b in members):
             found.append(tuple(sorted(members)))
     return sorted(found)
+
+
+def squares_commutators_closure(group: FiniteGroup) -> tuple[int, ...]:
+    """The subgroup generated by every square g^2 and every commutator
+    g^-1 h^-1 g h, all n^2 of them listed as seeds."""
+    n = group.order
+    mult = group.mult
+    inv = group.inv
+    seeds = {mult[g][g] for g in range(n)}
+    for g in range(n):
+        for h in range(n):
+            seeds.add(mult[mult[inv[g]][inv[h]]][mult[g][h]])
+    return closure(group, seeds)
+
+
+def validate_subgroup(group: FiniteGroup, elements: tuple[int, ...]) -> None:
+    """Raise AssertionError unless the elements contain the identity and are
+    closed under inverses and products."""
+    members = set(elements)
+    if group.identity not in members:
+        raise AssertionError("candidate subgroup misses the identity")
+    for a in elements:
+        if group.inv[a] not in members:
+            raise AssertionError(f"candidate subgroup not inverse-closed at {a}")
+    mult = group.mult
+    for a in elements:
+        row = mult[a]
+        for b in elements:
+            if row[b] not in members:
+                raise AssertionError(
+                    f"candidate subgroup not closed: {a} * {b} escapes"
+                )
 
 
 def normalized_adjacency_lists(graph: CayleyGraph) -> list[list[float]]:

@@ -54,6 +54,13 @@ def _cases() -> dict[str, list[str]]:
                     "--format", fmt,
                 ]
     for fmt in FORMATS:
+        # The exact t_min = -1/2 equals -1 + zeta, so the strict hypothesis
+        # t_min < -1 + zeta is not met.
+        cases[f"verify-c3-zeta-{fmt}"] = [
+            "verify", "--group", "cyclic:3", "--gens", "±1", "--zeta", "1/2",
+            "--format", fmt,
+        ]
+    for fmt in FORMATS:
         cases[f"sweep-{fmt}"] = [
             "sweep", "cyclic:3..6 gens=±1", "florble:9", "dihedral:4",
             "--format", fmt,

@@ -21,6 +21,7 @@ from cayleygap import (
     large_set_expansion_check,
     make_parameters,
     mask_of,
+    right_translate,
     run_pipeline,
     set_image,
     set_property_check,
@@ -291,6 +292,15 @@ def test_dichotomy_rejects_wide_z():
         dichotomy_check(translate_profile(Z6, A6), params)
 
 
+def _complement_is_symmetric_difference(graph, a_mask: int, g: int) -> bool:
+    """B^c == A delta Ag for B = (A cap Ag) | (A | Ag)^c, as the proof
+    builds B, and B matches the set-based oracle."""
+    ag = right_translate(graph.group, a_mask, g)
+    b_mask = (a_mask & ag) | (~(a_mask | ag) & graph.full_mask)
+    assert b_mask == mask_of(oracles.agreement_set(graph, a_mask, g))
+    return ~b_mask & graph.full_mask == a_mask ^ ag
+
+
 def test_agreement_bounds_z6():
     # g = 1: A and A+1 partition the vertices, so B is empty
     assert oracles.agreement_set(Z6, A6, 1) == set()
@@ -300,7 +310,7 @@ def test_agreement_bounds_z6():
     assert oracles.agreement_set(Z6, A6, 2) == set(range(6))
     rep2 = agreement_set_bounds_check(Z6, A6, 2, P6)
     assert rep2.all_ok
-    assert rep2.complement_ok
+    assert _complement_is_symmetric_difference(Z6, A6, 2)
 
 
 def test_agreement_bounds_flag_bad_set():
@@ -311,7 +321,7 @@ def test_agreement_bounds_flag_bad_set():
     b_mask = mask_of([1, 3, 4, 5])
     assert (set_image(Z6, b_mask) ^ b_mask).bit_count() == 3
     rep = agreement_set_bounds_check(Z6, a_mask, 1, P6)
-    assert rep.complement_ok
+    assert _complement_is_symmetric_difference(Z6, a_mask, 1)
     assert not rep.delta_ok
     assert not rep.size_ok
     assert not rep.all_ok

@@ -11,13 +11,18 @@ from cayleygap import (
     GeneratingSet,
     build,
     build_graph,
+    closure,
     eigenvalues_symmetric,
     from_cyclic,
+    from_dihedral,
+    from_direct_product,
     is_bipartite_spectral,
     is_connected,
     normalized_adjacency,
     spectrum,
 )
+from cayleygap.groups import parse_group_spec
+from cayleygap.spectral import _cos_table
 
 import families
 import oracles
@@ -238,3 +243,112 @@ def test_square_adjacency_is_matrix_square(member):
 @pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)
 def test_square_spectrum_consistency(member):
     assert oracles.square_spectrum_consistency(families.graph_of(member))
+
+
+# ---------------------------------------------------------------------------
+# Spectra from characters (abelian and dihedral groups)
+
+
+def _random_generators(group, draw) -> list[int]:
+    """Identity (a loop), the drawn elements and their inverses, topped up
+    with the least element outside the generated subgroup until it is G."""
+    elements = {0, *draw}
+    elements |= {group.inv[x] for x in elements}
+    while len(reached := closure(group, elements)) < group.order:
+        missing = min(set(range(group.order)) - set(reached))
+        elements |= {missing, group.inv[missing]}
+    return sorted(elements)
+
+
+def _assert_matches_dense(graph) -> None:
+    t = spectrum(graph).t
+    dense = normalized_adjacency(graph)
+    assert _max_gap(t, eigenvalues_symmetric(dense)) <= 1e-12
+    assert _max_gap(t, oracles.numpy_eigs(dense)) <= 1e-12
+
+
+_RADICES = st.lists(st.integers(min_value=1, max_value=16), min_size=1,
+                    max_size=3).filter(lambda ms: math.prod(ms) <= 64)
+
+
+@given(_RADICES, st.data())
+def test_abelian_spectrum_matches_dense(radices, data):
+    group = from_cyclic(radices[0])
+    for m in radices[1:]:
+        group = from_direct_product(group, from_cyclic(m))
+    assert group.radices == tuple(radices)
+    draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
+    _assert_matches_dense(build(group, _random_generators(group, draw)))
+
+
+@given(st.integers(min_value=2, max_value=32), st.data())
+def test_dihedral_spectrum_matches_dense(m, data):
+    group = from_dihedral(m)
+    assert group.dihedral == m
+    draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
+    _assert_matches_dense(build(group, _random_generators(group, draw)))
+
+
+@pytest.mark.parametrize("group,gens", [
+    ("dihedral:32", "auto"),
+    ("dihedral:64", "auto"),
+    ("product:" + "x".join(["cyclic:2"] * 7), "64,32,16,8,4,2,1"),
+    ("cyclic:256", "±1,±2"),
+])
+def test_character_spectrum_on_large_graphs(group, gens):
+    graph = build_graph(group, gens)
+    _assert_matches_dense(graph)
+    assert all(type(x) is float for x in spectrum(graph).t + spectrum(graph).lam)
+
+
+def test_character_spectrum_exact_values():
+    assert spectrum(build_graph("cyclic:3", "±1")).t_min == -0.5
+    assert spectrum(build_graph("cyclic:6", "±1")).lambda2 == 0.5
+
+
+@pytest.mark.parametrize(
+    "member",
+    [m for m in families.MEMBERS if m.bipartite
+     and not m.group_spec.startswith("symmetric:")],
+    ids=lambda m: m.name,
+)
+def test_character_spectrum_bipartite_is_exactly_minus_one(member):
+    s = families.summary_of(member)
+    assert s.t_min == -1.0
+    assert s.lambda_max == 2.0
+
+
+def test_cos_table_exact_and_accurate():
+    for q in (1, 2, 3, 4, 5, 6, 7, 8, 12, 24, 60, 256, 1000):
+        table = _cos_table(q).tolist()
+        for p, value in enumerate(table):
+            assert abs(value - math.cos(2 * math.pi * p / q)) <= 1e-15
+            if (12 * p) % q == 0:       # a multiple of 30 degrees
+                exact = {0: 1.0, 2: 0.5, 3: 0.0, 4: -0.5, 6: -1.0, 8: -0.5,
+                         9: 0.0, 10: 0.5}.get(12 * p // q)
+                if exact is not None:
+                    assert value == exact and math.copysign(1.0, value) == (
+                        math.copysign(1.0, exact))
+    # cos(2 pi p / q) depends only on p/q, bit for bit.
+    assert _cos_table(12)[::3].tolist() == _cos_table(4).tolist()
+    assert _cos_table(4 * 7)[::4].tolist() == _cos_table(7).tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    "product:dihedral:3xcyclic:2",
+    "product:cyclic:2xsymmetric:3",
+    "symmetric:3",
+    "perm:(0 1 2 3)",
+])
+def test_other_groups_take_the_dense_solver(spec, monkeypatch):
+    group = parse_group_spec(spec).build()
+    assert group.radices == () and group.dihedral is None
+    runs = []
+    solver = cayleygap.spectral.eigenvalues_symmetric
+    monkeypatch.setattr(cayleygap.spectral, "eigenvalues_symmetric",
+                        lambda matrix: runs.append(1) or solver(matrix))
+    spectrum(build(group, [x for x in range(1, group.order)]))
+    assert runs == [1]
+    spectrum(build_graph("product:cyclic:2xcyclic:3", "1,2,3"))
+    spectrum(build_graph("dihedral:3", "auto"))
+    assert runs == [1]

@@ -10,6 +10,7 @@ from cayleygap import (
     is_bipartite_structural,
     squares_commutators_subgroup,
 )
+from cayleygap.groups import parse_group_spec
 
 import families
 import oracles
@@ -132,3 +133,25 @@ def test_equivalence_on_family(member):
     assert families.rows_of(member)["bipartite_equivalence"].status == "pass"
     assert report.bipartite_spectral == member.bipartite
     assert report.bipartite_structural == member.bipartite
+
+
+# The family's groups and the groups of the benchmark's spectrum_large
+# workload (orders 64 to 256).
+ORACLE_GROUPS = sorted({m.group_spec for m in families.MEMBERS}) + [
+    "dihedral:32",
+    "symmetric:5",
+    "dihedral:64",
+    "product:" + "x".join(["cyclic:2"] * 7),
+    "cyclic:256",
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_squares_and_index2_match_oracles(spec):
+    group = parse_group_spec(spec).build()
+    cert = squares_commutators_subgroup(group)
+    assert cert.elements == oracles.squares_commutators_closure(group)
+    subs = index2_subgroups(group)
+    assert len(subs) == cert.index - 1
+    for sub in subs:
+        oracles.validate_subgroup(group, sub.elements)

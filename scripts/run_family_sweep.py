@@ -41,8 +41,12 @@ def main(argv: list[str] | None = None) -> int:
     items = sweep(FAMILY_SPECS + args.extra, workers=args.workers)
     rendered = RENDERERS[args.format](items)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
 

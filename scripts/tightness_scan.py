@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "specs", nargs="*", default=DEFAULT_SPECS,
         help="group specs to scan (ranges allowed; graphs without a tightness "
-        "ratio, i.e. bipartite, disconnected or over the exact cap, skipped)",
+        "ratio, i.e. bipartite or over the exact cap, skipped)",
     )
     parser.add_argument("--format", choices=["table", "csv"], default="table")
     args = parser.parse_args(argv)

@@ -85,6 +85,10 @@ def generating_set(group: FiniteGroup, elements: Iterable[int]) -> GeneratingSet
 class CayleyGraph:
     """d-regular graph on the group; a loop (identity in S) counts one half-edge.
 
+    Build it through build, which rejects a set that does not generate the
+    group: the library takes every graph to be connected, and the
+    constructor checks nothing.
+
     The graph is immutable, so quantities derived from it (exact Cheeger
     constants, the spectrum, the index-2 subgroups) are computed once per
     graph object and kept in its memo.

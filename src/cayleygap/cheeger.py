@@ -271,11 +271,7 @@ def vertex_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) ->
 
 
 def _vertex_certificate(graph: CayleyGraph) -> CheegerCertificate:
-    n = graph.n
-    zero = _zero_ratio_witness(graph.nbr_masks, n)
-    if zero is not None and zero.bit_count() <= n // 2:
-        return CheegerCertificate("vertex", Fraction(0), mask_members(zero))
-    num, size, mask = _vertex_search(graph.nbr_masks, n, graph.group)
+    num, size, mask = _vertex_search(graph.nbr_masks, graph.n, graph.group)
     return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
 
 
@@ -285,13 +281,9 @@ def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> C
 
 
 def _edge_certificate(graph: CayleyGraph) -> CheegerCertificate:
-    n, d = graph.n, graph.d
-    zero = _zero_ratio_witness(graph.nbr_masks, n)
-    if zero is not None and zero.bit_count() <= n // 2:
-        return CheegerCertificate("edge", Fraction(0), mask_members(zero))
     rows = [((1, m),) for m in graph.nbr_masks]
-    num, size, mask = _crossing_search(rows, n, graph.group)
-    return CheegerCertificate("edge", Fraction(num, d * size), mask_members(mask))
+    num, size, mask = _crossing_search(rows, graph.n, graph.group)
+    return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 
 
 def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> CheegerCertificate:

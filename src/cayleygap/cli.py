@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -34,7 +33,6 @@ from .spectral import is_bipartite_spectral, is_connected, spectrum
 from .subgroups import index2_subgroups
 from .verify import (
     CSV_HEADER,
-    DEFAULT_TOL,
     _fraction_dict,
     build_graph,
     full_report,
@@ -51,13 +49,6 @@ from .verify import (
 )
 
 Output = tuple[int, dict, list[str], list[str]]
-
-
-def _tolerance(text: str) -> float:
-    with contextlib.suppress(ValueError):
-        if 0 <= float(text) < math.inf:
-            return float(text)
-    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
 
 
 def _positive_int(text: str) -> int:
@@ -86,8 +77,8 @@ def _parse_zeta(text: str) -> Fraction | None:
 
 def _cmd_spectrum(graph: CayleyGraph, args: argparse.Namespace) -> Output:
     summary = spectrum(graph)
-    connected = is_connected(summary, args.tol)
-    bipartite = is_bipartite_spectral(summary, args.tol)
+    connected = is_connected(summary)
+    bipartite = is_bipartite_spectral(summary)
     name, gens = graph.group.name, graph.gens.elements
     payload = graph_dict(name, gens, graph.n, graph.d) | {
         "spectrum": {"t": list(summary.t), "lambda": list(summary.lam)},
@@ -252,8 +243,7 @@ def _cmd_proof(graph: CayleyGraph, args: argparse.Namespace) -> Output:
 def _cmd_verify(graph: CayleyGraph, args: argparse.Namespace) -> Output:
     zeta = _forced_zeta(graph, args)
     report = full_report(
-        graph, tol=args.tol, max_exact=args.max_exact, max_dual=args.max_dual,
-        zeta=zeta,
+        graph, max_exact=args.max_exact, max_dual=args.max_dual, zeta=zeta,
     )
     return (0 if report.all_pass else 1, report_json_dict(report),
             [CSV_HEADER, report_csv_row(report)], report_text_lines(report))
@@ -261,9 +251,8 @@ def _cmd_verify(graph: CayleyGraph, args: argparse.Namespace) -> Output:
 
 def _cmd_sweep(specs: list[str], args: argparse.Namespace) -> Output:
     items = sweep(
-        specs, tol=args.tol, max_exact=args.max_exact,
-        max_dual=args.max_dual, zeta=_parse_zeta(args.zeta),
-        workers=args.workers,
+        specs, max_exact=args.max_exact, max_dual=args.max_dual,
+        zeta=_parse_zeta(args.zeta), workers=args.workers,
     )
     errors = [item for item in items if item.error is not None]
     for item in errors:
@@ -286,9 +275,6 @@ FLAGS = {
                           "for any worker count (default: 1)"},
     "--format": {"choices": ("json", "csv", "text"), "default": "text",
                  "help": "output format (default: text)"},
-    "--tol": {"type": _tolerance, "default": DEFAULT_TOL,
-              "help": "tolerance for float comparisons, finite and >= 0 "
-                      "(default: 1e-9)"},
     "--max-exact": {"type": _positive_int, "default": MAX_EXACT_DEFAULT,
                     "help": "largest n for exact Cheeger search (default: 24)"},
     "--max-dual": {"type": _positive_int, "default": MAX_DUAL_DEFAULT,
@@ -299,12 +285,12 @@ FLAGS = {
     "--out": {"default": None, "help": "write output to this path"},
 }
 _GRAPH = ("--group", "--gens", "--format")
-_REPORT = ("--tol", "--max-exact", "--max-dual", "--zeta")
+_REPORT = ("--max-exact", "--max-dual", "--zeta")
 
 # command: (help, handler, the flags it registers, in help order).
 COMMANDS = {
     "spectrum": ("normalised adjacency and Laplacian spectrum", _cmd_spectrum,
-                 (*_GRAPH, "--tol", "--out")),
+                 (*_GRAPH, "--out")),
     "cheeger": ("exact vertex, edge, and dual Cheeger constants", _cmd_cheeger,
                 (*_GRAPH, "--max-exact", "--max-dual", "--out")),
     "subgroups": ("index-2 subgroups and disjointness from the generators",

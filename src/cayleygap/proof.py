@@ -650,8 +650,6 @@ def run_pipeline(
     expected outcome for non-bipartite graphs in regime.
     """
     eps = vertex_cheeger(graph, max_exact=max_exact).value
-    if eps <= 0:
-        raise ValueError("pipeline needs a positive expansion constant")
     if zeta is None:
         zeta = zeta_max(eps, graph.d)
     params = make_parameters(eps, graph.d, zeta)

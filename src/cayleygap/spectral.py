@@ -34,6 +34,15 @@ from .cayley import CayleyGraph
 from .errors import CapExceededError, ConvergenceError
 
 MAX_SPECTRUM = 2048
+# The margin of the two spectral flags below. Every graph that cayley.build
+# makes is connected, and on a connected d-regular graph of order n and
+# diameter D, lambda_2 >= 4/(d n D) (Mohar, "Eigenvalues, diameter, and mean
+# distance in graphs", 1991) and, unless it is bipartite,
+# 1 + t_min >= 1/(d n (D + 1)) (Alon and Sudakov, "Bipartite subgraphs and the
+# smallest eigenvalue", 2000). Both are at least about 1/(4 n^2): 6e-8 at
+# n = MAX_SPECTRUM and 2.5e-9 at groups.ELEMENT_CAP, above TOL, while the
+# solvers' error is about n eps.
+TOL = 1e-9
 _SYMMETRY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
@@ -336,11 +345,11 @@ def _dihedral_eigenvalues(graph: CayleyGraph) -> list[float]:
     return sorted(values)
 
 
-def is_connected(summary: SpectralSummary, tol: float = 1e-9) -> bool:
+def is_connected(summary: SpectralSummary) -> bool:
     if summary.n == 1:
         return True
-    return summary.lambda2 > tol
+    return summary.lambda2 > TOL
 
 
-def is_bipartite_spectral(summary: SpectralSummary, tol: float = 1e-9) -> bool:
-    return summary.lambda_max >= 2.0 - tol
+def is_bipartite_spectral(summary: SpectralSummary) -> bool:
+    return summary.lambda_max >= 2.0 - TOL

@@ -32,14 +32,13 @@ from .errors import CapExceededError, CayleyGapError
 from .groups import default_generators, expand_group_specs, parse_group_spec
 from .proof import ProofTrace, large_set_expansion_check, run_pipeline
 from .spectral import (
+    TOL,
     SpectralSummary,
     is_bipartite_spectral,
     is_connected,
     spectrum,
 )
 from .subgroups import is_bipartite_structural
-
-DEFAULT_TOL = 1e-9
 
 CHECK_NAMES = (
     "connectivity",
@@ -108,7 +107,6 @@ class VerificationReport:
 def full_report(
     graph: CayleyGraph,
     *,
-    tol: float = DEFAULT_TOL,
     max_exact: int = MAX_EXACT_DEFAULT,
     max_dual: int = MAX_DUAL_DEFAULT,
     zeta: Fraction | float | None = None,
@@ -121,7 +119,6 @@ def full_report(
     group = graph.group
     n = graph.n
     summary = spectrum(graph)
-    connected = is_connected(summary, tol)
 
     h: Fraction | None = None
     h_reason: str | None = None
@@ -142,7 +139,7 @@ def full_report(
     except ValueError as exc:
         dual_reason = str(exc)
 
-    bip_spectral = is_bipartite_spectral(summary, tol)
+    bip_spectral = is_bipartite_spectral(summary)
     bip_structural = is_bipartite_structural(graph) is not None
 
     rows: dict[str, CheckRow] = {}
@@ -152,17 +149,17 @@ def full_report(
         rows[name] = CheckRow(name, status, margin, reason)
 
     def within(name: str, margin: float) -> None:
-        put(name, "pass" if margin >= -tol else "fail", margin=margin)
+        put(name, "pass" if margin >= -TOL else "fail", margin=margin)
 
-    put("connectivity", "pass" if connected else "fail",
+    # Every graph that build makes is connected; this row is the spectral
+    # cross-check of that fact.
+    put("connectivity", "pass" if is_connected(summary) else "fail",
         margin=summary.lambda2 if n > 1 else None)
 
     # The spectral bound rows: lambda_n <= 2 - h^4/(2^9 d^6 (d+1)^2), the
     # interval [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)] for every
     # nontrivial eigenvalue of T, and the slack factor of the first.
-    if not connected:
-        blocked = ("skipped", "disconnected")
-    elif bip_structural:
+    if bip_structural:
         blocked = ("not_applicable", "bipartite")
     elif h is None:
         blocked = ("skipped", h_reason)
@@ -205,7 +202,7 @@ def full_report(
             margin=float(ve_upper))
 
     # Dual Cheeger (1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and
-    # dual = 1 exactly iff lambda_n = 2 within tol.
+    # dual = 1 exactly iff lambda_n = 2 within TOL.
     if dual_h is None:
         for name in ("dual_cheeger_lower", "dual_cheeger_upper",
                      "dual_cheeger_equivalence"):
@@ -215,16 +212,11 @@ def full_report(
         one_minus = 1 - dual_h
         within("dual_cheeger_lower", gap - float(one_minus * one_minus / 2))
         within("dual_cheeger_upper", 2 * float(one_minus) - gap)
-        if not connected:
-            put("dual_cheeger_equivalence", "skipped", reason="disconnected")
-        else:
-            equivalent = (dual_h == 1) == (summary.lambda_max >= 2 - tol)
-            put("dual_cheeger_equivalence", "pass" if equivalent else "fail")
+        put("dual_cheeger_equivalence",
+            "pass" if (dual_h == 1) == bip_spectral else "fail")
 
     if h is None:
         put("large_set_expansion", "skipped", reason=h_reason)
-    elif not connected:
-        put("large_set_expansion", "skipped", reason="disconnected")
     else:
         exp = large_set_expansion_check(graph, max_exact=max_exact)
         worst = min(exp.main_slack, exp.internal_slack)
@@ -233,16 +225,11 @@ def full_report(
             margin=float(worst),
             reason=None if exp.exhaustive else f"sampled:{exp.tested}")
 
-    if not connected:
-        put("bipartite_equivalence", "skipped", reason="disconnected")
-    else:
-        put("bipartite_equivalence",
-            "pass" if bip_structural == bip_spectral else "fail")
+    put("bipartite_equivalence",
+        "pass" if bip_structural == bip_spectral else "fail")
 
     trace: ProofTrace | None = None
-    if not connected:
-        put("proof_pipeline", "skipped", reason="disconnected")
-    elif h is None:
+    if h is None:
         put("proof_pipeline", "skipped", reason=h_reason)
     else:
         # h passed max_exact, the only cap run_pipeline applies.
@@ -489,17 +476,15 @@ def build_graph(group_spec: str, gens_spec: str | None) -> CayleyGraph:
     return build(group, gens)
 
 
-_SweepTask = tuple[str, str | None, float, int, int, Fraction | None]
+_SweepTask = tuple[str, str | None, int, int, Fraction | None]
 
 
 def _sweep_worker(args: _SweepTask) -> SweepItem:
-    item_spec, gens_spec, tol, max_exact, max_dual, zeta = args
+    item_spec, gens_spec, max_exact, max_dual, zeta = args
     label = item_spec if gens_spec is None else f"{item_spec} gens={gens_spec}"
     try:
         graph = build_graph(item_spec, gens_spec)
-        report = full_report(
-            graph, tol=tol, max_exact=max_exact, max_dual=max_dual, zeta=zeta,
-        )
+        report = full_report(graph, max_exact=max_exact, max_dual=max_dual, zeta=zeta)
         return SweepItem(spec=label, report=report)
     except (CayleyGapError, ValueError) as exc:
         return SweepItem(spec=label, error=str(exc))
@@ -508,7 +493,6 @@ def _sweep_worker(args: _SweepTask) -> SweepItem:
 def sweep(
     specs: list[str],
     *,
-    tol: float = DEFAULT_TOL,
     max_exact: int = MAX_EXACT_DEFAULT,
     max_dual: int = MAX_DUAL_DEFAULT,
     zeta: Fraction | None = None,
@@ -525,10 +509,13 @@ def sweep(
         except (CayleyGapError, ValueError):
             # Unparseable spec: hand it to the worker so the error is
             # recorded as a per-item result and the sweep continues.
-            tasks.append((group_part, gens_part, tol, max_exact, max_dual, zeta))
+            tasks.append((group_part, gens_part, max_exact, max_dual, zeta))
             continue
         for single in expanded:
-            tasks.append((single.label(), gens_part, tol, max_exact, max_dual, zeta))
+            tasks.append((single.label(), gens_part, max_exact, max_dual, zeta))
+    # The pool starts all its workers at once, so start no more than there
+    # are tasks.
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_worker, tasks))

@@ -129,6 +129,17 @@ def test_run_family_sweep_rejects_workers_below_one(workers, capsys):
             in capsys.readouterr().err)
 
 
+def test_run_family_sweep_unwritable_out_is_one_error_line(tmp_path, monkeypatch):
+    entry = script_main("run_family_sweep")
+    # The write fails, not the sweep, so an empty sweep is enough.
+    monkeypatch.setitem(entry.__globals__, "sweep", lambda specs, **kwargs: [])
+    target = tmp_path / "missing" / "out.json"
+    stdout, stderr, code = run_case(["--format", "json", "--out", str(target)], entry)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for path in GOLDEN_DIR.iterdir():

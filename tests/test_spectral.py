@@ -21,8 +21,8 @@ from cayleygap import (
     normalized_adjacency,
     spectrum,
 )
-from cayleygap.groups import parse_group_spec
-from cayleygap.spectral import _cos_table
+from cayleygap.groups import ELEMENT_CAP, parse_group_spec
+from cayleygap.spectral import TOL, _cos_table
 
 import families
 import oracles
@@ -352,3 +352,80 @@ def test_other_groups_take_the_dense_solver(spec, monkeypatch):
     spectrum(build_graph("product:cyclic:2xcyclic:3", "1,2,3"))
     spectrum(build_graph("dihedral:3", "auto"))
     assert runs == [1]
+
+
+# ---------------------------------------------------------------------------
+# TOL is below the two spectral gaps it separates, by proof
+
+
+def _eccentricity_and_bipartite(graph) -> tuple[int, bool]:
+    """BFS from the identity: its eccentricity, which is the diameter of a
+    vertex-transitive graph, and whether the graph is 2-colourable (a loop
+    never is)."""
+    depth = {0: 0}
+    frontier = [0]
+    bipartite = True
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in graph.neighbors[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    nxt.append(y)
+                elif depth[y] % 2 == depth[x] % 2:
+                    bipartite = False
+        frontier = nxt
+    assert len(depth) == graph.n
+    return max(depth.values()), bipartite
+
+
+def _assert_gaps_above_proven_bounds(graph) -> None:
+    """lambda_2 >= 4/(d n D) (Mohar 1991) and, unless the graph is bipartite,
+    1 + t_min >= 1/(d n (D + 1)) (Alon and Sudakov 2000); both above TOL, so
+    the spectral flags read the graph's true connectivity and bipartiteness."""
+    n, d = graph.n, graph.d
+    diameter, bipartite = _eccentricity_and_bipartite(graph)
+    t = np.linalg.eigvalsh(np.array(normalized_adjacency(graph)))
+    lambda2 = 1.0 - t[-2]
+    assert 4 / (d * n * diameter) > TOL
+    assert lambda2 >= 4 / (d * n * diameter)
+    if not bipartite:
+        assert 1 / (d * n * (diameter + 1)) > TOL
+        assert 1.0 + t[0] >= 1 / (d * n * (diameter + 1))
+    summary = spectrum(graph)
+    assert is_connected(summary)
+    assert is_bipartite_spectral(summary) == bipartite
+
+
+def test_tol_is_below_both_bounds_at_the_element_cap():
+    # Both bounds are at least about 1/(4 n^2); raising the cap past about
+    # n = 15 800 would let them fall under TOL.
+    assert 1 / (4 * ELEMENT_CAP**2) > TOL
+
+
+@pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
+def test_family_gaps_above_proven_bounds(member):
+    graph = families.graph_of(member)
+    assert _eccentricity_and_bipartite(graph)[1] == member.bipartite
+    _assert_gaps_above_proven_bounds(graph)
+
+
+_FACTOR = st.one_of(st.integers(min_value=1, max_value=16).map(from_cyclic),
+                    st.integers(min_value=2, max_value=8).map(from_dihedral))
+_GROUPS = st.lists(_FACTOR, min_size=1, max_size=3).filter(
+    lambda fs: 2 <= math.prod(f.order for f in fs) <= 64)
+
+
+@given(_GROUPS, st.booleans(), st.data())
+def test_random_gaps_above_proven_bounds(factors, loop, data):
+    group = factors[0]
+    for factor in factors[1:]:
+        group = from_direct_product(group, factor)
+    draw = data.draw(st.sets(st.integers(1, group.order - 1), max_size=6))
+    # The drawn elements and their inverses, with the identity (a loop) or
+    # not, topped up with the least element outside the generated subgroup.
+    elements = {*draw, *(group.inv[x] for x in draw)} | ({0} if loop else set())
+    while len(reached := closure(group, elements)) < group.order:
+        missing = min(set(range(group.order)) - set(reached))
+        elements |= {missing, group.inv[missing]}
+    _assert_gaps_above_proven_bounds(build(group, elements))

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import cayleygap.verify
 from cayleygap import (
-    CayleyGraph,
-    GeneratingSet,
     build_graph,
-    from_cyclic,
     full_report,
     main_bound_constant,
     sweep,
@@ -28,17 +26,6 @@ from cayleygap.verify import (
 )
 
 import families
-
-
-def _disconnected_graph():
-    g = from_cyclic(6)
-    neighbors = tuple((g.mult[3][x],) for x in range(6))
-    return CayleyGraph(
-        group=g,
-        gens=GeneratingSet((3,)),
-        neighbors=neighbors,
-        nbr_masks=tuple(1 << row[0] for row in neighbors),
-    )
 
 
 def _row(report, name):
@@ -136,26 +123,6 @@ def test_full_report_family_passes(member):
     assert (report.dual_h is None) == (report.n > MAX_DUAL_DEFAULT)
     if report.dual_h is not None:
         assert (report.dual_h == 1) == member.bipartite
-
-
-def test_full_report_disconnected():
-    report = full_report(_disconnected_graph())
-    assert not report.all_pass
-    assert [r.name for r in report.failed] == ["connectivity"]
-    for name in ("main_bound", "eigenvalue_interval_lower",
-                 "eigenvalue_interval_upper", "dual_cheeger_equivalence",
-                 "large_set_expansion", "bipartite_equivalence",
-                 "proof_pipeline", "tightness_ratio"):
-        row = _row(report, name)
-        assert row.status == "skipped"
-        assert row.reason == "disconnected"
-    # the purely isoperimetric rows still run; h = 0 pins every margin at 0
-    assert report.h == 0
-    assert report.dual_h == 1
-    for name in ("cheeger_buser_lower", "cheeger_buser_upper",
-                 "vertex_edge_lower", "vertex_edge_upper",
-                 "dual_cheeger_lower", "dual_cheeger_upper"):
-        assert _row(report, name).status == "pass"
 
 
 def test_full_report_forced_zeta():
@@ -293,6 +260,36 @@ def test_sweep_workers_identical():
     parallel = sweep(specs, workers=3)
     assert sweep_to_json(serial) == sweep_to_json(parallel)
     assert sweep_to_csv(serial) == sweep_to_csv(parallel)
+
+
+@pytest.mark.parametrize("specs,pool_sizes", [
+    ([], []),
+    (["cyclic:3 gens=±1"], []),                     # one task: in-process
+    (["cyclic:3..4 gens=±1"], [2]),
+    (["cyclic:3..5 gens=±1", "florble:9"], [4]),   # errors are tasks too
+])
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, specs, pool_sizes):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for, and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cayleygap.verify, "ProcessPoolExecutor", RecordingPool)
+    items = sweep(specs, workers=500)
+    assert sizes == pool_sizes
+    assert sweep_to_json(items) == sweep_to_json(sweep(specs))
 
 
 def test_sweep_records_errors():

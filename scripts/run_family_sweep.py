@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from cayleygap import sweep, sweep_to_csv, sweep_to_json, sweep_to_text
+from cayleygap.cli import write_output
 
 FAMILY_SPECS = [
     "cyclic:3..16 gens=±1",
@@ -38,17 +39,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 1:
         parser.error(f"argument --workers: must be an integer >= 1, got {args.workers}")
 
+    # Create --out before the sweep, so an unwritable path fails at once.
+    if args.out and not write_output(args.out, ""):
+        return 2
     items = sweep(FAMILY_SPECS + args.extra, workers=args.workers)
     rendered = RENDERERS[args.format](items)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
+    if not args.out:
         sys.stdout.write(rendered)
+    elif not write_output(args.out, rendered):
+        return 2
 
     errors = [item for item in items if item.error is not None]
     fails = [

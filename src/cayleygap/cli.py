@@ -318,12 +318,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_output(path: str, text: str) -> bool:
+    """Write `text` to `path`; on failure print one error line and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Create --out before the run, so an unwritable path fails at once; a
+    # run that fails after this leaves the file empty.
+    if args.out and not write_output(args.out, ""):
+        return 2
     try:
         subject = args.specs if args.command == "sweep" else build_graph(args.group, args.gens)
         code, payload, csv_lines, text_lines = COMMANDS[args.command][1](subject, args)
@@ -334,15 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = "\n".join(csv_lines if args.format == "csv" else text_lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
+    if not args.out:
         sys.stdout.write(text)
+    elif not write_output(args.out, text):
+        return 2
     return code
 
 

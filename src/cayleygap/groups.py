@@ -3,6 +3,9 @@
 Element 0 is always the identity. Constructors canonicalise the indexing
 (rotation-first for dihedral groups, BFS discovery order for permutation
 groups) so that element indices are reproducible across runs.
+
+Each constructor builds its table as one numpy integer array and freezes it
+once into tuples of Python ints, which is what every consumer indexes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ ASSOCIATIVITY_LIMIT = 512
 class FiniteGroup:
     """Concrete finite group: ``mult[a][b]`` is the index of the product a*b.
 
+    ``mult`` and ``inv`` hold Python ints, never numpy integers, so that
+    ``1 << mult[a][b]`` builds an exact bitmask for any order.
+
     A constructor that knows the group's structure records it, and nothing
     else (not ``name``) is read for it:
 
@@ -50,17 +56,45 @@ class FiniteGroup:
     dihedral: int | None = None
 
 
-def _inverses_from_table(mult: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    n = len(mult)
-    inv = [-1] * n
-    for a in range(n):
-        for b in range(n):
-            if mult[a][b] == 0 and mult[b][a] == 0:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise GroupValidationError(f"element {a} has no two-sided inverse")
-    return tuple(inv)
+def _freeze(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The table as tuples of Python ints (``tolist`` converts each entry).
+    Row by row, so no nested list of the whole table is ever held."""
+    return tuple(tuple(row.tolist()) for row in table)
+
+
+def _first(bad: np.ndarray) -> int:
+    """Flat index of the first True entry in row-major order, or -1."""
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
+def _outside(values: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the entries outside 0..n-1. An object array (entries
+    too large for 64 bits) compares them as Python ints."""
+    return ((values < 0) | (values >= n)).astype(bool)
+
+
+def _inverses(table: np.ndarray) -> tuple[int, ...]:
+    """For each a, the first b with table[a, b] == table[b, a] == 0."""
+    zero = table == 0
+    two_sided = zero & zero.T
+    missing = _first(~two_sided.any(axis=1))
+    if missing >= 0:
+        raise GroupValidationError(f"element {missing} has no two-sided inverse")
+    return tuple(np.argmax(two_sided, axis=1).tolist())
+
+
+def _checked_array(mult: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The n x n table `mult` as an integer array, after checking that every
+    entry lies in 0..n-1; the first entry outside, in row-major order, is
+    the one reported."""
+    m = np.array(mult)  # object dtype if an entry does not fit in 64 bits
+    k = _first(_outside(m, n))
+    if k >= 0:
+        a, b = divmod(k, n)
+        raise GroupValidationError(
+            f"table entry mult[{a}][{b}] = {mult[a][b]} outside 0..{n - 1}"
+        )
+    return m.astype(np.intp)
 
 
 def validate_axioms(group: FiniteGroup) -> None:
@@ -74,27 +108,25 @@ def validate_axioms(group: FiniteGroup) -> None:
         raise GroupValidationError(f"order must be positive, got {n}")
     if len(group.mult) != n or any(len(row) != n for row in group.mult):
         raise GroupValidationError("multiplication table is not n x n")
-    for a in range(n):
-        for b in range(n):
-            v = group.mult[a][b]
-            if not 0 <= v < n:
-                raise GroupValidationError(
-                    f"table entry mult[{a}][{b}] = {v} outside 0..{n - 1}"
-                )
+    m = _checked_array(group.mult, n)
     if group.identity != 0:
         raise GroupValidationError("identity must sit at index 0")
-    for a in range(n):
-        if group.mult[0][a] != a or group.mult[a][0] != a:
-            raise GroupValidationError(f"index 0 does not act as identity on {a}")
+    r = np.arange(n)
+    a = _first((m[0] != r) | (m[:, 0] != r))
+    if a >= 0:
+        raise GroupValidationError(f"index 0 does not act as identity on {a}")
     if len(group.inv) != n:
         raise GroupValidationError("inverse array has wrong length")
-    for a in range(n):
-        b = group.inv[a]
-        if not 0 <= b < n or group.mult[a][b] != 0 or group.mult[b][a] != 0:
-            raise GroupValidationError(f"inv[{a}] = {b} is not a two-sided inverse")
+    inv = np.array(group.inv)
+    outside = _outside(inv, n)
+    b = np.where(outside, 0, inv).astype(np.intp)
+    a = _first(outside | (m[r, b] != 0) | (m[b, r] != 0))
+    if a >= 0:
+        raise GroupValidationError(
+            f"inv[{a}] = {group.inv[a]} is not a two-sided inverse"
+        )
 
     if n <= ASSOCIATIVITY_LIMIT:
-        m = np.array(group.mult, dtype=np.int64)
         for a in range(n):
             left = m[m[a]]          # left[b, c] = (a*b)*c
             right = m[a][m]         # right[b, c] = a*(b*c)
@@ -112,9 +144,11 @@ def from_cyclic(n: int) -> FiniteGroup:
         raise GroupValidationError(f"cyclic order must be >= 1, got {n}")
     if n > ELEMENT_CAP:
         raise ElementCapError("element", ELEMENT_CAP, n)
-    mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    inv = tuple((-a) % n for a in range(n))
-    return FiniteGroup(n, mult, inv, name=f"cyclic:{n}", radices=(n,))
+    r = np.arange(n)
+    table = r[:, None] + r
+    table %= n  # in place, so peak memory holds one n x n array, not two
+    return FiniteGroup(n, _freeze(table), tuple((-r % n).tolist()),
+                       name=f"cyclic:{n}", radices=(n,))
 
 
 def from_dihedral(m: int) -> FiniteGroup:
@@ -128,24 +162,14 @@ def from_dihedral(m: int) -> FiniteGroup:
     n = 2 * m
     if n > ELEMENT_CAP:
         raise ElementCapError("element", ELEMENT_CAP, n)
-
-    def idx(a: int, b: int) -> int:
-        return a % m + (b % 2) * m
-
-    mult_rows = []
-    for x in range(n):
-        a, b = x % m, x // m
-        row = []
-        for y in range(n):
-            c, e = y % m, y // m
-            if b == 0:
-                row.append(idx(a + c, e))
-            else:
-                row.append(idx(a - c, 1 + e))
-        mult_rows.append(tuple(row))
-    mult = tuple(mult_rows)
-    inv = _inverses_from_table(mult)
-    return FiniteGroup(n, mult, inv, name=f"dihedral:{m}", dihedral=m)
+    # x = a + b*m is r^a s^b: r^a * r^c s^e = r^(a+c) s^e and
+    # r^a s * r^c s^e = r^(a-c) s^(1+e).
+    r = np.arange(n)
+    a, b = (r % m)[:, None], (r // m)[:, None]
+    c, e = r % m, r // m
+    table = np.where(b == 0, (a + c) % m + e * m, (a - c) % m + (1 - e) * m)
+    return FiniteGroup(n, _freeze(table), _inverses(table),
+                       name=f"dihedral:{m}", dihedral=m)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -179,7 +203,10 @@ def from_permutations(
     """Closure of the given permutations under composition, by BFS from the identity.
 
     Element 0 is the identity permutation; discovery order fixes the indexing.
-    At most ELEMENT_CAP elements are generated.
+    At most ELEMENT_CAP elements are generated. The BFS records, for each
+    generator g, the index of g * perms[j] for every j, and for each element
+    the parent and generator that found it, so row a of the table is row
+    parent(a) mapped through g's column of indices.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
@@ -194,24 +221,29 @@ def from_permutations(
     identity = tuple(range(k))
     perms: list[tuple[int, ...]] = [identity]
     index: dict[tuple[int, ...], int] = {identity: 0}
-    head = 0
-    while head < len(perms):
-        cur = perms[head]
-        head += 1
-        for g in gens:
+    left: list[list[int]] = [[] for _ in gens]   # left[i][j] = g_i * perms[j]
+    found_by: list[tuple[int, int]] = [(0, 0)]   # (parent, generator)
+    for head, cur in enumerate(perms):
+        for i, g in enumerate(gens):
             nxt = _compose(g, cur)
-            if nxt not in index:
+            j = index.get(nxt)
+            if j is None:
                 if len(perms) >= ELEMENT_CAP:
                     raise ElementCapError("element", ELEMENT_CAP, len(perms) + 1)
-                index[nxt] = len(perms)
+                j = index[nxt] = len(perms)
                 perms.append(nxt)
+                found_by.append((head, i))
+            left[i].append(j)
 
     n = len(perms)
-    mult = tuple(
-        tuple(index[_compose(perms[a], perms[b])] for b in range(n)) for a in range(n)
-    )
-    inv = _inverses_from_table(mult)
-    return FiniteGroup(n, mult, inv, perms=tuple(perms), name=name or "permutation")
+    gathers = np.array(left, dtype=np.intp)
+    table = np.empty((n, n), dtype=np.intp)
+    table[0] = np.arange(n)
+    for a in range(1, n):
+        parent, i = found_by[a]
+        table[a] = gathers[i][table[parent]]
+    return FiniteGroup(n, _freeze(table), _inverses(table), perms=tuple(perms),
+                       name=name or "permutation")
 
 
 def from_symmetric(k: int) -> FiniteGroup:
@@ -236,20 +268,13 @@ def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     n = n1 * n2
     if n > ELEMENT_CAP:
         raise ElementCapError("element", ELEMENT_CAP, n)
-    m1, m2 = g1.mult, g2.mult
-    mult_rows = []
-    for x in range(n):
-        a1, b1 = divmod(x, n2)
-        row1 = m1[a1]
-        row2 = m2[b1]
-        mult_rows.append(
-            tuple(row1[y // n2] * n2 + row2[y % n2] for y in range(n))
-        )
-    mult = tuple(mult_rows)
-    inv = tuple(g1.inv[x // n2] * n2 + g2.inv[x % n2] for x in range(n))
+    m1, m2 = np.array(g1.mult, dtype=np.intp), np.array(g2.mult, dtype=np.intp)
+    table = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n, n)
+    inv = np.add.outer(np.array(g1.inv) * n2, np.array(g2.inv)).reshape(n)
     name = f"product:{g1.name or '?'}x{g2.name or '?'}"
     radices = g1.radices + g2.radices if g1.radices and g2.radices else ()
-    return FiniteGroup(n, mult, inv, name=name, radices=radices)
+    return FiniteGroup(n, _freeze(table), tuple(inv.tolist()), name=name,
+                       radices=radices)
 
 
 def from_table(text: str, *, name: str = "table") -> FiniteGroup:
@@ -284,14 +309,9 @@ def from_table(text: str, *, name: str = "table") -> FiniteGroup:
             raise GroupValidationError(f"row {i} contains a non-integer entry") from exc
         rows.append(row)
     mult = tuple(rows)
-    for a in range(n):
-        for b in range(n):
-            if not 0 <= mult[a][b] < n:
-                raise GroupValidationError(
-                    f"table entry mult[{a}][{b}] = {mult[a][b]} outside 0..{n - 1}"
-                )
-    inv = _inverses_from_table(mult)
-    group = FiniteGroup(n, mult, inv, name=name)
+    # Entries are checked before inverses are looked for, so a table with an
+    # entry out of range reports that entry.
+    group = FiniteGroup(n, mult, _inverses(_checked_array(mult, n)), name=name)
     validate_axioms(group)
     return group
 

@@ -164,6 +164,84 @@ def numpy_eigs(matrix) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(np.asarray(matrix, dtype=float))]
 
 
+def naive_inverses(mult) -> tuple[int, ...]:
+    """For each a, the first b with a*b = b*a = identity (index 0)."""
+    n = len(mult)
+    inv = []
+    for a in range(n):
+        for b in range(n):
+            if mult[a][b] == 0 and mult[b][a] == 0:
+                inv.append(b)
+                break
+        else:
+            raise AssertionError(f"element {a} has no two-sided inverse")
+    return tuple(inv)
+
+
+def naive_cyclic(n: int) -> FiniteGroup:
+    """Z/n one table entry at a time: k is the residue k."""
+    mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    return FiniteGroup(n, mult, tuple((-a) % n for a in range(n)))
+
+
+def naive_dihedral(m: int) -> FiniteGroup:
+    """D_m one entry at a time: a + b*m is r^a s^b, with s r s = r^-1."""
+    n = 2 * m
+
+    def idx(a: int, b: int) -> int:
+        return a % m + (b % 2) * m
+
+    rows = []
+    for x in range(n):
+        a, b = x % m, x // m
+        row = []
+        for y in range(n):
+            c, e = y % m, y // m
+            row.append(idx(a + c, e) if b == 0 else idx(a - c, 1 + e))
+        rows.append(tuple(row))
+    mult = tuple(rows)
+    return FiniteGroup(n, mult, naive_inverses(mult))
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # (p * q)(i) = p(q(i))
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def naive_permutations(generators) -> FiniteGroup:
+    """The closure by BFS from the identity, in discovery order, with every
+    table entry a composition looked up in a dict."""
+    gens = [tuple(g) for g in generators]
+    identity = tuple(range(len(gens[0])))
+    perms = [identity]
+    index = {identity: 0}
+    for cur in perms:
+        for g in gens:
+            nxt = _compose(g, cur)
+            if nxt not in index:
+                index[nxt] = len(perms)
+                perms.append(nxt)
+    n = len(perms)
+    mult = tuple(
+        tuple(index[_compose(perms[a], perms[b])] for b in range(n))
+        for a in range(n)
+    )
+    return FiniteGroup(n, mult, naive_inverses(mult), perms=tuple(perms))
+
+
+def naive_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    """G1 x G2 one entry at a time; (a, b) has index a * |G2| + b."""
+    n1, n2 = g1.order, g2.order
+    n = n1 * n2
+    mult = tuple(
+        tuple(g1.mult[x // n2][y // n2] * n2 + g2.mult[x % n2][y % n2]
+              for y in range(n))
+        for x in range(n)
+    )
+    inv = tuple(g1.inv[x // n2] * n2 + g2.inv[x % n2] for x in range(n))
+    return FiniteGroup(n, mult, inv)
+
+
 def brute_force_index2(group: FiniteGroup) -> list[tuple[int, ...]]:
     """All subsets of size n/2 containing the identity and closed under
     multiplication (closure at half size forces inverses)."""

@@ -410,17 +410,33 @@ def test_caps_of_one_are_valid(capsys):
     assert "skipped  (cap:max_dual=1,needed=6)" in out.out
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the run started before --out was opened")
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."],
                          ids=["missing_dir", "directory"])
-def test_unwritable_out_is_one_error_line(capsys, tmp_path, target):
+def test_unwritable_out_is_one_error_line(capsys, monkeypatch, tmp_path, target):
+    monkeypatch.setattr(cayleygap.cli, "build_graph", _must_not_run)
+    monkeypatch.setattr(cayleygap.cli, "sweep", _must_not_run)
     path = tmp_path / target
-    code = main(["verify", "--group", "cyclic:5", "--gens", "±1",
-                 "--out", str(path)])
-    out = capsys.readouterr()
+    for command in (["verify", "--group", "cyclic:5", "--gens", "±1"],
+                    ["sweep", "cyclic:5"]):
+        code = main([*command, "--out", str(path)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot write {path}: ")
+        assert out.err.count("\n") == 1
+
+
+def test_out_is_left_empty_when_the_run_fails(capsys, tmp_path):
+    path = tmp_path / "report.txt"
+    path.write_text("stale\n", encoding="utf-8")
+    code = main(["verify", "--group", "cyclic:0", "--out", str(path)])
     assert code == 2
-    assert out.out == ""
-    assert out.err.startswith(f"error: cannot write {path}: ")
-    assert out.err.count("\n") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert path.read_text(encoding="utf-8") == ""
 
 
 def test_zeta_with_zero_denominator_is_input_error(capsys):

@@ -131,8 +131,11 @@ def test_run_family_sweep_rejects_workers_below_one(workers, capsys):
 
 def test_run_family_sweep_unwritable_out_is_one_error_line(tmp_path, monkeypatch):
     entry = script_main("run_family_sweep")
-    # The write fails, not the sweep, so an empty sweep is enough.
-    monkeypatch.setitem(entry.__globals__, "sweep", lambda specs, **kwargs: [])
+    # --out is opened before the sweep, so the sweep must never start.
+    def must_not_run(specs, **kwargs):
+        raise AssertionError("the sweep started before --out was opened")
+
+    monkeypatch.setitem(entry.__globals__, "sweep", must_not_run)
     target = tmp_path / "missing" / "out.json"
     stdout, stderr, code = run_case(["--format", "json", "--out", str(target)], entry)
     assert code == 2

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cayleygap.groups
 from cayleygap import (
@@ -22,6 +24,7 @@ from cayleygap import (
 )
 
 import families
+import oracles
 
 
 def test_cyclic_structure():
@@ -82,6 +85,59 @@ def test_validate_axioms_rejects_broken_table():
     group = FiniteGroup(order=2, mult=((0, 1), (1, 1)), inv=(0, 1))
     with pytest.raises(GroupValidationError):
         validate_axioms(group)
+
+
+_Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# Identity and two-sided inverses, but (1*1)*2 = 2 while 1*(1*2) = 1.
+_NONASSOCIATIVE = ((0, 1, 2), (1, 0, 0), (2, 0, 0))
+
+
+@pytest.mark.parametrize("group,message", [
+    (FiniteGroup(0, (), ()), "order must be positive, got 0"),
+    (FiniteGroup(2, ((0, 1), (1,)), (0, 1)), "multiplication table is not n x n"),
+    (FiniteGroup(2, ((0, 1),), (0, 1)), "multiplication table is not n x n"),
+    # The first entry outside 0..n-1 in row-major order, not column-major.
+    (FiniteGroup(3, ((0, 1, 2), (1, 2, 7), (-1, 0, 1)), (0, 2, 1)),
+     "table entry mult[1][2] = 7 outside 0..2"),
+    (FiniteGroup(2, ((0, 1), (1, 10**30)), (0, 1)),
+     f"table entry mult[1][1] = {10**30} outside 0..1"),
+    (FiniteGroup(3, _Z3, (0, 2, 1), identity=1), "identity must sit at index 0"),
+    (FiniteGroup(3, ((0, 1, 2), (1, 2, 0), (1, 0, 2)), (0, 2, 1)),
+     "index 0 does not act as identity on 2"),
+    (FiniteGroup(3, _Z3, (0, 2)), "inverse array has wrong length"),
+    (FiniteGroup(3, _Z3, (0, 1, 1)), "inv[1] = 1 is not a two-sided inverse"),
+    (FiniteGroup(3, _Z3, (0, 2, 5)), "inv[2] = 5 is not a two-sided inverse"),
+    (FiniteGroup(3, _NONASSOCIATIVE, (0, 1, 2)),
+     "associativity fails at triple (1, 1, 2): (a*b)*c = 2, a*(b*c) = 1"),
+])
+def test_validate_axioms_messages(group, message):
+    with pytest.raises(GroupValidationError) as exc:
+        validate_axioms(group)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty table file"),
+    ("2 2\n0 1\n1 0\n", "first line must contain exactly the order n"),
+    ("two\n0 1\n1 0\n", "order is not an integer: 'two'"),
+    ("0\n", "order must be positive, got 0"),
+    ("2\n0 1\n", "expected 2 table rows, found 1"),
+    ("2\n0 1\n1\n", "row 1 has 1 entries, expected 2"),
+    ("2\n0 1\n1 x\n", "row 1 contains a non-integer entry"),
+    # Entries are checked before inverses: row 1 has no 0 either.
+    ("2\n0 1\n1 5\n", "table entry mult[1][1] = 5 outside 0..1"),
+    ("3\n0 1 2\n1 2 7\n-1 0 1\n", "table entry mult[1][2] = 7 outside 0..2"),
+    (f"2\n0 1\n1 {10**30}\n", f"table entry mult[1][1] = {10**30} outside 0..1"),
+    # mult[2][1] = 0 but mult[1][2] = 1: a one-sided inverse is not enough.
+    ("3\n0 1 2\n1 0 1\n2 0 1\n", "element 2 has no two-sided inverse"),
+    ("2\n1 0\n0 1\n", "index 0 does not act as identity on 0"),
+    ("3\n0 1 2\n1 0 0\n2 0 0\n",
+     "associativity fails at triple (1, 1, 2): (a*b)*c = 2, a*(b*c) = 1"),
+])
+def test_from_table_messages(text, message):
+    with pytest.raises(GroupValidationError) as exc:
+        from_table(text)
+    assert str(exc.value) == message
 
 
 def test_from_permutations_closure():
@@ -194,3 +250,69 @@ def test_dihedral_associativity_samples(m, seed):
     for _ in range(20):
         a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         assert g.mult[g.mult[a][b]][c] == g.mult[a][g.mult[b][c]]
+
+
+def _assert_same_group(fast, ref):
+    """Same table, inverses and permutations as the reference, with every
+    entry a Python int: a numpy integer in `mult` would make `1 << mult[a][b]`
+    wrap past bit 63."""
+    assert fast.order == ref.order
+    assert fast.mult == ref.mult
+    assert fast.inv == ref.inv
+    assert fast.perms == ref.perms
+    assert all(type(v) is int for row in fast.mult for v in row)
+    assert all(type(v) is int for v in fast.inv)
+
+
+@given(st.integers(min_value=1, max_value=300))
+def test_cyclic_matches_oracle(n):
+    _assert_same_group(from_cyclic(n), oracles.naive_cyclic(n))
+
+
+@given(st.integers(min_value=2, max_value=150))
+def test_dihedral_matches_oracle(m):
+    _assert_same_group(from_dihedral(m), oracles.naive_dihedral(m))
+
+
+_FACTOR = st.one_of(
+    st.tuples(st.just("cyclic"), st.integers(min_value=1, max_value=32)),
+    st.tuples(st.just("dihedral"), st.integers(min_value=2, max_value=16)),
+)
+_BUILDERS = {
+    "cyclic": (from_cyclic, oracles.naive_cyclic),
+    "dihedral": (from_dihedral, oracles.naive_dihedral),
+}
+
+
+def _order(factor):
+    family, k = factor
+    return k if family == "cyclic" else 2 * k
+
+
+@given(st.lists(_FACTOR, min_size=2, max_size=3).filter(
+    lambda fs: math.prod(map(_order, fs)) <= 256))
+def test_direct_product_matches_oracle(factors):
+    fast = ref = None
+    for family, k in factors:
+        build, naive = _BUILDERS[family]
+        fast = build(k) if fast is None else from_direct_product(fast, build(k))
+        ref = naive(k) if ref is None else oracles.naive_direct_product(ref, naive(k))
+    _assert_same_group(fast, ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_symmetric_matches_oracle(k):
+    transpositions = [
+        tuple(j if p == i else i if p == j else p for p in range(k))
+        for i in range(k) for j in range(i + 1, k)
+    ]
+    _assert_same_group(from_symmetric(k),
+                       oracles.naive_permutations(transpositions or [(0,)]))
+
+
+@settings(max_examples=30)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.lists(st.permutations(range(k)), min_size=1, max_size=3)))
+def test_permutation_group_matches_oracle(gens):
+    gens = [tuple(g) for g in gens]
+    _assert_same_group(from_permutations(gens), oracles.naive_permutations(gens))

@@ -249,10 +249,14 @@ def test_square_spectrum_consistency(member):
 # Spectra from characters (abelian and dihedral groups)
 
 
-def _random_generators(group, draw) -> list[int]:
-    """Identity (a loop), the drawn elements and their inverses, topped up
-    with the least element outside the generated subgroup until it is G."""
-    elements = {0, *draw}
+def _random_generators(group, draw, loop) -> list[int]:
+    """The drawn elements and their inverses, with the identity (a loop)
+    only if `loop` or G is trivial, topped up with the least element outside
+    the generated subgroup until it is G. Without a loop the graph may be
+    bipartite, with t_min = -1 exactly."""
+    elements = set(draw) - {0}
+    if loop or group.order == 1:
+        elements.add(0)
     elements |= {group.inv[x] for x in elements}
     while len(reached := closure(group, elements)) < group.order:
         missing = min(set(range(group.order)) - set(reached))
@@ -278,7 +282,8 @@ def test_abelian_spectrum_matches_dense(radices, data):
         group = from_direct_product(group, from_cyclic(m))
     assert group.radices == tuple(radices)
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
-    _assert_matches_dense(build(group, _random_generators(group, draw)))
+    loop = data.draw(st.booleans())
+    _assert_matches_dense(build(group, _random_generators(group, draw, loop)))
 
 
 @given(st.integers(min_value=2, max_value=32), st.data())
@@ -286,7 +291,8 @@ def test_dihedral_spectrum_matches_dense(m, data):
     group = from_dihedral(m)
     assert group.dihedral == m
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
-    _assert_matches_dense(build(group, _random_generators(group, draw)))
+    loop = data.draw(st.booleans())
+    _assert_matches_dense(build(group, _random_generators(group, draw, loop)))
 
 
 @pytest.mark.parametrize("group,gens", [

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import GeneratingSetError, SpecParseError
-from .groups import FiniteGroup, parse_permutation
+from .groups import FiniteGroup, closure, parse_permutation
 
 _T = TypeVar("_T")
 
@@ -59,22 +59,9 @@ def generating_set(group: FiniteGroup, elements: Iterable[int]) -> GeneratingSet
             raise GeneratingSetError(
                 f"not symmetric: inverse of {s} is {group.inv[s]}, missing from the set"
             )
-    reached = 1
-    frontier = [0]
-    mult = group.mult
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in elems:
-                y = mult[s][x]
-                b = 1 << y
-                if not reached & b:
-                    reached |= b
-                    nxt.append(y)
-        frontier = nxt
-    if reached != (1 << n) - 1:
-        missing = (~reached) & ((1 << n) - 1)
-        v = (missing & -missing).bit_length() - 1
+    reached = closure(group, elems)
+    if len(reached) != n:
+        v = min(set(range(n)).difference(reached))
         raise GeneratingSetError(
             f"not generating: element {v} is unreachable from the identity"
         )
@@ -90,8 +77,8 @@ class CayleyGraph:
     constructor checks nothing.
 
     The graph is immutable, so quantities derived from it (exact Cheeger
-    constants, the spectrum, the index-2 subgroups) are computed once per
-    graph object and kept in its memo.
+    constants, the spectrum) are computed once per graph object and kept in
+    its memo.
     """
 
     group: FiniteGroup

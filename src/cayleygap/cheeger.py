@@ -35,43 +35,6 @@ class CheegerCertificate:
     witness_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def connected_components(nbr_masks: Sequence[int], n: int) -> list[int]:
-    """Masks of connected components, ordered by smallest member."""
-    seen = 0
-    out = []
-    full = (1 << n) - 1
-    for v in range(n):
-        bit = 1 << v
-        if seen & bit:
-            continue
-        comp = bit
-        frontier = bit
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grow |= nbr_masks[low.bit_length() - 1]
-                m ^= low
-            frontier = grow & ~comp & full
-            comp |= frontier
-        out.append(comp)
-        seen |= comp
-    return out
-
-
-def _zero_ratio_witness(nbr_masks: Sequence[int], n: int) -> int | None:
-    """Smallest-(size, mask) component if the graph is disconnected, else None.
-
-    A set has empty boundary iff it is a union of components, so the tie-break
-    minimum among zero-ratio sets is a single smallest component.
-    """
-    comps = connected_components(nbr_masks, n)
-    if len(comps) == 1:
-        return None
-    return min(comps, key=lambda c: (c.bit_count(), c))
-
-
 def _translate_minimiser(group: FiniteGroup, n: int) -> Callable[[int, int], int]:
     """Return smallest(a, bound) = min(bound, min over g of a·g).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,6 +138,32 @@ def validate_axioms(group: FiniteGroup) -> None:
                 )
 
 
+def closure(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
+    """Subgroup generated by the seeds, as sorted element indices.
+
+    BFS under right multiplication; in a finite group the product closure of
+    a set containing the identity is already a subgroup.
+    """
+    mult = group.mult
+    gens = sorted({int(s) for s in seeds} | {group.identity})
+    for s in gens:
+        if not 0 <= s < group.order:
+            raise ValueError(f"seed {s} outside 0..{group.order - 1}")
+    members = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            row = mult[x]
+            for s in gens:
+                y = row[s]
+                if y not in members:
+                    members.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
 def from_cyclic(n: int) -> FiniteGroup:
     """Additive group of integers mod n; element k is the residue k."""
     if n < 1:
@@ -165,9 +191,11 @@ def from_dihedral(m: int) -> FiniteGroup:
     # x = a + b*m is r^a s^b: r^a * r^c s^e = r^(a+c) s^e and
     # r^a s * r^c s^e = r^(a-c) s^(1+e).
     r = np.arange(n)
-    a, b = (r % m)[:, None], (r // m)[:, None]
     c, e = r % m, r // m
-    table = np.where(b == 0, (a + c) % m + e * m, (a - c) % m + (1 - e) * m)
+    a = c[:m, None]
+    table = np.empty((n, n), dtype=np.intp)
+    table[:m] = (a + c) % m + e * m
+    table[m:] = (a - c) % m + (1 - e) * m
     return FiniteGroup(n, _freeze(table), _inverses(table),
                        name=f"dihedral:{m}", dihedral=m)
 
@@ -318,7 +346,11 @@ def from_table(text: str, *, name: str = "table") -> FiniteGroup:
 
 def load_table(path: str | Path) -> FiniteGroup:
     p = Path(path)
-    return from_table(p.read_text(), name=f"table:{p}")
+    try:
+        text = p.read_text()
+    except OSError as exc:
+        raise GroupValidationError(f"cannot read table file {p}: {exc.strerror}") from exc
+    return from_table(text, name=f"table:{p}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,15 +40,10 @@ from .cayley import (
     set_image,
     square_multiset,
 )
-from .cheeger import (
-    MAX_EXACT_DEFAULT,
-    _crossing_search,
-    _zero_ratio_witness,
-    vertex_cheeger,
-)
+from .cheeger import MAX_EXACT_DEFAULT, _crossing_search, vertex_cheeger
 from .errors import CapExceededError
 from .spectral import spectrum
-from .subgroups import INDEX2_MEMO_KEY, index2_subgroups
+from .subgroups import index2_subgroups, is_bipartite_structural
 
 _SAMPLE_SEED = 0x5E7C0DE
 _EXHAUSTIVE_LIMIT = 12               # large-set check: all 2^n sets up to here
@@ -56,14 +51,20 @@ _SAMPLES = 10_000                    # ... else this many seeded draws
 _CHUNK = 1 << 16                     # ... tested this many at a time
 
 
+def main_bound_constant(d: int) -> int:
+    """The constant gamma = 2^9 d^6 (d+1)^2 of the main bound
+    lambda_n <= 2 - h^4 / gamma, and of zeta_max."""
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    return 2**9 * d**6 * (d + 1) ** 2
+
+
 def zeta_max(eps: Fraction | int, d: int) -> Fraction:
     """Largest zeta for which the full subgroup extraction is guaranteed."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    return eps**4 / (2**9 * d**6 * (d + 1) ** 2)
+    return eps**4 / main_bound_constant(d)
 
 
 def zeta_max_candidate(eps: Fraction | int, d: int) -> Fraction:
@@ -128,13 +129,13 @@ def make_parameters(eps: Fraction, d: int, zeta: Fraction | float) -> ProofParam
 
 def _support_adjacency(
     ms: MultisetGenerators, n: int
-) -> tuple[list[int], list[tuple[tuple[int, int], ...]]]:
-    """Neighbor masks and weighted rows of the support graph of S'.
+) -> list[tuple[tuple[int, int], ...]]:
+    """Weighted rows of the support graph of S'.
 
     The rows are the (multiplicity, neighbor-mask) layers `_crossing_search`
     takes, one layer per multiplicity of the non-identity elements of S'.
     The identity (multiplicity >= d) gives loops, which carry no crossing
-    weight and are left out of both.
+    weight and are left out.
     """
     mult = ms.group.mult
     by_count: dict[int, list[int]] = {}
@@ -142,16 +143,10 @@ def _support_adjacency(
         if g != ms.group.identity:
             by_count.setdefault(ms.counts[g], []).append(g)
     layers = sorted(by_count.items())
-    masks = []
-    rows = []
-    for x in range(n):
-        row = tuple((w, mask_of(mult[g][x] for g in elems)) for w, elems in layers)
-        acc = 0
-        for _, m in row:
-            acc |= m
-        masks.append(acc)
-        rows.append(row)
-    return masks, rows
+    return [
+        tuple((w, mask_of(mult[g][x] for g in elems)) for w, elems in layers)
+        for x in range(n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -177,6 +172,12 @@ def find_candidate_set(
     The weighted minimiser dominates the spectral existence argument for the
     boundary bound, so when the hypothesis holds in regime the strict ratio
     check is expected to pass; it is verified, never assumed.
+
+    The components of the support graph are the cosets of K = <S·S>. When K
+    has index 2 (the structural certificate H = K exists) each coset has
+    crossing weight zero and n/2 vertices, so the minimiser is the one with
+    the smaller mask; otherwise the graph is connected and the crossing
+    search finds it.
     """
     n = graph.n
     if n > max_exact:
@@ -186,15 +187,13 @@ def find_candidate_set(
     if not t_min < -1.0 + params.zeta:
         return CandidateReport(False, t_min, gap)
     ms = square_multiset(graph.gens, graph.group)
-    masks, rows = _support_adjacency(ms, n)
-    a_mask = _zero_ratio_witness(masks, n)
-    if a_mask is not None:
-        # Components are cosets of the subgroup generated by the support, so
-        # each single component is admissible and has crossing weight zero.
-        size = a_mask.bit_count()
-        if 2 * size > n:
-            raise AssertionError("component larger than half the graph")
+    cert = is_bipartite_structural(graph)
+    if cert is not None:
+        h_mask = mask_of(cert.elements)
+        a_mask = min(h_mask, graph.full_mask ^ h_mask)
+        size = n // 2
     else:
+        rows = _support_adjacency(ms, n)
         _, size, a_mask = _crossing_search(rows, n, graph.group)
     excess = multiset_image_excess(ms, a_mask)
     ratio_ok = excess.weighted < params.beta * size
@@ -445,11 +444,10 @@ def disjointness_check(
     structural_match: bool | None = None
     if disjoint:
         h_set = mask_members(h_mask)
-        certs = graph.memo(INDEX2_MEMO_KEY, lambda: index2_subgroups(group))
         structural_match = any(
             cert.elements == h_set
             and not set(graph.gens.elements).intersection(cert.elements)
-            for cert in certs
+            for cert in index2_subgroups(group)
         )
     conflicts = []
     for t in s_cap_h:

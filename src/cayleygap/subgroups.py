@@ -2,53 +2,32 @@
 
 A connected Cayley graph C(G, S) is bipartite exactly when G has an index-2
 subgroup H with H cap S empty; the parts are then H and its complement.
-Every index-2 subgroup contains all squares and commutators, so the search
-space is the quotient of G by the subgroup N those generate: an elementary
-abelian 2-group whose hyperplanes are in bijection with the index-2 subgroups.
+Such an H holds every product s·t of two generators, so it contains
+K = <S·S>, the elements that are words of even length in S. Since S
+generates G and is symmetric, G = K cup sK for any s in S: K is normal of
+index 1 or 2, and K is the only candidate for H. The graph is therefore
+bipartite exactly when K has index 2, and then K misses S (s in K would give
+K = G). One subgroup closure decides bipartiteness and gives the certificate.
+
+index2_subgroups lists every index-2 subgroup, for the `subgroups` command
+and the proof's independent cross-check. Every index-2 subgroup contains all
+squares and commutators, so the search space is the quotient of G by the
+subgroup N those generate: an elementary abelian 2-group whose hyperplanes
+are in bijection with the index-2 subgroups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .cayley import CayleyGraph
-from .groups import FiniteGroup
-
-# The graph memo key of the index-2 list (see CayleyGraph.memo).
-INDEX2_MEMO_KEY = "index2_subgroups"
+from .groups import FiniteGroup, closure
 
 
 @dataclass(frozen=True)
 class SubgroupCertificate:
     elements: tuple[int, ...]
     index: int
-
-
-def closure(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
-    """Subgroup generated by the seeds.
-
-    BFS under right multiplication; in a finite group the product closure of
-    a set containing the identity is already a subgroup.
-    """
-    mult = group.mult
-    gens = sorted({int(s) for s in seeds} | {group.identity})
-    for s in gens:
-        if not 0 <= s < group.order:
-            raise ValueError(f"seed {s} outside 0..{group.order - 1}")
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = mult[x]
-            for s in gens:
-                y = row[s]
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(members))
 
 
 def squares_commutators_subgroup(group: FiniteGroup) -> SubgroupCertificate:
@@ -138,15 +117,15 @@ def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
 
 
 def is_bipartite_structural(graph: CayleyGraph) -> SubgroupCertificate | None:
-    """First index-2 subgroup disjoint from S, or None.
+    """The index-2 subgroup disjoint from S, or None when there is none.
 
-    "First" is by element-tuple order, so the certificate is deterministic.
-    The index-2 list is kept in the graph's memo under INDEX2_MEMO_KEY.
+    It can only be K = <S·S>, the words of even length (see the module
+    docstring), so it exists exactly when |K| = n/2. Being the only one, it
+    is also the first disjoint subgroup in element-tuple order.
     """
-    s_set = set(graph.gens.elements)
-    certs = graph.memo(INDEX2_MEMO_KEY, lambda: index2_subgroups(graph.group))
-    for cert in certs:
-        if not s_set.intersection(cert.elements):
-            return cert
-    return None
-
+    mult = graph.group.mult
+    gens = graph.gens.elements
+    k = closure(graph.group, {mult[s][t] for s in gens for t in gens})
+    if 2 * len(k) != graph.n:
+        return None
+    return SubgroupCertificate(k, 2)

@@ -30,7 +30,12 @@ from .cheeger import (
 )
 from .errors import CapExceededError, CayleyGapError
 from .groups import default_generators, expand_group_specs, parse_group_spec
-from .proof import ProofTrace, large_set_expansion_check, run_pipeline
+from .proof import (
+    ProofTrace,
+    large_set_expansion_check,
+    main_bound_constant,
+    run_pipeline,
+)
 from .spectral import (
     TOL,
     SpectralSummary,
@@ -62,13 +67,6 @@ CSV_HEADER = (
     "graph,n,d,h,edge_h,lambda2,lambda_n,bipartite,"
     "main_bound_margin,tightness_ratio"
 )
-
-
-def main_bound_constant(d: int) -> int:
-    """Denominator constant 2^9 d^6 (d+1)^2 of the main bound."""
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    return 2**9 * d**6 * (d + 1) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Family suite: every graph the acceptance checks quantify over, with its
-expected bipartiteness, plus cached builders shared across test modules.
+expected bipartiteness, plus cached builders and a random generating-set
+drawer shared across test modules.
 
 Each member's graph is built once; its spectrum and Cheeger certificates are
 kept in that graph's memo."""
@@ -11,8 +12,10 @@ from typing import NamedTuple
 
 from cayleygap import (
     CayleyGraph,
+    FiniteGroup,
     SpectralSummary,
     build_graph,
+    closure,
     dual_cheeger,
     edge_cheeger,
     full_report,
@@ -95,3 +98,18 @@ def rows_of(member: FamilyMember) -> dict[str, CheckRow]:
 
 def small(limit: int) -> list[FamilyMember]:
     return [m for m in MEMBERS if graph_of(m).n <= limit]
+
+
+def random_generators(group: FiniteGroup, draw, loop: bool) -> list[int]:
+    """The drawn elements and their inverses, with the identity (a loop)
+    only if `loop` or G is trivial, topped up with the least element outside
+    the generated subgroup until it is G. Without a loop the graph may be
+    bipartite, with t_min = -1 exactly."""
+    elements = set(draw) - {0}
+    if loop or group.order == 1:
+        elements.add(0)
+    elements |= {group.inv[x] for x in elements}
+    while len(reached := closure(group, elements)) < group.order:
+        missing = min(set(range(group.order)) - set(reached))
+        elements |= {missing, group.inv[missing]}
+    return sorted(elements)

@@ -17,6 +17,7 @@ from cayleygap import (
     FiniteGroup,
     closure,
     eigenvalues_symmetric,
+    index2_subgroups,
     set_image,
     spectrum,
     square_multiset,
@@ -293,6 +294,44 @@ def validate_subgroup(group: FiniteGroup, elements: tuple[int, ...]) -> None:
                 raise AssertionError(
                     f"candidate subgroup not closed: {a} * {b} escapes"
                 )
+
+
+def enumerated_bipartite_certificate(graph: CayleyGraph):
+    """The first index-2 subgroup disjoint from S in element-tuple order,
+    from the full list of index-2 subgroups, or None."""
+    s_set = set(graph.gens.elements)
+    for cert in index2_subgroups(graph.group):
+        if not s_set.intersection(cert.elements):
+            return cert
+    return None
+
+
+def support_component_witness(graph: CayleyGraph) -> int | None:
+    """The (size, mask)-least connected component of the support graph of
+    S·S (loops left out) when it has more than one, else None: a set with no
+    crossing edges is a union of components."""
+    n = graph.n
+    mult = graph.group.mult
+    support = set(square_multiset(graph.gens, graph.group).counts) - {0}
+    comps = []
+    seen: set[int] = set()
+    for v in range(n):
+        if v in seen:
+            continue
+        comp = {v}
+        frontier = [v]
+        while frontier:
+            x = frontier.pop()
+            for g in support:
+                y = mult[g][x]
+                if y not in comp:
+                    comp.add(y)
+                    frontier.append(y)
+        seen |= comp
+        comps.append(sum(1 << x for x in comp))
+    if len(comps) == 1:
+        return None
+    return min(comps, key=lambda c: (c.bit_count(), c))
 
 
 def normalized_adjacency_lists(graph: CayleyGraph) -> list[list[float]]:

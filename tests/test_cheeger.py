@@ -20,7 +20,7 @@ from cayleygap import (
     square_multiset,
     vertex_cheeger,
 )
-from cayleygap.cheeger import _crossing_search, connected_components
+from cayleygap.cheeger import _crossing_search
 from cayleygap.proof import _support_adjacency
 
 import families
@@ -187,7 +187,7 @@ def test_frozen_crossing_minima(key):
     graph = build_graph(*key)
     n = graph.n
     unit = [((1, m),) for m in graph.nbr_masks]
-    _, weighted = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    weighted = _support_adjacency(square_multiset(graph.gens, graph.group), n)
     assert (
         _crossing_search(unit, n, graph.group),
         _crossing_search(weighted, n, graph.group),
@@ -265,7 +265,7 @@ def test_rooted_searches_match_oracles(graph):
     assert (vert.value, vert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
     edge = edge_cheeger(graph)
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
-    _, rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
     assert _crossing_search(rows, n, graph.group) == weighted
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
@@ -386,14 +386,6 @@ def test_trivial_graph_rejected():
         vertex_cheeger(graph)
     with pytest.raises(ValueError, match="n >= 2"):
         edge_cheeger(graph)
-
-
-def test_connected_components():
-    graph = families.graph_of(_member("cyclic:6", "±1"))
-    assert connected_components(graph.nbr_masks, graph.n) == [0b111111]
-    # x <-> x+3 splits into three pairs
-    masks = tuple(1 << ((x + 3) % 6) for x in range(6))
-    assert connected_components(masks, 6) == [0b001001, 0b010010, 0b100100]
 
 
 def test_disconnected_graph_has_zero_cheeger():

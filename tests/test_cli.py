@@ -270,6 +270,26 @@ def test_sweep_error_item(capsys):
     assert len(out.out.splitlines()) == 2   # header + the one good row
 
 
+def test_missing_table_file_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "missing.txt"
+    code = main(["spectrum", "--group", f"table:{path}", "--gens", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == (
+        f"error: cannot read table file {path}: No such file or directory\n")
+    assert out.out == ""
+
+
+def test_sweep_missing_table_file_is_error_item(capsys, tmp_path):
+    path = tmp_path / "missing.txt"
+    code = main(["sweep", "cyclic:3 gens=±1", f"table:{path} gens=1",
+                 "--format", "csv"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert f"error: table:{path} gens=1: cannot read table file" in out.err
+    assert len(out.out.splitlines()) == 2   # header + the one good row
+
+
 def test_sweep_fail_dominates_error(capsys, monkeypatch):
     report = _failing_report()
     assert not report.all_pass

@@ -151,7 +151,7 @@ WEIGHTED_MINIMA = {
 
 def _weighted_search(graph):
     ms = square_multiset(graph.gens, graph.group)
-    _, rows = _support_adjacency(ms, graph.n)
+    rows = _support_adjacency(ms, graph.n)
     return _crossing_search(rows, graph.n, graph.group)
 
 

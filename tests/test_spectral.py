@@ -11,7 +11,6 @@ from cayleygap import (
     GeneratingSet,
     build,
     build_graph,
-    closure,
     eigenvalues_symmetric,
     from_cyclic,
     from_dihedral,
@@ -249,21 +248,6 @@ def test_square_spectrum_consistency(member):
 # Spectra from characters (abelian and dihedral groups)
 
 
-def _random_generators(group, draw, loop) -> list[int]:
-    """The drawn elements and their inverses, with the identity (a loop)
-    only if `loop` or G is trivial, topped up with the least element outside
-    the generated subgroup until it is G. Without a loop the graph may be
-    bipartite, with t_min = -1 exactly."""
-    elements = set(draw) - {0}
-    if loop or group.order == 1:
-        elements.add(0)
-    elements |= {group.inv[x] for x in elements}
-    while len(reached := closure(group, elements)) < group.order:
-        missing = min(set(range(group.order)) - set(reached))
-        elements |= {missing, group.inv[missing]}
-    return sorted(elements)
-
-
 def _assert_matches_dense(graph) -> None:
     t = spectrum(graph).t
     dense = normalized_adjacency(graph)
@@ -283,7 +267,7 @@ def test_abelian_spectrum_matches_dense(radices, data):
     assert group.radices == tuple(radices)
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
     loop = data.draw(st.booleans())
-    _assert_matches_dense(build(group, _random_generators(group, draw, loop)))
+    _assert_matches_dense(build(group, families.random_generators(group, draw, loop)))
 
 
 @given(st.integers(min_value=2, max_value=32), st.data())
@@ -292,7 +276,7 @@ def test_dihedral_spectrum_matches_dense(m, data):
     assert group.dihedral == m
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
     loop = data.draw(st.booleans())
-    _assert_matches_dense(build(group, _random_generators(group, draw, loop)))
+    _assert_matches_dense(build(group, families.random_generators(group, draw, loop)))
 
 
 @pytest.mark.parametrize("group,gens", [
@@ -428,10 +412,5 @@ def test_random_gaps_above_proven_bounds(factors, loop, data):
     for factor in factors[1:]:
         group = from_direct_product(group, factor)
     draw = data.draw(st.sets(st.integers(1, group.order - 1), max_size=6))
-    # The drawn elements and their inverses, with the identity (a loop) or
-    # not, topped up with the least element outside the generated subgroup.
-    elements = {*draw, *(group.inv[x] for x in draw)} | ({0} if loop else set())
-    while len(reached := closure(group, elements)) < group.order:
-        missing = min(set(range(group.order)) - set(reached))
-        elements |= {missing, group.inv[missing]}
-    _assert_gaps_above_proven_bounds(build(group, elements))
+    _assert_gaps_above_proven_bounds(
+        build(group, families.random_generators(group, draw, loop)))

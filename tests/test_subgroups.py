@@ -1,13 +1,25 @@
-import pytest
+import functools
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
+import cayleygap.proof
+import cayleygap.subgroups
 from cayleygap import (
+    build,
+    build_graph,
     closure,
+    find_candidate_set,
     from_cyclic,
     from_dihedral,
     from_direct_product,
     from_symmetric,
+    full_report,
     index2_subgroups,
     is_bipartite_structural,
+    make_parameters,
+    mask_members,
     squares_commutators_subgroup,
 )
 from cayleygap.groups import parse_group_spec
@@ -155,3 +167,56 @@ def test_squares_and_index2_match_oracles(spec):
     assert len(subs) == cert.index - 1
     for sub in subs:
         oracles.validate_subgroup(group, sub.elements)
+
+
+_SPECS = st.one_of(
+    st.integers(1, 40).map(lambda n: f"cyclic:{n}"),
+    st.integers(2, 20).map(lambda m: f"dihedral:{m}"),
+    st.integers(1, 4).map(lambda k: f"symmetric:{k}"),
+    st.sampled_from([
+        "product:dihedral:3xcyclic:2",
+        "product:dihedral:4xcyclic:2",
+        "product:symmetric:3xcyclic:2",
+        "product:cyclic:2xcyclic:4",
+        "product:cyclic:4xcyclic:6",
+        "product:cyclic:2xcyclic:2xcyclic:2",
+    ]),
+)
+
+
+@functools.cache
+def _group(spec):
+    return parse_group_spec(spec).build()
+
+
+@given(_SPECS, st.booleans(), st.data())
+def test_structural_and_candidate_match_references(spec, loop, data):
+    """The <S·S> certificate is the first disjoint subgroup of the full
+    index-2 list, and the candidate half-set of a bipartite graph is the
+    least component of the S·S support graph."""
+    group = _group(spec)
+    draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
+    graph = build(group, families.random_generators(group, draw, loop))
+    cert = is_bipartite_structural(graph)
+    assert cert == oracles.enumerated_bipartite_certificate(graph)
+    witness = oracles.support_component_witness(graph)
+    assert (witness is None) == (cert is None)
+    if cert is not None:
+        params = make_parameters(Fraction(1), graph.d, Fraction(1, 2))
+        candidate = find_candidate_set(graph, params, max_exact=graph.n)
+        assert candidate.a_set == mask_members(witness)
+
+
+@pytest.mark.parametrize("spec,gens,bipartite", [
+    ("cyclic:7", "±1", False),
+    ("product:" + "x".join(["cyclic:2"] * 7), "1,2,4,8,16,32,64", True),
+])
+def test_full_report_runs_no_index2_enumeration(monkeypatch, spec, gens,
+                                                bipartite):
+    def refuse(group):
+        raise AssertionError("index2_subgroups was called")
+
+    monkeypatch.setattr(cayleygap.subgroups, "index2_subgroups", refuse)
+    monkeypatch.setattr(cayleygap.proof, "index2_subgroups", refuse)
+    report = full_report(build_graph(spec, gens))
+    assert report.bipartite_structural == bipartite

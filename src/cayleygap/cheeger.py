@@ -8,9 +8,12 @@ All three isoperimetric quantities are exact rationals:
                     V1, V2, V3 with V1 cup V2 nonempty.
 
 Witnesses are deterministic: the minimum (resp. first maximum) under the
-tie-break (ratio, |A|, bitmask value). The enumerators prune a subtree only
-when no set (or pair) in it can replace the incumbent under that tie-break,
-so the result equals the naive all-subsets scan, value and witness both.
+tie-break (ratio, |A|, bitmask value), so every result equals the naive
+all-subsets scan, value and witness both. The edge and dual enumerators
+prune a subtree only when no set (or pair) in it can replace the incumbent
+under that tie-break. The vertex search first finds (ratio, |A|), pruning
+every subtree that cannot lower it, and then searches the sets of that size
+and boundary for the smallest bitmask.
 """
 
 from __future__ import annotations
@@ -66,66 +69,142 @@ def _translate_minimiser(group: FiniteGroup, n: int) -> Callable[[int, int], int
     return smallest
 
 
-# Both searches below enumerate sets in the same depth-first order and prune
-# a subtree only when even its best completion has a strictly worse ratio.
-# Right translation x -> x·g is a graph automorphism, so every set has a
-# translate containing vertex 0 (the identity) with the same size and ratio:
-# only those sets are enumerated, starting from the rooted set {0}, and the
-# incumbent mask is kept as the smallest right translate of the best rooted
-# set found so far. The result is the (ratio, size, mask) minimum over all
-# admissible sets.
+# Both searches below use right translation x -> x·g, a graph automorphism:
+# every set has a translate containing vertex 0 (the identity) with the same
+# size and ratio, so the (ratio, size) minimum is found by enumerating only
+# the sets that contain 0, depth first from the rooted set {0} in vertex
+# order. The witness is the (ratio, size, mask) minimum over all admissible
+# sets. The vertex search finds it in a second pass over all sets of the
+# optimal size; the crossing search prunes only strictly worse subtrees and
+# keeps its incumbent mask as the smallest right translate of the best
+# rooted set found so far.
 
 
 def _vertex_search(
     nbr_masks: Sequence[int], n: int, group: FiniteGroup
 ) -> tuple[int, int, int]:
-    """Minimise |delta(A)|/|A|; returns (boundary, size, mask)."""
-    full = (1 << n) - 1
+    """Minimise |delta(A)|/|A|; returns (boundary, size, mask).
+
+    Pass 1 finds the value (b*, k*), the least ratio and then the least size,
+    over the rooted sets. Below a node, A holds `mask`, the passed-over
+    vertices can never join, and at most slack = kmax - |A| future vertices
+    may still join. Passed-over neighbours of A are boundary for good (pb).
+    A live vertex y (future and adjacent to A) is boundary unless it joins,
+    and if it joins, its neighbours among the passed-over vertices Q not
+    adjacent to A become boundary. If j live vertices join, the boundary is
+    at least pb + (live - j) + q_(j), where q_(j) is the j-th smallest
+    q_y = |N(y) ∩ Q| (q_(0) = 0): the union of the joiners' Q-neighbours is
+    at least as large as the largest of their q_y. Capping q_y at 2 keeps
+    this a lower bound, and the minimum over j <= min(slack, live) is lb.
+    The cheap bound, which takes every q_y as 0, is tried first.
+
+    Every set in a subtree has size at most kmax and boundary at least lb,
+    so its ratio is at least lb/kmax, strictly more unless its size is kmax
+    or lb = 0. A subtree (or the rest of a loop) is pruned when lb/kmax
+    exceeds the incumbent ratio, and also when it only ties it and the
+    smallest of its sets that can tie is not below the incumbent size: none
+    of them can then lower (ratio, size). That set has size kmax when the
+    ratio is above 0, and one more than |A| at ratio 0, where any set with
+    no boundary ties.
+
+    Pass 2 returns the smallest mask among all sets, rooted or not, with
+    |A| = k* and |delta(A)| = b*: no set of size k* has a smaller boundary,
+    so that is the (ratio, size, mask) minimum. Elements are chosen from the
+    top down, each in ascending order, so the first complete set is the
+    smallest mask. Once the elements at and above e are decided, every
+    neighbour above e outside A is boundary (pb), and of the cand neighbours
+    below e at most `left` more elements can be absorbed, so a branch with
+    pb + max(0, cand - left) > b* is pruned. `group` is not read: the value
+    does not depend on it and the witness is searched directly.
+    """
     kcap = n // 2
     below = [(1 << u) - 1 for u in range(n + 1)]
     masks = list(nbr_masks)
-    smallest = _translate_minimiser(group, n)
-    best_num, best_size, best_mask = (masks[0] & ~1).bit_count(), 1, 1   # the rooted set {0}
+    best_num, best_size = (masks[0] & ~1).bit_count(), 1   # the rooted set {0}
+
+    def passed_over_bound(live_mask: int, live: int, j: int, passed: int) -> int:
+        # min over i <= j joiners of live - i + q_(i), q_y capped at 2. q1, q2
+        # hold the vertices with at least one and at least two neighbours in
+        # `passed` (Q); adjacency is symmetric, so they are built from the
+        # neighbour masks of Q's members. The i joiners with q_y <= 1 come
+        # first; among them the sum does not increase with i.
+        q1 = q2 = 0
+        while passed:
+            low = passed & -passed
+            m = masks[low.bit_length() - 1]
+            q2 |= q1 & m
+            q1 |= m
+            passed ^= low
+        one = (live_mask & q1).bit_count()
+        two = (live_mask & q2).bit_count()
+        i = j if j < live - two else live - two
+        extra = live - i + (i > live - one)
+        if j > i and live - j + 2 < extra:
+            extra = live - j + 2
+        return extra
 
     def extend(start: int, mask: int, size: int, nbr: int) -> None:
-        nonlocal best_num, best_size, best_mask
+        nonlocal best_num, best_size
         bn, bs = best_num, best_size
         for u in range(start, n):
             # Everything left in this loop extends `mask`; vertices below u
             # that are boundary now can never be absorbed.
-            kmax_loop = size + (n - u)
-            if kmax_loop > kcap:
-                kmax_loop = kcap
-            pb_loop = (nbr & below[u] & ~mask).bit_count()
-            if pb_loop * bs > bn * kmax_loop:
+            kmax = size + (n - u)
+            if kmax > kcap:
+                kmax = kcap
+            lhs = (nbr & below[u] & ~mask).bit_count() * bs
+            rhs = bn * kmax
+            if lhs > rhs or (lhs == rhs and (kmax if bn else size + 1) >= bs):
                 break
             mask2 = mask | (1 << u)
             size2 = size + 1
             nbr2 = nbr | masks[u]
-            num2 = (nbr2 & ~mask2 & full).bit_count()
+            num2 = (nbr2 & ~mask2).bit_count()
             lhs = num2 * bs
             rhs = bn * size2
-            if lhs < rhs or (lhs == rhs and size2 <= bs):
-                tie = lhs == rhs and size2 == bs
-                best_mask = smallest(mask2, best_mask if tie else mask2)
-                best_num, best_size = num2, size2
-                bn, bs = num2, size2
+            if lhs < rhs or (lhs == rhs and size2 < bs):
+                best_num, best_size = bn, bs = num2, size2
             if size2 < kcap and u + 1 < n:
                 kmax = size2 + (n - u - 1)
                 if kmax > kcap:
                     kmax = kcap
                 pb = (nbr2 & below[u + 1] & ~mask2).bit_count()
-                live = (nbr2 & ~below[u + 1]).bit_count()
-                slack = kmax - size2
-                lb = pb + (live - slack if live > slack else 0)
-                if lb * bs <= bn * kmax:
-                    extend(u + 1, mask2, size2, nbr2)
-                    bn, bs = best_num, best_size
-        return
+                live_mask = nbr2 & ~below[u + 1]
+                live = live_mask.bit_count()
+                j = kmax - size2
+                if j > live:
+                    j = live
+                rhs = bn * kmax
+                ties = (kmax if bn else size2 + 1) < bs   # a tie can lower the size
+                lhs = (pb + live - j) * bs
+                if lhs < rhs or (lhs == rhs and ties):
+                    passed = below[u + 1] & ~mask2 & ~nbr2
+                    lhs = (pb + passed_over_bound(live_mask, live, j, passed)) * bs
+                    if lhs < rhs or (lhs == rhs and ties):
+                        extend(u + 1, mask2, size2, nbr2)
+                        bn, bs = best_num, best_size
+
+    def smallest(top: int, chosen: int, nbr: int, left: int) -> int:
+        # The smallest completion of `chosen` by `left` elements below `top`
+        # with boundary at most best_num, or 0: the highest open element e
+        # is tried in ascending order.
+        left -= 1
+        for e in range(left, top):
+            a = chosen | (1 << e)
+            nb = nbr | masks[e]
+            cand = (nb & below[e]).bit_count()
+            lb = (nb & ~below[e] & ~a).bit_count() + (cand - left if cand > left else 0)
+            if lb <= best_num:
+                if not left:
+                    return a
+                found = smallest(e, a, nb, left)
+                if found:
+                    return found
+        return 0
 
     if kcap > 1:
         extend(1, 1, 1, masks[0])
-    return best_num, best_size, best_mask
+    return best_num, best_size, smallest(n, 0, 0, best_size)
 
 
 def _crossing_search(

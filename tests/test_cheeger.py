@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from cayleygap import (
     square_multiset,
     vertex_cheeger,
 )
-from cayleygap.cheeger import _crossing_search
+from cayleygap.cheeger import _crossing_search, _vertex_search
 from cayleygap.proof import _support_adjacency
 
 import families
@@ -125,7 +126,9 @@ def test_s4_adjacent_witnesses():
 
 def test_s4_transpositions_values():
     graph = families.graph_of(_member("symmetric:4", "auto"))
-    assert vertex_cheeger(graph).value == Fraction(5, 6)
+    vert = vertex_cheeger(graph)
+    assert vert.value == Fraction(5, 6)
+    assert vert.witness == (0, 1, 2, 3, 7, 8, 9, 10, 11, 12, 13, 14)
     edge = edge_cheeger(graph)
     assert edge.value == Fraction(1, 3)
     assert edge.witness == (0, 1, 3, 4, 5, 7, 8, 10, 15, 16, 18, 19)
@@ -194,6 +197,26 @@ def test_frozen_crossing_minima(key):
     ) == CROSSING_MINIMA[key]
 
 
+# (boundary, size, mask) of `_vertex_search` on the same graphs and on
+# cyclic:24 ±1, frozen from the one-pass search whose witness was the smallest
+# right translate of its first rooted minimiser, so that a change to the
+# pruning or to the witness search that moves the minimum fails.
+VERTEX_MINIMA = {
+    ("symmetric:4", "auto"): (10, 12, 0b111111110001111),
+    ("symmetric:4", "(0 1);(1 2);(2 3)"): (6, 12, 0b110000101111110111),
+    ("dihedral:12", "auto"): (4, 12, 0b11111111110000011),
+    ("dihedral:11", "auto"): (4, 11, 0b1111111110000011),
+    ("cyclic:23", "±1,±2"): (4, 11, 0b11111111111),
+    ("cyclic:24", "±1"): (2, 12, 0b111111111111),
+}
+
+
+@pytest.mark.parametrize("key", list(VERTEX_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_vertex_minima(key):
+    graph = build_graph(*key)
+    assert _vertex_search(graph.nbr_masks, graph.n, graph.group) == VERTEX_MINIMA[key]
+
+
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
 def test_vertex_engine_matches_oracle(member):
     graph = families.graph_of(member)
@@ -219,6 +242,33 @@ def test_dual_engine_matches_oracle(member):
     cert = dual_cheeger(graph)
     assert cert.value == value
     assert cert.witness_pair == pair
+
+
+# Seeded graphs of order 13..16, above the families.small(12) members the
+# oracle checks: (group, seed of the drawn elements, loop).
+_MID_GRAPHS = [
+    (from_cyclic(13), 1, False),
+    (from_cyclic(14), 2, True),
+    (from_dihedral(7), 3, False),
+    (from_cyclic(15), 4, False),
+    (from_direct_product(from_cyclic(3), from_cyclic(5)), 5, True),
+    (from_cyclic(16), 6, False),
+    (from_dihedral(8), 7, True),
+    (from_dihedral(8), 8, False),
+    (from_direct_product(from_cyclic(2), from_cyclic(8)), 9, False),
+    (from_direct_product(from_cyclic(4), from_cyclic(4)), 10, True),
+]
+
+
+@pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
+                         ids=lambda v: str(v) if isinstance(v, (int, bool)) else v.name)
+def test_vertex_engine_matches_oracle_above_12(group, seed, loop):
+    draw = random.Random(seed).sample(range(1, group.order), 2)
+    graph = build(group, families.random_generators(group, draw, loop))
+    cert = vertex_cheeger(graph)
+    assert (cert.value, cert.witness) == oracles.naive_vertex_cheeger(
+        graph.nbr_masks, graph.n
+    )
 
 
 @pytest.mark.parametrize("n", range(10, 15))
@@ -388,16 +438,27 @@ def test_trivial_graph_rejected():
         edge_cheeger(graph)
 
 
-def test_disconnected_graph_has_zero_cheeger():
-    # x <-> x+3 on Z/6: three disjoint edges, never produced by build()
-    g = from_cyclic(6)
-    neighbors = tuple((g.mult[3][x],) for x in range(6))
-    graph = CayleyGraph(
+def _matching_graph(n):
+    """x <-> x+n/2 on Z/n: n/2 disjoint edges, never produced by build()."""
+    g = from_cyclic(n)
+    half = n // 2
+    neighbors = tuple((g.mult[half][x],) for x in range(n))
+    return CayleyGraph(
         group=g,
-        gens=GeneratingSet((3,)),
+        gens=GeneratingSet((half,)),
         neighbors=neighbors,
         nbr_masks=tuple(1 << row[0] for row in neighbors),
     )
-    cert = vertex_cheeger(graph)
+
+
+def test_disconnected_graph_has_zero_cheeger():
+    cert = vertex_cheeger(_matching_graph(6))
     assert cert.value == 0
     assert cert.witness == (0, 3)
+
+
+def test_zero_ratio_ties_keep_the_smallest_size():
+    # A union of two of the four edges also has ratio 0; pruning the
+    # subtrees that only tie ratio 0 would return one of those.
+    graph = _matching_graph(8)
+    assert _vertex_search(graph.nbr_masks, 8, graph.group) == (0, 2, 0b10001)

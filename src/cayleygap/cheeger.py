@@ -9,22 +9,21 @@ All three isoperimetric quantities are exact rationals:
 
 Witnesses are deterministic: the minimum (resp. first maximum) under the
 tie-break (ratio, |A|, bitmask value), so every result equals the naive
-all-subsets scan, value and witness both. The edge and dual enumerators
-prune a subtree only when no set (or pair) in it can replace the incumbent
-under that tie-break. The vertex search first finds (ratio, |A|), pruning
-every subtree that cannot lower it, and then searches the sets of that size
-and boundary for the smallest bitmask.
+all-subsets scan, value and witness both. The dual enumerator prunes a
+subtree only when no pair in it can replace the incumbent under that
+tie-break. The vertex, edge and S'-weighted searches share one witness rule:
+they first find (ratio, |A|), pruning every subtree that cannot lower it,
+and then search the sets of that size and ratio for the smallest bitmask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from .cayley import CayleyGraph, mask_members, right_translate
+from .cayley import CayleyGraph, mask_members, mask_of
 from .errors import CapExceededError
-from .groups import FiniteGroup
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -38,51 +37,45 @@ class CheegerCertificate:
     witness_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _translate_minimiser(group: FiniteGroup, n: int) -> Callable[[int, int], int]:
-    """Return smallest(a, bound) = min(bound, min over g of a·g).
+# The rooted searches below use right translation x -> x·g, a graph
+# automorphism: every set has a translate containing vertex 0 (the identity)
+# with the same size and ratio, so the (ratio, size) minimum is found by
+# enumerating only the sets that contain 0, depth first from the rooted set
+# {0} in vertex order, and pruning every subtree that cannot lower it. The
+# witness is the (ratio, size, mask) minimum over all admissible sets:
+# _smallest_mask finds it in a second pass over all sets of the optimal size.
 
-    The minimum runs over the right translates a·g of the vertex set a, which
-    must contain vertex 0 (the identity). A translate can only beat `bound`
-    if every x·g (x in a) lies below the top bit of `bound`: that rules out
-    every g at or above it (0·g = g), and a is tested against
-    out[g] = {x : x·g at or above that bit} before a·g is formed. Each out
-    table is built once per top bit.
+
+def _smallest_mask(
+    n: int, size: int, bound: int,
+    step: Callable[[Any, int, int, int], tuple[Any, int]], state: Any,
+) -> int:
+    """The smallest mask of `size` vertices whose objective is at most `bound`.
+
+    Elements are chosen from the top down, each in ascending order, so the
+    first complete set is the smallest mask. step(state, e, a, left) adds the
+    element e to the set (a is the result) and returns (state, lb): lb bounds
+    the objective of every completion of a by `left` more elements below e,
+    and is exact when left == 0. A branch with lb > bound is pruned.
     """
-    full = (1 << n) - 1
-    outs: dict[int, list[int]] = {}
 
-    def smallest(a: int, bound: int) -> int:
-        top = bound.bit_length()
-        out = outs.get(top)
-        if out is None:
-            high = full & ~((1 << top) - 1)
-            out = outs[top] = [
-                right_translate(group, high, group.inv[g]) for g in range(top)
-            ]
-        for g in range(top):
-            if not a & out[g]:
-                img = right_translate(group, a, g)
-                if img < bound:
-                    bound = img
-        return bound
+    def walk(top: int, chosen: int, state: Any, left: int) -> int:
+        left -= 1
+        for e in range(left, top):
+            a = chosen | (1 << e)
+            state2, lb = step(state, e, a, left)
+            if lb <= bound:
+                if not left:
+                    return a
+                found = walk(e, a, state2, left)
+                if found:
+                    return found
+        return 0
 
-    return smallest
+    return walk(n, 0, state, size)
 
 
-# Both searches below use right translation x -> x·g, a graph automorphism:
-# every set has a translate containing vertex 0 (the identity) with the same
-# size and ratio, so the (ratio, size) minimum is found by enumerating only
-# the sets that contain 0, depth first from the rooted set {0} in vertex
-# order. The witness is the (ratio, size, mask) minimum over all admissible
-# sets. The vertex search finds it in a second pass over all sets of the
-# optimal size; the crossing search prunes only strictly worse subtrees and
-# keeps its incumbent mask as the smallest right translate of the best
-# rooted set found so far.
-
-
-def _vertex_search(
-    nbr_masks: Sequence[int], n: int, group: FiniteGroup
-) -> tuple[int, int, int]:
+def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
     """Minimise |delta(A)|/|A|; returns (boundary, size, mask).
 
     Pass 1 finds the value (b*, k*), the least ratio and then the least size,
@@ -108,14 +101,11 @@ def _vertex_search(
     no boundary ties.
 
     Pass 2 returns the smallest mask among all sets, rooted or not, with
-    |A| = k* and |delta(A)| = b*: no set of size k* has a smaller boundary,
-    so that is the (ratio, size, mask) minimum. Elements are chosen from the
-    top down, each in ascending order, so the first complete set is the
-    smallest mask. Once the elements at and above e are decided, every
-    neighbour above e outside A is boundary (pb), and of the cand neighbours
-    below e at most `left` more elements can be absorbed, so a branch with
-    pb + max(0, cand - left) > b* is pruned. `group` is not read: the value
-    does not depend on it and the witness is searched directly.
+    |A| = k* and |delta(A)| <= b*: no set of size k* has a smaller boundary,
+    so that is the (ratio, size, mask) minimum. Once the elements at and
+    above e are decided, every neighbour above e outside A is boundary (pb),
+    and of the cand neighbours below e at most `left` more elements can be
+    absorbed, so pb + max(0, cand - left) bounds the boundary.
     """
     kcap = n // 2
     below = [(1 << u) - 1 for u in range(n + 1)]
@@ -184,31 +174,18 @@ def _vertex_search(
                         extend(u + 1, mask2, size2, nbr2)
                         bn, bs = best_num, best_size
 
-    def smallest(top: int, chosen: int, nbr: int, left: int) -> int:
-        # The smallest completion of `chosen` by `left` elements below `top`
-        # with boundary at most best_num, or 0: the highest open element e
-        # is tried in ascending order.
-        left -= 1
-        for e in range(left, top):
-            a = chosen | (1 << e)
-            nb = nbr | masks[e]
-            cand = (nb & below[e]).bit_count()
-            lb = (nb & ~below[e] & ~a).bit_count() + (cand - left if cand > left else 0)
-            if lb <= best_num:
-                if not left:
-                    return a
-                found = smallest(e, a, nb, left)
-                if found:
-                    return found
-        return 0
+    def step(nbr: int, e: int, a: int, left: int) -> tuple[int, int]:
+        nb = nbr | masks[e]
+        cand = (nb & below[e]).bit_count()
+        return nb, (nb & ~below[e] & ~a).bit_count() + (cand - left if cand > left else 0)
 
     if kcap > 1:
         extend(1, 1, 1, masks[0])
-    return best_num, best_size, smallest(n, 0, 0, best_size)
+    return best_num, best_size, _smallest_mask(n, best_size, best_num, step, 0)
 
 
 def _crossing_search(
-    rows: Sequence[tuple[tuple[int, int], ...]], n: int, group: FiniteGroup
+    rows: Sequence[tuple[tuple[int, int], ...]], n: int
 ) -> tuple[int, int, int]:
     """Minimise the weighted crossing count w(A, A^c)/|A| over
     1 <= |A| <= n//2; returns (crossing, size, mask).
@@ -218,65 +195,74 @@ def _crossing_search(
     Loops (bit u in rows[u]) never cross. Unit weights in one layer give the
     edge Cheeger count |E(A, A^c)|.
 
-    Below a node, A holds `mask`, the passed-over set P can never join, and
-    the future vertices y (above the last one decided) are free. Let c_y and
-    p_y be y's weight to A and to P. In any completion y pays at least
-    min(c_y, p_y): its edges to P cross if it joins A, its edges to A if it
-    does not. These edges are disjoint from each other and from the
-    A-P edges, so every completion crosses at least
+    Pass 1 finds the value (b*, k*), the least ratio and then the least size,
+    over the rooted sets. Below a node, A holds `mask`, the passed-over set P
+    can never join, and the future vertices y (above the last one decided)
+    are free. Let c_y and p_y be y's weight to A and to P. In any completion
+    y pays at least min(c_y, p_y): its edges to P cross if it joins A, its
+    edges to A if it does not. These edges are disjoint from each other and
+    from the A-P edges, so every completion crosses at least
         lb = w(A, P) + sum over future y of min(c_y, p_y).
     min(c, p) is the number of k >= 1 with c >= k and p >= k; counting only
     k = 1, 2 keeps lb a lower bound and fits in bit planes c1 = {c >= 1},
-    c2 = {c >= 2} (likewise p1, p2), so the sum is two popcounts. A subtree
-    (or the rest of a loop) is pruned when lb/kmax exceeds the incumbent
-    ratio strictly; every set in it is then strictly worse than the
-    incumbent, so the first minimiser in enumeration order, and with it the
-    smallest-translate witness, is the one the unpruned scan finds.
+    c2 = {c >= 2} (likewise p1, p2), so the sum is two popcounts. Subtrees
+    (and the rest of a loop) are pruned as in _vertex_search: when lb/kmax
+    exceeds the incumbent ratio, and when it only ties it and the smallest of
+    its sets that can tie (size kmax, or |A| + 1 at ratio 0) is not below the
+    incumbent size.
+
+    Pass 2 returns the smallest mask among all sets, rooted or not, with
+    |A| = k* and crossing at most b*. Once the elements at and above e are
+    decided, a vertex y below e that joins A stops crossing to A and starts
+    crossing to the vertices at and above e that stay out, and the edges
+    among the vertices below e only add crossings. So with c_y and h_y the
+    weight of y to A and to the vertices at and above e, a completion by
+    `left` more elements crosses at least
+        w(A, A^c) + (sum of the `left` smallest h_y - 2 c_y over y < e).
     """
     kcap = n // 2
-    # deg[u]: weight from u to every other vertex; low[u]: to vertices below u.
-    deg = [sum(w * (m & ~(1 << u)).bit_count() for w, m in rows[u]) for u in range(n)]
-    low = [sum(w * (m & ((1 << u) - 1)).bit_count() for w, m in rows[u]) for u in range(n)]
-    # one[u], two[u]: vertices joined to u with weight >= 1 and >= 2. Adding u
-    # to a set with planes (x1, x2) gives (x1 | one[u], x2 | two[u] | x1 & one[u]).
-    one, two = [0] * n, [0] * n
+    # weight[u][y]: total weight of the edges u-y, loops dropped.
+    weight = [[0] * n for _ in range(n)]
     for u in range(n):
         for w, m in rows[u]:
-            two[u] |= m if w > 1 else one[u] & m
-            one[u] |= m
+            for y in mask_members(m & ~(1 << u)):
+                weight[u][y] += w
+    # deg[u]: weight from u to every other vertex; low[u]: to vertices below u.
+    deg = [sum(row) for row in weight]
+    low = [sum(row[:u]) for u, row in enumerate(weight)]
+    # one[u], two[u]: vertices joined to u with weight >= 1 and >= 2. Adding u
+    # to a set with planes (x1, x2) gives (x1 | one[u], x2 | two[u] | x1 & one[u]).
+    one = [mask_of(y for y, w in enumerate(row) if w) for row in weight]
+    two = [mask_of(y for y, w in enumerate(row) if w > 1) for row in weight]
     above = [~((1 << u) - 1) for u in range(n + 1)]   # vertices u, u+1, ...
-    smallest = _translate_minimiser(group, n)
-    best_num, best_size, best_mask = deg[0], 1, 1   # the rooted set {0}
+    best_num, best_size = deg[0], 1   # the rooted set {0}
 
     def extend(start: int, mask: int, size: int, eb: int, pe: int,
                c1: int, c2: int, p1: int, p2: int) -> None:
         # eb: crossing weight of `mask`; pe: crossing weight between `mask`
         # and vertices already passed over (they can never join A); c1, c2
         # and p1, p2: the planes of `mask` and of the passed-over vertices.
-        nonlocal best_num, best_size, best_mask
+        nonlocal best_num, best_size
         bn, bs = best_num, best_size
         pe_run = pe
         for u in range(start, n):
-            kmax_loop = size + (n - u)
-            if kmax_loop > kcap:
-                kmax_loop = kcap
+            kmax = size + (n - u)
+            if kmax > kcap:
+                kmax = kcap
             f = above[u]
-            lb = pe_run + (c1 & p1 & f).bit_count() + (c2 & p2 & f).bit_count()
-            if lb * bs > bn * kmax_loop:
+            lhs = (pe_run + (c1 & p1 & f).bit_count() + (c2 & p2 & f).bit_count()) * bs
+            rhs = bn * kmax
+            if lhs > rhs or (lhs == rhs and (kmax if bn else size + 1) >= bs):
                 break
             inner = 0   # weight between u and `mask`, which lies below u
             for w, m in rows[u]:
                 inner += w * (m & mask).bit_count()
-            mask2 = mask | (1 << u)
             eb2 = eb + deg[u] - 2 * inner
             size2 = size + 1
             lhs = eb2 * bs
             rhs = bn * size2
-            if lhs < rhs or (lhs == rhs and size2 <= bs):
-                tie = lhs == rhs and size2 == bs
-                best_mask = smallest(mask2, best_mask if tie else mask2)
-                best_num, best_size = eb2, size2
-                bn, bs = eb2, size2
+            if lhs < rhs or (lhs == rhs and size2 < bs):
+                best_num, best_size = bn, bs = eb2, size2
             r1, r2 = one[u], two[u]
             if size2 < kcap and u + 1 < n:
                 kmax = size2 + (n - u - 1)
@@ -286,18 +272,34 @@ def _crossing_search(
                 d1 = c1 | r1
                 d2 = c2 | r2 | (c1 & r1)
                 f = above[u + 1]
-                lb = pe2 + (d1 & p1 & f).bit_count() + (d2 & p2 & f).bit_count()
-                if lb * bs <= bn * kmax:
-                    extend(u + 1, mask2, size2, eb2, pe2, d1, d2, p1, p2)
+                lhs = (pe2 + (d1 & p1 & f).bit_count() + (d2 & p2 & f).bit_count()) * bs
+                rhs = bn * kmax
+                if lhs < rhs or (lhs == rhs and (kmax if bn else size2 + 1) < bs):
+                    extend(u + 1, mask | (1 << u), size2, eb2, pe2, d1, d2, p1, p2)
                     bn, bs = best_num, best_size
             pe_run += inner
             p2 |= r2 | (p1 & r1)
             p1 |= r1
-        return
+
+    # high[e][y]: y's weight to the vertices e, e+1, ...
+    high = [[0] * n for _ in range(n + 1)]
+    for e in range(n - 1, -1, -1):
+        high[e] = [h + w for h, w in zip(high[e + 1], weight[e])]
+
+    def step(state: tuple[list[int], int], e: int, a: int,
+             left: int) -> tuple[tuple[list[int], int], int]:
+        # state: (c, w(A, A^c)), c[y] the weight of y to A for y below the
+        # last element added.
+        c, cross = state
+        cross += deg[e] - 2 * c[e]
+        row, he = weight[e], high[e]
+        c = [c[y] + row[y] for y in range(e)]
+        gains = sorted([he[y] - 2 * c[y] for y in range(e)])
+        return (c, cross), cross + sum(gains[:left])
 
     if kcap > 1:
         extend(1, 1, 1, deg[0], 0, one[0], two[0], 0, 0)
-    return best_num, best_size, best_mask
+    return best_num, best_size, _smallest_mask(n, best_size, best_num, step, ([0] * n, 0))
 
 
 def _require_exact(n: int, max_exact: int) -> None:
@@ -313,7 +315,7 @@ def vertex_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) ->
 
 
 def _vertex_certificate(graph: CayleyGraph) -> CheegerCertificate:
-    num, size, mask = _vertex_search(graph.nbr_masks, graph.n, graph.group)
+    num, size, mask = _vertex_search(graph.nbr_masks, graph.n)
     return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
 
 
@@ -324,7 +326,7 @@ def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> C
 
 def _edge_certificate(graph: CayleyGraph) -> CheegerCertificate:
     rows = [((1, m),) for m in graph.nbr_masks]
-    num, size, mask = _crossing_search(rows, graph.n, graph.group)
+    num, size, mask = _crossing_search(rows, graph.n)
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 
 

@@ -194,7 +194,7 @@ def find_candidate_set(
         size = n // 2
     else:
         rows = _support_adjacency(ms, n)
-        _, size, a_mask = _crossing_search(rows, n, graph.group)
+        _, size, a_mask = _crossing_search(rows, n)
     excess = multiset_image_excess(ms, a_mask)
     ratio_ok = excess.weighted < params.beta * size
     return CandidateReport(

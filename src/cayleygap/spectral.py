@@ -249,7 +249,7 @@ def _summary(graph: CayleyGraph) -> SpectralSummary:
     # T is symmetric and stochastic, so its spectrum lies in [-1, 1] exactly;
     # anything outside is rounding, and clamping it only removes error.
     t = [min(1.0, max(-1.0, x)) for x in values]
-    if abs(t[-1] - 1.0) > 1e-9:
+    if abs(t[-1] - 1.0) > TOL:
         raise AssertionError(f"top adjacency eigenvalue {t[-1]!r}, expected 1")
     lam = tuple(1.0 - t[len(t) - 1 - i] for i in range(len(t)))
     return SpectralSummary(tuple(t), lam)

@@ -192,8 +192,8 @@ def test_frozen_crossing_minima(key):
     unit = [((1, m),) for m in graph.nbr_masks]
     weighted = _support_adjacency(square_multiset(graph.gens, graph.group), n)
     assert (
-        _crossing_search(unit, n, graph.group),
-        _crossing_search(weighted, n, graph.group),
+        _crossing_search(unit, n),
+        _crossing_search(weighted, n),
     ) == CROSSING_MINIMA[key]
 
 
@@ -214,7 +214,7 @@ VERTEX_MINIMA = {
 @pytest.mark.parametrize("key", list(VERTEX_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
 def test_frozen_vertex_minima(key):
     graph = build_graph(*key)
-    assert _vertex_search(graph.nbr_masks, graph.n, graph.group) == VERTEX_MINIMA[key]
+    assert _vertex_search(graph.nbr_masks, graph.n) == VERTEX_MINIMA[key]
 
 
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
@@ -263,12 +263,18 @@ _MID_GRAPHS = [
 @pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
                          ids=lambda v: str(v) if isinstance(v, (int, bool)) else v.name)
 def test_vertex_engine_matches_oracle_above_12(group, seed, loop):
+    # The vertex, edge and S'-weighted searches, above the n <= 12 reach of
+    # the hypothesis-drawn graphs.
     draw = random.Random(seed).sample(range(1, group.order), 2)
     graph = build(group, families.random_generators(group, draw, loop))
+    n = graph.n
     cert = vertex_cheeger(graph)
-    assert (cert.value, cert.witness) == oracles.naive_vertex_cheeger(
-        graph.nbr_masks, graph.n
-    )
+    assert (cert.value, cert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
+    edge = edge_cheeger(graph)
+    assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
+    rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
+    assert _crossing_search(rows, n) == weighted
 
 
 @pytest.mark.parametrize("n", range(10, 15))
@@ -317,7 +323,7 @@ def test_rooted_searches_match_oracles(graph):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(rows, n, graph.group) == weighted
+    assert _crossing_search(rows, n) == weighted
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
         dual = dual_cheeger(graph)
         assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
@@ -354,7 +360,7 @@ def test_crossing_search_matches_oracle_on_weighted_rows(case):
             for y in mask_members(m):
                 weight[y] = weight.get(y, 0) + w
         pairs.append(tuple(sorted(weight.items())))
-    assert _crossing_search(rows, n, group) == oracles.naive_weighted_edge_min(pairs, n)
+    assert _crossing_search(rows, n) == oracles.naive_weighted_edge_min(pairs, n)
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
@@ -452,13 +458,16 @@ def _matching_graph(n):
 
 
 def test_disconnected_graph_has_zero_cheeger():
-    cert = vertex_cheeger(_matching_graph(6))
-    assert cert.value == 0
-    assert cert.witness == (0, 3)
+    graph = _matching_graph(6)
+    for cert in (vertex_cheeger(graph), edge_cheeger(graph)):
+        assert cert.value == 0
+        assert cert.witness == (0, 3)
 
 
 def test_zero_ratio_ties_keep_the_smallest_size():
     # A union of two of the four edges also has ratio 0; pruning the
     # subtrees that only tie ratio 0 would return one of those.
     graph = _matching_graph(8)
-    assert _vertex_search(graph.nbr_masks, 8, graph.group) == (0, 2, 0b10001)
+    assert _vertex_search(graph.nbr_masks, 8) == (0, 2, 0b10001)
+    unit = [((1, m),) for m in graph.nbr_masks]
+    assert _crossing_search(unit, 8) == (0, 2, 0b10001)

@@ -3,6 +3,7 @@ re-checked on every call, and separately built graphs share nothing."""
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,10 +25,13 @@ from cayleygap.cli import main
 
 # The index-2 enumeration runs only in proof.disjointness_check, through its
 # own binding of index2_subgroups; both bindings count as the one engine.
-# spectral._summary runs once per graph on both the character path and the
-# dense solver's.
+# Likewise _crossing_search counts the edge search (cheeger's binding) and the
+# proof's S'-weighted search (proof's). spectral._summary runs once per graph
+# on both the character path and the dense solver's.
 ENGINES = (
     (cayleygap.cheeger, "_vertex_search"),
+    (cayleygap.cheeger, "_crossing_search"),
+    (cayleygap.proof, "_crossing_search"),
     (cayleygap.spectral, "_summary"),
     (cayleygap.subgroups, "index2_subgroups"),
     (cayleygap.proof, "index2_subgroups"),
@@ -36,8 +40,9 @@ ENGINES = (
 
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """Counter of runs of the h search, the spectrum and the index-2
-    enumeration (the engines behind the memoised public functions)."""
+    """Counter of runs of the h search, the crossing search, the spectrum and
+    the index-2 enumeration (the engines behind the memoised public
+    functions)."""
     runs = Counter()
     for module, name in ENGINES:
         def counted(*args, _name=name, _engine=getattr(module, name), **kwargs):
@@ -54,7 +59,8 @@ def _once_each():
 def test_full_report_runs_each_engine_once(engine_runs):
     report = full_report(build_graph("symmetric:4", "auto"))
     # The proof reaches its last stage with H disjoint from S, where
-    # disjointness_check reads the index-2 list.
+    # disjointness_check reads the index-2 list. The S'-weighted candidate is
+    # the index-2 coset, so only the edge search runs _crossing_search.
     assert report.trace.final.disjoint
     assert report.trace.final.structural_match
     assert engine_runs == _once_each()
@@ -67,8 +73,19 @@ def test_cli_verify_runs_each_engine_once(engine_runs, capsys):
     assert code == 0
     assert payload["proof_trace"]["zeta"] == 0.5
     # D5 with a rotation in S is not bipartite, so the proof never reaches
-    # the disjointness cross-check and the enumeration does not run.
-    assert engine_runs == Counter(_vertex_search=1, _summary=1)
+    # the disjointness cross-check and the enumeration does not run. At
+    # zeta = 1/2 the hypothesis holds, so the S'-weighted search runs once
+    # besides the edge search.
+    assert payload["proof_trace"]["hypothesis_met"]
+    assert engine_runs == Counter(_vertex_search=1, _crossing_search=2, _summary=1)
+
+
+def test_weighted_search_runs_only_when_the_hypothesis_holds(engine_runs):
+    graph = build_graph("dihedral:5", "auto")
+    assert not full_report(graph).trace.hypothesis_met
+    assert engine_runs["_crossing_search"] == 1   # the edge search
+    assert full_report(graph, zeta=Fraction(1, 2)).trace.hypothesis_met
+    assert engine_runs["_crossing_search"] == 2   # plus the S'-weighted search
 
 
 def test_caps_hold_across_memo_hits(monkeypatch):
@@ -94,10 +111,11 @@ def test_separate_graphs_share_no_memo(engine_runs):
     second = build_graph("dihedral:4", "auto")
     for graph in (first, second):
         vertex_cheeger(graph)
+        edge_cheeger(graph)
         spectrum(graph)
         is_bipartite_structural(graph)
     # is_bipartite_structural takes one closure and runs no enumeration.
-    assert engine_runs == Counter(_vertex_search=2, _summary=2)
+    assert engine_runs == Counter(_vertex_search=2, _crossing_search=2, _summary=2)
 
 
 def test_failed_computation_is_not_stored():

@@ -152,7 +152,7 @@ WEIGHTED_MINIMA = {
 def _weighted_search(graph):
     ms = square_multiset(graph.gens, graph.group)
     rows = _support_adjacency(ms, graph.n)
-    return _crossing_search(rows, graph.n, graph.group)
+    return _crossing_search(rows, graph.n)
 
 
 @pytest.mark.parametrize("key", sorted(WEIGHTED_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")

@@ -72,6 +72,9 @@ def _parse_zeta(text: str) -> Fraction | None:
             raise ValueError(f"cannot parse zeta value {text!r}") from exc
     if not 0 < zeta <= 2:
         raise ValueError(f"zeta must lie in (0, 2], got {text}")
+    if float(zeta) == 0.0:
+        # The proof parameters are floats: beta_of_zeta would reject it later.
+        raise ValueError(f"zeta {text} rounds to 0.0 as a float")
     return zeta
 
 

@@ -11,10 +11,6 @@ class GroupValidationError(CayleyGapError):
     """A multiplication table violates a group axiom or is malformed."""
 
 
-class ElementCapError(CayleyGapError):
-    """A construction would exceed the configured element cap."""
-
-
 class GeneratingSetError(CayleyGapError):
     """A generating set is empty, out of range, asymmetric, or non-generating."""
 
@@ -28,7 +24,7 @@ class ConvergenceError(CayleyGapError):
 
 
 class CapExceededError(CayleyGapError):
-    """An exact search was requested beyond its configured size cap.
+    """A search or a group construction was requested beyond its size cap.
 
     Carries a machine-readable reason so reports can record the skip.
     """
@@ -44,3 +40,7 @@ class CapExceededError(CayleyGapError):
     @property
     def reason(self) -> str:
         return f"cap:{self.cap_name}={self.limit},needed={self.needed}"
+
+
+class ElementCapError(CapExceededError):
+    """A group construction would exceed the element cap."""

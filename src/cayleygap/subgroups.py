@@ -11,9 +11,10 @@ K = G). One subgroup closure decides bipartiteness and gives the certificate.
 
 index2_subgroups lists every index-2 subgroup, for the `subgroups` command
 and the proof's independent cross-check. Every index-2 subgroup contains all
-squares and commutators, so the search space is the quotient of G by the
-subgroup N those generate: an elementary abelian 2-group whose hyperplanes
-are in bijection with the index-2 subgroups.
+squares, so it is the preimage of a hyperplane of G/N, N the subgroup the
+squares generate; G/N is elementary abelian, (Z/2)^k. The coordinates in
+F2^k come from one pass over the elements that doubles the span of N one
+new element at a time, with no table of cosets.
 """
 
 from __future__ import annotations
@@ -48,67 +49,42 @@ def squares_commutators_subgroup(group: FiniteGroup) -> SubgroupCertificate:
 def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
     """All index-2 subgroups, sorted by element tuple.
 
-    They are the preimages of the 2^k - 1 hyperplanes of the quotient
-    (Z/2)^k by the squares-commutators subgroup N. The quotient check below
-    makes the coset coordinate a homomorphism onto (Z/2)^k (N is normal), so
-    each preimage is a subgroup without a further closure check.
+    They are the preimages of the 2^k - 1 hyperplanes of G/N = (Z/2)^k, N
+    the squares subgroup. Each element gets its coordinate in F2^k in one
+    pass that doubles the assigned span: N has coordinate 0, and each g
+    without a coordinate starts a new bit b and gives g·y the coordinate
+    vec[y] | b for every y assigned so far (g·span is a coset of the span,
+    disjoint from it). reps[c] is an element with coordinate c, and the
+    check on all pairs of reps makes the coordinate a homomorphism (N is
+    normal), so each preimage is a subgroup without a further closure check.
     """
     n = group.order
     mult = group.mult
-    base = squares_commutators_subgroup(group).elements
-    q, rem = divmod(n, len(base))
-    if rem:
-        raise AssertionError("coset decomposition failed")
-    if q == 1:
-        return ()
-    if q & (q - 1):
-        raise AssertionError(f"quotient order {q} is not a power of 2")
-    k = q.bit_length() - 1
-
-    # Minimal-element coset representatives; scanning g in increasing order
-    # makes the first unseen element the minimum of its coset.
-    coset_id = [-1] * n
-    reps: list[int] = []
+    vec = [-1] * n
+    assigned = list(squares_commutators_subgroup(group).elements)
+    for x in assigned:
+        vec[x] = 0
+    reps = [group.identity]
     for g in range(n):
-        if coset_id[g] >= 0:
+        if vec[g] >= 0:
             continue
-        cid = len(reps)
-        reps.append(g)
+        bit = len(reps)   # 2^rank: the next unused bit
         row = mult[g]
-        for x in base:
-            coset_id[row[x]] = cid
-    if len(reps) != q:
-        raise AssertionError("coset count mismatch")
-
-    # F2 coordinates: grow a basis greedily, doubling the assigned span.
-    vec = [-1] * q
-    vec[coset_id[group.identity]] = 0
-    assigned = [coset_id[group.identity]]
-    rank = 0
-    for c in range(q):
-        if vec[c] >= 0:
-            continue
-        bit = 1 << rank
-        rank += 1
-        for c2 in list(assigned):
-            c3 = coset_id[mult[reps[c2]][reps[c]]]
-            if vec[c3] >= 0:
+        for y in assigned[:]:
+            z = row[y]
+            if vec[z] >= 0:
                 raise AssertionError("quotient span collapsed")
-            vec[c3] = vec[c2] | bit
-            assigned.append(c3)
-    if rank != k:
-        raise AssertionError("quotient rank mismatch")
-    for c1 in range(q):
-        for c2 in range(q):
-            c3 = coset_id[mult[reps[c1]][reps[c2]]]
-            if vec[c3] != vec[c1] ^ vec[c2]:
+            vec[z] = vec[y] | bit
+            assigned.append(z)
+        reps += [row[r] for r in reps]
+    for a in reps:
+        for b in reps:
+            if vec[mult[a][b]] != vec[a] ^ vec[b]:
                 raise AssertionError("quotient is not elementary abelian")
 
     out = []
-    for f in range(1, 1 << k):
-        members = tuple(
-            g for g in range(n) if (vec[coset_id[g]] & f).bit_count() % 2 == 0
-        )
+    for f in range(1, len(reps)):
+        members = tuple(g for g in range(n) if (vec[g] & f).bit_count() % 2 == 0)
         if 2 * len(members) != n:
             raise AssertionError("hyperplane preimage has the wrong size")
         out.append(SubgroupCertificate(members, 2))
@@ -123,6 +99,11 @@ def is_bipartite_structural(graph: CayleyGraph) -> SubgroupCertificate | None:
     docstring), so it exists exactly when |K| = n/2. Being the only one, it
     is also the first disjoint subgroup in element-tuple order.
     """
+    return graph.memo("bipartite_structural", lambda: _even_words(graph))
+
+
+def _even_words(graph: CayleyGraph) -> SubgroupCertificate | None:
+    """K = <S·S> as the certificate when it has index 2, else None."""
     mult = graph.group.mult
     gens = graph.gens.elements
     k = closure(graph.group, {mult[s][t] for s in gens for t in gens})

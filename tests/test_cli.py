@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import cayleygap.cheeger
 import cayleygap.cli
 import cayleygap.verify
 from cayleygap import full_report
@@ -490,6 +491,28 @@ def test_zeta_out_of_range_is_one_error_line(capsys, monkeypatch, command, zeta)
     assert out.err == f"error: zeta must lie in (0, 2], got {zeta}\n"
 
 
+@pytest.mark.parametrize("zeta", ["1e-400", "1/1" + "0" * 400],
+                         ids=["1e-400", "1/10^400"])
+@pytest.mark.parametrize("command", sorted(ZETA_COMMANDS))
+def test_zeta_that_rounds_to_zero_is_one_error_line(capsys, monkeypatch,
+                                                    command, zeta):
+    # The exact value is in (0, 2], but the proof parameters are floats.
+    runs = []
+    search = cayleygap.cheeger._vertex_search
+
+    def counted(*args, **kwargs):
+        runs.append(None)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cayleygap.cheeger, "_vertex_search", counted)
+    code = main(ZETA_COMMANDS[command] + ["--zeta", zeta])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: zeta {zeta} rounds to 0.0 as a float\n"
+    assert runs == []
+
+
 @pytest.mark.parametrize("command", sorted(ZETA_COMMANDS))
 def test_zeta_two_is_valid(capsys, command):
     code = main(ZETA_COMMANDS[command] + ["--zeta", "2", "--format", "csv"])
@@ -497,3 +520,26 @@ def test_zeta_two_is_valid(capsys, command):
     assert code == 0
     assert "error" not in out.err
     assert out.out.startswith("stage,status\n" if command == "proof" else CSV_HEADER)
+
+
+ELEMENT_CAP_LINE = "element cap exceeded: problem size {} > limit 10000"
+
+
+@pytest.mark.parametrize("argv,needed", [
+    (["verify", "--group", "cyclic:10001"], 10001),
+    (["spectrum", "--group", "perm:(0 1 2 3 4 5 6 7);(0 1)"], 10001),
+    (["spectrum", "--group", "product:cyclic:200xcyclic:60"], 12000),
+])
+def test_element_cap_is_one_error_line(capsys, argv, needed):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: {ELEMENT_CAP_LINE.format(needed)}\n"
+
+
+def test_sweep_element_cap_is_one_error_item(capsys):
+    code = main(["sweep", "cyclic:10001"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == f"error: cyclic:10001: {ELEMENT_CAP_LINE.format(10001)}\n"

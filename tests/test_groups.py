@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import cayleygap.groups
 from cayleygap import (
+    CapExceededError,
     ElementCapError,
     FiniteGroup,
     GroupValidationError,
@@ -149,8 +150,12 @@ def test_from_permutations_closure():
 def test_from_permutations_cap(monkeypatch):
     monkeypatch.setattr(cayleygap.groups, "ELEMENT_CAP", 10)
     cycle = tuple(list(range(1, 30)) + [0])
-    with pytest.raises(ElementCapError):
+    with pytest.raises(ElementCapError) as exc:
         from_permutations([cycle])
+    # It is a CapExceededError, with that error's message and reason.
+    assert isinstance(exc.value, CapExceededError)
+    assert str(exc.value) == "element cap exceeded: problem size 11 > limit 10"
+    assert exc.value.reason == "cap:element=10,needed=11"
 
 
 def test_parse_permutation_cycles():

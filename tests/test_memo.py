@@ -80,6 +80,23 @@ def test_cli_verify_runs_each_engine_once(engine_runs, capsys):
     assert engine_runs == Counter(_vertex_search=1, _crossing_search=2, _summary=1)
 
 
+def test_cli_verify_takes_the_even_word_closure_once(monkeypatch, capsys):
+    # Both full_report and the proof's candidate search ask a bipartite
+    # graph for its <S·S> certificate. On Z/8 with S = {1, 7}, S·S = {0, 2, 6}
+    # differs from the squares {0, 2, 4, 6} that seed the index-2 enumeration.
+    seeds = []
+    closure = cayleygap.subgroups.closure
+
+    def counted(group, gens):
+        seeds.append(frozenset(gens))
+        return closure(group, gens)
+
+    monkeypatch.setattr(cayleygap.subgroups, "closure", counted)
+    assert main(["verify", "--group", "cyclic:8", "--gens", "±1"]) == 0
+    assert "structural = True" in capsys.readouterr().out
+    assert seeds.count(frozenset({0, 2, 6})) == 1
+
+
 def test_weighted_search_runs_only_when_the_hypothesis_holds(engine_runs):
     graph = build_graph("dihedral:5", "auto")
     assert not full_report(graph).trace.hypothesis_met

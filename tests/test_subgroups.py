@@ -114,6 +114,21 @@ def test_index2_matches_brute_force(member):
     assert [c.elements for c in index2_subgroups(group)] == expected
 
 
+# Order 16, where the quotient G/N has rank 3 or 4 and the doubling pass
+# takes three or four new bits: (Z/2)^4 with N = 1, and D4 x Z/2 and
+# Z/4 x (Z/2)^2 with N of order 2.
+@pytest.mark.parametrize("spec,count", [
+    ("product:cyclic:2xcyclic:2xcyclic:2xcyclic:2", 15),
+    ("product:dihedral:4xcyclic:2", 7),
+    ("product:cyclic:4xcyclic:2xcyclic:2", 7),
+])
+def test_index2_matches_brute_force_at_order_16(spec, count):
+    group = parse_group_spec(spec).build()
+    expected = oracles.brute_force_index2(group)
+    assert len(expected) == count
+    assert [c.elements for c in index2_subgroups(group)] == expected
+
+
 def test_index2_count_elementary_abelian():
     cube = from_direct_product(
         from_direct_product(from_cyclic(2), from_cyclic(2)), from_cyclic(2)

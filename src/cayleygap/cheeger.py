@@ -14,16 +14,27 @@ subtree only when no pair in it can replace the incumbent under that
 tie-break. The vertex, edge and S'-weighted searches share one witness rule:
 they first find (ratio, |A|), pruning every subtree that cannot lower it,
 and then search the sets of that size and ratio for the smallest bitmask.
+
+The edge search also ends its first pass early at a spectral floor. Every
+set A of k vertices in a d-regular graph has
+|E(A, A^c)| >= d lambda_2 k (n - k)/n (Fiedler 1973; Alon and Milman 1985),
+where d lambda_2 is the second eigenvalue of dI - A (lambda_2 that of I - T);
+loops cancel in dI - A. The floor ceil((lambda_2 - TOL) d k (n - k)/n) is
+taken in exact rationals from the memoised spectrum. Its only float input,
+lambda_2, is lowered by spectral.TOL, which exceeds the solvers' error of
+about n eps. The proof's S'-weighted search takes no floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .cayley import CayleyGraph, mask_members, mask_of
 from .errors import CapExceededError
+from .spectral import TOL, spectrum
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -184,8 +195,24 @@ def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
     return best_num, best_size, _smallest_mask(n, best_size, best_num, step, 0)
 
 
+class _Certified(Exception):
+    """Ends pass 1 of _crossing_search once the floor certifies the incumbent."""
+
+
+def _certified(floor: Sequence[int], num: int, size: int) -> bool:
+    """Whether no set can lower (ratio, size) below (num/size, size) when
+    every set of k vertices crosses at least floor[k]: each k has a floor
+    ratio above num/size, or equal to it with k >= size."""
+    for k in range(1, len(floor)):
+        lhs, rhs = floor[k] * size, num * k
+        if lhs < rhs or (lhs == rhs and k < size):
+            return False
+    return True
+
+
 def _crossing_search(
-    rows: Sequence[tuple[tuple[int, int], ...]], n: int
+    rows: Sequence[tuple[tuple[int, int], ...]], n: int,
+    floor: Sequence[int] | None = None,
 ) -> tuple[int, int, int]:
     """Minimise the weighted crossing count w(A, A^c)/|A| over
     1 <= |A| <= n//2; returns (crossing, size, mask).
@@ -210,6 +237,11 @@ def _crossing_search(
     exceeds the incumbent ratio, and when it only ties it and the smallest of
     its sets that can tie (size kmax, or |A| + 1 at ratio 0) is not below the
     incumbent size.
+
+    floor, when given, holds for 1 <= k <= n//2 a lower bound floor[k] on
+    the crossing of every set of k vertices (floor[0] is unused). Pass 1 then
+    stops as soon as the rooted set {0} or an improved incumbent meets it
+    (_certified): no set can lower (ratio, size) any more.
 
     Pass 2 returns the smallest mask among all sets, rooted or not, with
     |A| = k* and crossing at most b*. Once the elements at and above e are
@@ -263,6 +295,8 @@ def _crossing_search(
             rhs = bn * size2
             if lhs < rhs or (lhs == rhs and size2 < bs):
                 best_num, best_size = bn, bs = eb2, size2
+                if floor and _certified(floor, bn, bs):
+                    raise _Certified
             r1, r2 = one[u], two[u]
             if size2 < kcap and u + 1 < n:
                 kmax = size2 + (n - u - 1)
@@ -297,8 +331,11 @@ def _crossing_search(
         gains = sorted([he[y] - 2 * c[y] for y in range(e)])
         return (c, cross), cross + sum(gains[:left])
 
-    if kcap > 1:
-        extend(1, 1, 1, deg[0], 0, one[0], two[0], 0, 0)
+    if kcap > 1 and not (floor and _certified(floor, best_num, best_size)):
+        try:
+            extend(1, 1, 1, deg[0], 0, one[0], two[0], 0, 0)
+        except _Certified:
+            pass
     return best_num, best_size, _smallest_mask(n, best_size, best_num, step, ([0] * n, 0))
 
 
@@ -326,8 +363,17 @@ def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> C
 
 def _edge_certificate(graph: CayleyGraph) -> CheegerCertificate:
     rows = [((1, m),) for m in graph.nbr_masks]
-    num, size, mask = _crossing_search(rows, graph.n)
+    num, size, mask = _crossing_search(rows, graph.n, _spectral_floor(graph))
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
+
+
+def _spectral_floor(graph: CayleyGraph) -> list[int]:
+    """floor[k] = ceil((lambda_2 - TOL) d k (n - k)/n) for 0 <= k <= n//2, a
+    lower bound on |E(A, A^c)| over the sets A of k vertices. Reads the
+    spectrum, so it raises the max_spectrum cap above spectral.MAX_SPECTRUM."""
+    n, d = graph.n, graph.d
+    lam = Fraction(spectrum(graph).lambda2) - Fraction(TOL)
+    return [math.ceil(lam * d * k * (n - k) / n) for k in range(n // 2 + 1)]
 
 
 def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> CheegerCertificate:

@@ -37,6 +37,11 @@ class CapExceededError(CayleyGapError):
             f"{cap_name} cap exceeded: problem size {needed} > limit {limit}"
         )
 
+    def __reduce__(self):
+        # Exception pickles as type(self)(*self.args), and args holds only
+        # the message.
+        return type(self), (self.cap_name, self.limit, self.needed)
+
     @property
     def reason(self) -> str:
         return f"cap:{self.cap_name}={self.limit},needed={self.needed}"

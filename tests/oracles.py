@@ -392,6 +392,19 @@ def edge_boundary_count(graph: CayleyGraph, a_mask: int) -> int:
     return total
 
 
+def min_crossing_by_size(graph: CayleyGraph) -> list[int]:
+    """For k = 0..n//2, the least |E(A, A^c)| over all sets A of k vertices."""
+    n = graph.n
+    best = [None] * (n // 2 + 1)
+    for mask in range(1 << n):
+        k = mask.bit_count()
+        if 2 * k <= n:
+            crossing = edge_boundary_count(graph, mask)
+            if best[k] is None or crossing < best[k]:
+                best[k] = crossing
+    return best
+
+
 def square_normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
     """Dense operator of the product multiset S·S: entry [x][y] = m(y x^-1)/d².
 

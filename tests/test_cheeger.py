@@ -21,7 +21,8 @@ from cayleygap import (
     square_multiset,
     vertex_cheeger,
 )
-from cayleygap.cheeger import _crossing_search, _vertex_search
+import cayleygap.cheeger
+from cayleygap.cheeger import _certified, _crossing_search, _spectral_floor, _vertex_search
 from cayleygap.proof import _support_adjacency
 
 import families
@@ -361,6 +362,59 @@ def test_crossing_search_matches_oracle_on_weighted_rows(case):
                 weight[y] = weight.get(y, 0) + w
         pairs.append(tuple(sorted(weight.items())))
     assert _crossing_search(rows, n) == oracles.naive_weighted_edge_min(pairs, n)
+
+
+@pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
+def test_spectral_floor_holds_on_family_graphs(member):
+    graph = families.graph_of(member)
+    floor = _spectral_floor(graph)
+    assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
+
+
+@pytest.mark.parametrize("loop", [False, True])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("group", _SMALL_GROUPS, ids=lambda g: g.name)
+def test_spectral_floor_holds_on_random_graphs(group, seed, loop):
+    draw = random.Random(seed).sample(range(group.order), 2)
+    graph = build(group, families.random_generators(group, draw, loop))
+    n = graph.n
+    floor = _spectral_floor(graph)
+    assert len(floor) == n // 2 + 1
+    assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
+    unit = [((1, m),) for m in graph.nbr_masks]
+    assert _crossing_search(unit, n, floor) == _crossing_search(unit, n)
+
+
+def test_certification_rule():
+    # floor[k] * size > num * k at every k: no set reaches the ratio.
+    assert _certified([0, 3, 5], 2, 1)
+    # A tie at k >= size only reaches the ratio at a size no smaller.
+    assert _certified([0, 3, 4], 4, 2)
+    assert _certified([0, 2, 4], 2, 1)
+    # A tie at k < size leaves room for a smaller set of the same ratio.
+    assert not _certified([0, 2, 4], 4, 2)
+    # A zero floor never certifies a positive ratio, and certifies ratio 0
+    # only at size 1.
+    assert not _certified([0, 0, 0], 1, 2)
+    assert not _certified([0, 5, 0], 1, 1)
+    assert _certified([0, 0, 0], 0, 1)
+    assert not _certified([0, 0, 0], 0, 2)
+
+
+def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
+    key = ("symmetric:4", "auto")
+    graph = build_graph(*key)
+    verdicts = []
+
+    def recorded(floor, num, size):
+        verdicts.append(_certified(floor, num, size))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cayleygap.cheeger, "_certified", recorded)
+    num, size, mask = CROSSING_MINIMA[key][0]
+    cert = edge_cheeger(graph)
+    assert verdicts[-1]
+    assert (cert.value, cert.witness) == (Fraction(num, graph.d * size), mask_members(mask))
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,16 @@ def test_from_permutations_cap(monkeypatch):
     assert isinstance(exc.value, CapExceededError)
     assert str(exc.value) == "element cap exceeded: problem size 11 > limit 10"
     assert exc.value.reason == "cap:element=10,needed=11"
+
+
+@pytest.mark.parametrize("cls", [CapExceededError, ElementCapError])
+def test_cap_errors_survive_pickling(cls):
+    # A process pool sends a worker's exceptions back pickled.
+    error = cls("max_exact", 24, 30)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert str(copy) == str(error) == "max_exact cap exceeded: problem size 30 > limit 24"
+    assert copy.reason == error.reason == "cap:max_exact=24,needed=30"
 
 
 def test_parse_permutation_cycles():

@@ -20,9 +20,11 @@ set A of k vertices in a d-regular graph has
 |E(A, A^c)| >= d lambda_2 k (n - k)/n (Fiedler 1973; Alon and Milman 1985),
 where d lambda_2 is the second eigenvalue of dI - A (lambda_2 that of I - T);
 loops cancel in dI - A. The floor ceil((lambda_2 - TOL) d k (n - k)/n) is
-taken in exact rationals from the memoised spectrum. Its only float input,
-lambda_2, is lowered by spectral.TOL, which exceeds the solvers' error of
-about n eps. The proof's S'-weighted search takes no floor.
+taken in exact rationals from the spectrum the caller passes to
+edge_cheeger (full_report passes the one it already holds); without one the
+search runs to the end. Its only float input, lambda_2, is lowered by
+spectral.TOL, which exceeds the solvers' error of about n eps. The proof's
+S'-weighted search takes no floor.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Any, Callable, Sequence
 
 from .cayley import CayleyGraph, mask_members, mask_of
 from .errors import CapExceededError
-from .spectral import TOL, spectrum
+from .spectral import TOL, SpectralSummary
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -356,23 +358,34 @@ def _vertex_certificate(graph: CayleyGraph) -> CheegerCertificate:
     return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
 
 
-def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
+def edge_cheeger(
+    graph: CayleyGraph,
+    *,
+    max_exact: int = MAX_EXACT_DEFAULT,
+    summary: SpectralSummary | None = None,
+) -> CheegerCertificate:
+    """Exact edge Cheeger constant with the smallest-mask witness.
+
+    summary, when given, must be spectrum(graph): the search then stops its
+    first pass at the spectral floor. The result is the same either way.
+    """
     _require_exact(graph.n, max_exact)
-    return graph.memo("edge_cheeger", lambda: _edge_certificate(graph))
+    return graph.memo("edge_cheeger", lambda: _edge_certificate(graph, summary))
 
 
-def _edge_certificate(graph: CayleyGraph) -> CheegerCertificate:
+def _edge_certificate(graph: CayleyGraph, summary: SpectralSummary | None) -> CheegerCertificate:
     rows = [((1, m),) for m in graph.nbr_masks]
-    num, size, mask = _crossing_search(rows, graph.n, _spectral_floor(graph))
+    floor = None if summary is None else _spectral_floor(graph, summary.lambda2)
+    num, size, mask = _crossing_search(rows, graph.n, floor)
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 
 
-def _spectral_floor(graph: CayleyGraph) -> list[int]:
-    """floor[k] = ceil((lambda_2 - TOL) d k (n - k)/n) for 0 <= k <= n//2, a
-    lower bound on |E(A, A^c)| over the sets A of k vertices. Reads the
-    spectrum, so it raises the max_spectrum cap above spectral.MAX_SPECTRUM."""
+def _spectral_floor(graph: CayleyGraph, lambda2: float) -> list[int]:
+    """floor[k] = ceil((lambda2 - TOL) d k (n - k)/n) for 0 <= k <= n//2, a
+    lower bound on |E(A, A^c)| over the sets A of k vertices when lambda2 is
+    the second-smallest eigenvalue of I - T."""
     n, d = graph.n, graph.d
-    lam = Fraction(spectrum(graph).lambda2) - Fraction(TOL)
+    lam = Fraction(lambda2) - Fraction(TOL)
     return [math.ceil(lam * d * k * (n - k) / n) for k in range(n // 2 + 1)]
 
 

@@ -125,7 +125,7 @@ def full_report(
     dual_reason: str | None = None
     try:
         h = vertex_cheeger(graph, max_exact=max_exact).value
-        edge_h = edge_cheeger(graph, max_exact=max_exact).value
+        edge_h = edge_cheeger(graph, max_exact=max_exact, summary=summary).value
     except CapExceededError as exc:
         h_reason = exc.reason
     except ValueError as exc:

@@ -67,7 +67,9 @@ def h_cert_of(member: FamilyMember):
 
 
 def edge_h_cert_of(member: FamilyMember):
-    return edge_cheeger(graph_of(member))
+    # The spectrum is passed, as full_report does, so the family tests check
+    # the search that the spectral floor ends early.
+    return edge_cheeger(graph_of(member), summary=summary_of(member))
 
 
 def dual_h_cert_of(member: FamilyMember):

@@ -16,8 +16,10 @@ from cayleygap import (
     from_cyclic,
     from_dihedral,
     from_direct_product,
+    full_report,
     mask_members,
     mask_of,
+    spectrum,
     square_multiset,
     vertex_cheeger,
 )
@@ -367,7 +369,7 @@ def test_crossing_search_matches_oracle_on_weighted_rows(case):
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
 def test_spectral_floor_holds_on_family_graphs(member):
     graph = families.graph_of(member)
-    floor = _spectral_floor(graph)
+    floor = _spectral_floor(graph, spectrum(graph).lambda2)
     assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
 
 
@@ -378,7 +380,7 @@ def test_spectral_floor_holds_on_random_graphs(group, seed, loop):
     draw = random.Random(seed).sample(range(group.order), 2)
     graph = build(group, families.random_generators(group, draw, loop))
     n = graph.n
-    floor = _spectral_floor(graph)
+    floor = _spectral_floor(graph, spectrum(graph).lambda2)
     assert len(floor) == n // 2 + 1
     assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
     unit = [((1, m),) for m in graph.nbr_masks]
@@ -402,8 +404,10 @@ def test_certification_rule():
 
 
 def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
+    # On symmetric:4 auto the floor meets the optimum 24/12. Only a caller
+    # that passes the spectrum gets the floor; full_report passes its own.
     key = ("symmetric:4", "auto")
-    graph = build_graph(*key)
+    num, size, mask = CROSSING_MINIMA[key][0]
     verdicts = []
 
     def recorded(floor, num, size):
@@ -411,10 +415,16 @@ def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(cayleygap.cheeger, "_certified", recorded)
-    num, size, mask = CROSSING_MINIMA[key][0]
-    cert = edge_cheeger(graph)
-    assert verdicts[-1]
-    assert (cert.value, cert.witness) == (Fraction(num, graph.d * size), mask_members(mask))
+    runs = ((lambda g: edge_cheeger(g), False),
+            (lambda g: edge_cheeger(g, summary=spectrum(g)), True),
+            (full_report, True))
+    for run, floored in runs:
+        verdicts.clear()
+        graph = build_graph(*key)
+        run(graph)
+        cert = edge_cheeger(graph)
+        assert (verdicts[-1] if floored else verdicts) == (True if floored else [])
+        assert (cert.value, cert.witness) == (Fraction(num, graph.d * size), mask_members(mask))
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)

@@ -27,8 +27,7 @@ from cayleygap.cli import main
 # own binding of index2_subgroups; both bindings count as the one engine.
 # Likewise _crossing_search counts the edge search (cheeger's binding) and the
 # proof's S'-weighted search (proof's). spectral._summary runs once per graph
-# on both the character path and the dense solver's, although the edge search
-# reads the spectrum too (its floor).
+# on both the character path and the dense solver's.
 ENGINES = (
     (cayleygap.cheeger, "_vertex_search"),
     (cayleygap.cheeger, "_crossing_search"),
@@ -81,11 +80,12 @@ def test_cli_verify_runs_each_engine_once(engine_runs, capsys):
     assert engine_runs == Counter(_vertex_search=1, _crossing_search=2, _summary=1)
 
 
-def test_cli_cheeger_computes_the_spectrum_once(engine_runs, capsys):
-    # The cheeger command prints no spectrum, but the edge search reads lambda_2.
+def test_cli_cheeger_computes_no_spectrum(engine_runs, capsys):
+    # The cheeger command prints no spectrum and passes none to the edge
+    # search, which then runs without the spectral floor.
     assert main(["cheeger", "--group", "symmetric:4", "--gens", "auto"]) == 0
     assert "edge_h = 1/3" in capsys.readouterr().out
-    assert engine_runs == Counter(_vertex_search=1, _crossing_search=1, _summary=1)
+    assert engine_runs == Counter(_vertex_search=1, _crossing_search=1)
 
 
 def test_cli_verify_takes_the_even_word_closure_once(monkeypatch, capsys):

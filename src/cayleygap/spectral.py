@@ -16,11 +16,14 @@ the structure (Babai, "Spectra of Cayley graphs", 1979), in O(n d):
 
 Every other group goes to an in-repo dense solver (Householder
 tridiagonalisation, then Sturm-count bisection), which stays the tests'
-oracle for the character path. Both paths use only numpy elementwise
-arithmetic, ``np.sum`` and ``sqrt``; no BLAS, LAPACK or libm transcendental
-is called (the cosines are Taylor series on an angle reduced exactly in
-integers), so results are bitwise reproducible, and no external solver is
-consulted outside the test suite.
+oracle for the character path. A Cayley graph's eigenvalues repeat (each
+irreducible representation rho gives dim rho copies of its own), so the
+bisection takes the Sturm counts once per distinct bracket, not once per
+eigenvalue. Both paths use only numpy elementwise arithmetic, ``np.sum`` and
+``sqrt``; no BLAS, LAPACK or libm transcendental is called (the cosines are
+Taylor series on an angle reduced exactly in integers), so results are
+bitwise reproducible, and no external solver is consulted outside the test
+suite.
 """
 
 from __future__ import annotations
@@ -159,11 +162,24 @@ def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     holds the bracket's eigenvalue, until every bracket is narrower than
     2 eps |lambda| + eps ||T||. About 14 rounds; ConvergenceError after
     _MAX_ROUNDS.
+
+    Counts are taken once per distinct bracket. A Cayley graph's
+    eigenvalues repeat, so many brackets are equal; equal brackets have
+    equal points, and a count does not depend on the target, so a round
+    counts on the first bracket of each run of adjacent equal ones and
+    copies the counts to the rest of the run. Every bracket, and so every
+    output bit, is the one a count per bracket would give.
+
+    Pivots follow LAPACK's pivmin rule in one step: q < pivmin counts as
+    negative and is replaced by min(q, -pivmin). That is the two-step rule
+    "replace |q| < pivmin by -pivmin, then count q < 0": both leave q >=
+    pivmin and q <= -pivmin as they are, both send -pivmin < q < pivmin
+    (-0.0 too) to a negative -pivmin, and both leave NaN uncounted and in
+    place. So no division is by zero or by a denormal, and counts and next
+    pivots are those of the two-step rule.
     """
     n = d.size
     e2 = np.concatenate(([0.0], e * e))
-    # LAPACK's pivmin: a pivot smaller in magnitude is replaced by -pivmin
-    # before its sign is counted, so no division by zero or by a denormal.
     pivmin = _SAFE_MIN * max(1.0, float(np.max(e2)))
     abs_e = np.abs(e)
     radius = np.append(abs_e, 0.0) + np.concatenate(([0.0], abs_e))
@@ -177,25 +193,37 @@ def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     target = rows[:, None]
     fractions = np.arange(1, _MULTISECTION) / _MULTISECTION
     shape = (n, _MULTISECTION - 1)
-    q = np.ones(shape)
-    scratch = np.empty(shape)
-    negative = np.empty(shape, dtype=bool)
+    # Work arrays at full size; a round uses their first u rows, one per
+    # distinct bracket.
+    q_all = np.ones(shape)
+    scratch_all = np.empty(shape)
+    negative_all = np.empty(shape, dtype=bool)
+    count_all = np.empty(shape, dtype=np.int64)
+    new = np.empty(n, dtype=bool)
+    new[0] = True
     for _ in range(_MAX_ROUNDS):
         width = hi - lo
         tolerance = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS * norm
         if np.all(width <= tolerance):
             return 0.5 * (lo + hi)
         x = lo[:, None] + width[:, None] * fractions
-        below = np.zeros(shape, dtype=np.int64)
+        # new[r]: bracket r starts a run of equal brackets.
+        np.not_equal(lo[1:], lo[:-1], out=new[1:])
+        np.logical_or(new[1:], hi[1:] != hi[:-1], out=new[1:])
+        distinct = x[new]
+        u = distinct.shape[0]
+        q, scratch = q_all[:u], scratch_all[:u]
+        negative, count = negative_all[:u], count_all[:u]
+        count.fill(0)
         for i in range(n):
             # Pivot recurrence q_i = (d_i - x) - e_{i-1}^2 / q_{i-1}, in place.
             np.divide(e2[i], q, out=scratch)
-            np.subtract(d[i], x, out=q)
+            np.subtract(d[i], distinct, out=q)
             q -= scratch
-            np.less(np.abs(q, out=scratch), pivmin, out=negative)
-            np.copyto(q, -pivmin, where=negative)
-            np.less(q, 0.0, out=negative)
-            below += negative
+            np.less(q, pivmin, out=negative)
+            np.minimum(q, -pivmin, out=q, where=negative)
+            count += negative
+        below = count[np.cumsum(new) - 1]
         # New bracket: the first point whose count exceeds the target and
         # the point before it; the invariant count(lo) <= target < count(hi)
         # holds whether or not the computed counts are monotone.

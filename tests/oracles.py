@@ -506,3 +506,56 @@ def naive_large_set_expansion(
         main_slack=main_slack,
         internal_slack=internal_slack,
     )
+
+
+_BISECT_EPS = float(np.finfo(np.float64).eps)
+_BISECT_SAFE_MIN = float(np.finfo(np.float64).tiny)
+_BISECT_MULTISECTION = 16
+_BISECT_MAX_ROUNDS = 64
+
+
+def frozen_bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """spectral._bisect_block as it was before counts were shared between
+    equal brackets: every bracket is counted on its own, and a pivot is
+    fixed by |q| < pivmin -> -pivmin before its sign is read. The fast
+    routine must equal it bit for bit. Raises RuntimeError where the package
+    raises ConvergenceError."""
+    n = d.size
+    e2 = np.concatenate(([0.0], e * e))
+    pivmin = _BISECT_SAFE_MIN * max(1.0, float(np.max(e2)))
+    abs_e = np.abs(e)
+    radius = np.append(abs_e, 0.0) + np.concatenate(([0.0], abs_e))
+    lo_bound = float(np.min(d - radius))
+    hi_bound = float(np.max(d + radius))
+    norm = max(abs(lo_bound), abs(hi_bound))
+    pad = 2.1 * (norm * _BISECT_EPS * n + 2.0 * pivmin)
+    lo = np.full(n, lo_bound - pad)
+    hi = np.full(n, hi_bound + pad)
+    rows = np.arange(n)
+    target = rows[:, None]
+    fractions = np.arange(1, _BISECT_MULTISECTION) / _BISECT_MULTISECTION
+    shape = (n, _BISECT_MULTISECTION - 1)
+    q = np.ones(shape)
+    scratch = np.empty(shape)
+    negative = np.empty(shape, dtype=bool)
+    for _ in range(_BISECT_MAX_ROUNDS):
+        width = hi - lo
+        tolerance = (2.0 * _BISECT_EPS * np.maximum(np.abs(lo), np.abs(hi))
+                     + _BISECT_EPS * norm)
+        if np.all(width <= tolerance):
+            return 0.5 * (lo + hi)
+        x = lo[:, None] + width[:, None] * fractions
+        below = np.zeros(shape, dtype=np.int64)
+        for i in range(n):
+            np.divide(e2[i], q, out=scratch)
+            np.subtract(d[i], x, out=q)
+            q -= scratch
+            np.less(np.abs(q, out=scratch), pivmin, out=negative)
+            np.copyto(q, -pivmin, where=negative)
+            np.less(q, 0.0, out=negative)
+            below += negative
+        points = np.concatenate((lo[:, None], x, hi[:, None]), axis=1)
+        above = np.concatenate((below > target, np.ones((n, 1), dtype=bool)), axis=1)
+        j = np.argmax(above, axis=1)
+        lo, hi = points[rows, j], points[rows, j + 1]
+    raise RuntimeError("Sturm bisection did not converge")

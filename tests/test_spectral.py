@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -151,7 +152,94 @@ def test_eigenvalues_bitwise_reproducible():
     assert [x.hex() for x in first] == [x.hex() for x in second]
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+# ---------------------------------------------------------------------------
+# Sturm bisection equals its frozen copy in tests/oracles.py bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_bisection_matches_oracle(d, e) -> None:
+    d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
+    ours = cayleygap.spectral._bisect_block(d, e)
+    assert np.array_equal(ours, oracles.frozen_bisect_block(d, e))
+
+
+def _assert_blocks_match_oracle(matrix) -> int:
+    """Tridiagonalise as eigenvalues_symmetric does and check every block
+    of two or more rows; returns the number of rows so checked."""
+    d, e = cayleygap.spectral._tridiagonalize(np.array(matrix, dtype=np.float64))
+    cuts = (np.flatnonzero(e == 0.0) + 1).tolist()
+    checked = 0
+    for first, stop in zip([0, *cuts], [*cuts, d.size]):
+        if stop - first > 1:
+            _assert_bisection_matches_oracle(d[first:stop], e[first:stop - 1])
+            checked += stop - first
+    return checked
+
+
+@pytest.mark.parametrize(
+    "member", [m for m in families.MEMBERS if m.group_spec.startswith("symmetric:")],
+    ids=lambda m: m.name)
+def test_bisection_matches_oracle_on_dense_family(member):
+    graph = families.graph_of(member)
+    assert graph.group.radices == () and graph.group.dihedral is None
+    assert _assert_blocks_match_oracle(normalized_adjacency(graph)) > 0
+
+
+def test_bisection_matches_oracle_on_symmetric_5():
+    # n = 120 but only 7 distinct eigenvalues (multiplicities 36, 25, 25, 16,
+    # 16, 1, 1), so most rounds count far fewer distinct brackets than rows.
+    t = normalized_adjacency(build_graph("symmetric:5", "auto"))
+    assert _assert_blocks_match_oracle(t) == 120
+
+
+_SMALL_ENTRY = st.integers(min_value=-4, max_value=4)
+
+
+@given(st.lists(_SMALL_ENTRY, min_size=2, max_size=24), st.data(),
+       st.sampled_from([1.0, 0.5]))
+def test_bisection_matches_oracle_on_small_rational_tridiagonals(diag, data, scale):
+    # Integer and half-integer entries put bracket points exactly on pivot
+    # roots, so exact-zero pivots are fixed in many rounds.
+    off = data.draw(st.lists(_SMALL_ENTRY.filter(bool), min_size=len(diag) - 1,
+                             max_size=len(diag) - 1))
+    _assert_bisection_matches_oracle(np.array(diag) * scale, np.array(off) * scale)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_bisection_matches_oracle_on_repeated_blocks(size, copies, seed):
+    # copies of one block, with rows and columns permuted: each eigenvalue
+    # of the block has multiplicity `copies`, as in a Cayley graph.
+    rng = np.random.default_rng(seed)
+    block = rng.integers(-3, 4, size=(size, size)) / 2.0
+    mat = np.kron(np.eye(copies), block + block.T)
+    order = rng.permutation(size * copies)
+    _assert_blocks_match_oracle(mat[np.ix_(order, order)])
+
+
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0, _TINY, -_TINY, _TINY / 2, -_TINY / 2],
+                         ids=["0.0", "-0.0", "pivmin", "-pivmin", "below", "-below"])
+def test_bisection_matches_oracle_on_crafted_pivots(first):
+    # The Gershgorin interval is [-2, 2] and pivmin is tiny, so the padded
+    # interval is symmetric and the first round's midpoint is exactly +0.0.
+    # There the first pivot is first - 0.0: exactly 0.0, -0.0, +-pivmin, or
+    # below pivmin in magnitude.
+    _assert_bisection_matches_oracle([first, 0.0, 0.0], [1.0, 1.0])
+    _assert_bisection_matches_oracle([0.0, first, 0.0, 0.0], [1.0, 1.0, 1.0])
+
+
+def test_symmetric_5_spectrum_bits_are_pinned():
+    # The golden files reach the dense path only at n <= 24; this pins its
+    # last bit at n = 120.
+    t = spectrum(build_graph("symmetric:5", "auto")).t
+    digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
+    assert digest == "d582ad2cff1f41327c0122e01feed3c9858d07ffa7ad07133f26c994264760a8"
+
+
+@pytest.mark.parametrize("bad",[float("nan"), float("inf"), float("-inf")])
 def test_eigenvalues_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         eigenvalues_symmetric([[1.0, bad], [bad, 0.0]])

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -515,6 +514,10 @@ def sweep(
     # are tasks.
     workers = min(workers, len(tasks))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial run and
+        # `import cayleygap` never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_worker, tasks))
     return [_sweep_worker(task) for task in tasks]

@@ -1,11 +1,15 @@
+import concurrent.futures
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-import cayleygap.verify
+import cayleygap
 from cayleygap import (
     build_graph,
     full_report,
@@ -286,10 +290,21 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch, specs, pool_sizes)
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cayleygap.verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     items = sweep(specs, workers=500)
     assert sizes == pool_sizes
     assert sweep_to_json(items) == sweep_to_json(sweep(specs))
+
+
+def test_import_leaves_out_the_process_pool():
+    # A fresh interpreter, as this one has imported concurrent.futures; it
+    # imports the same cayleygap as this one.
+    code = ("import sys, cayleygap; print(sorted(m for m in sys.modules"
+            " if m.startswith(('concurrent', 'multiprocessing'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cayleygap.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_records_errors():

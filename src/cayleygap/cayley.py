@@ -133,14 +133,12 @@ def build(group: FiniteGroup, gens: GeneratingSet | Iterable[int]) -> CayleyGrap
 
 
 def set_image(graph: CayleyGraph, a_mask: int) -> int:
-    """Bitmask of S·A = {s*a : s in S, a in A}."""
-    mult = graph.group.mult
-    members = mask_members(a_mask)
+    """Bitmask of S·A = {s*a : s in S, a in A}, the union of the neighbor
+    masks of A's members."""
+    nbr_masks = graph.nbr_masks
     acc = 0
-    for s in graph.gens.elements:
-        row = mult[s]
-        for a in members:
-            acc |= 1 << row[a]
+    for a in mask_members(a_mask):
+        acc |= nbr_masks[a]
     return acc
 
 

@@ -280,13 +280,18 @@ def from_symmetric(k: int) -> FiniteGroup:
         raise GroupValidationError(f"symmetric parameter must be >= 1, got {k}")
     if k == 1:
         return from_permutations([(0,)], name="symmetric:1")
-    gens = []
+    return from_permutations(_transpositions(k), name=f"symmetric:{k}")
+
+
+def _transpositions(k: int) -> list[tuple[int, ...]]:
+    """The transpositions (i j), i < j, of k points as image tuples, by (i, j)."""
+    out = []
     for i in range(k):
         for j in range(i + 1, k):
             t = list(range(k))
             t[i], t[j] = t[j], t[i]
-            gens.append(tuple(t))
-    return from_permutations(gens, name=f"symmetric:{k}")
+            out.append(tuple(t))
+    return out
 
 
 def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -516,13 +521,6 @@ def default_generators(spec: GroupSpec, group: FiniteGroup) -> tuple[int, ...]:
     if spec.family == "symmetric":
         if group.perms is None or group.order < 2:
             raise SpecParseError("no default generators for symmetric:1")
-        k = len(group.perms[0])
         index = {p: i for i, p in enumerate(group.perms)}
-        out = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                t = list(range(k))
-                t[i], t[j] = t[j], t[i]
-                out.append(index[tuple(t)])
-        return tuple(sorted(out))
+        return tuple(sorted(index[t] for t in _transpositions(len(group.perms[0]))))
     raise SpecParseError(f"gens=auto is not defined for family {spec.family!r}")

@@ -48,7 +48,6 @@ from .subgroups import index2_subgroups, is_bipartite_structural
 _SAMPLE_SEED = 0x5E7C0DE
 _EXHAUSTIVE_LIMIT = 12               # large-set check: all 2^n sets up to here
 _SAMPLES = 10_000                    # ... else this many seeded draws
-_CHUNK = 1 << 16                     # ... tested this many at a time
 
 
 def main_bound_constant(d: int) -> int:
@@ -473,71 +472,27 @@ def disjointness_check(
 # Large-set expansion check
 
 
-def _words(masks, words: int) -> np.ndarray:
-    """Python-int bitmasks as rows of `words` uint64 words, least significant
-    word first."""
-    low = (1 << 64) - 1
-    return np.array(
-        [[(m >> (64 * w)) & low for w in range(words)] for m in masks],
-        dtype=np.uint64,
-    ).reshape(len(masks), words)
-
-
-def _image_tables(nbr_masks: tuple[int, ...], n: int) -> np.ndarray:
-    """Per-byte lookup tables for S·A: tables[c, b] is the union of the
-    neighbor masks of the vertices 8c + i over the bits i of the byte b, as
-    ceil(n/64) uint64 words."""
-    words = -(-n // 64)
-    nbr = np.zeros((-(-n // 8) * 8, words), dtype=np.uint64)
-    nbr[:n] = _words(nbr_masks, words)
-    nbr = nbr.reshape(-1, 8, 1, words)
-    tables = np.zeros((len(nbr), 1, words), dtype=np.uint64)
-    for i in range(8):                   # bytes < 2^i, then those | bit i
-        tables = np.concatenate([tables, tables | nbr[:, i]], axis=1)
-    return tables
-
-
-def _image(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """S·A for each row of `masks`, one table lookup per byte of A."""
-    img = np.zeros_like(masks)
-    for c, table in enumerate(tables):
-        shift = np.uint64(8 * (c % 8))
-        img |= table[((masks[:, c // 8] >> shift) & np.uint64(255))
-                     .astype(np.intp)]
-    return img
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks).sum(axis=1, dtype=np.intp)
-
-
-def _candidate_chunks(n: int):
-    """The tested sets, in test order, as chunks of at most _CHUNK rows of
-    ceil(n/64) uint64 words: every mask 0 .. 2^n - 1 for n <=
-    _EXHAUSTIVE_LIMIT, otherwise the first _SAMPLES values of
-    random.Random(_SAMPLE_SEED).getrandbits(n).
-
-    getrandbits(n) takes ceil(n/32) 32-bit generator outputs, least
-    significant first, and drops the lowest 32 ceil(n/32) - n bits of the
-    last. One getrandbits call for a whole chunk returns the same outputs in the
-    same order, so the draws are cut out of it without a loop per draw."""
+def _candidate_sets(n: int) -> np.ndarray:
+    """The tested sets, in test order, as an (n, count) boolean matrix whose
+    row v marks the sets that hold vertex v: every mask 0 .. 2^n - 1 for
+    n <= _EXHAUSTIVE_LIMIT, otherwise the first _SAMPLES values of
+    random.Random(_SAMPLE_SEED).getrandbits(n), cut out of one getrandbits
+    call for all of them, which returns the same 32-bit generator outputs in
+    the same order, least significant first."""
     if n <= _EXHAUSTIVE_LIMIT:
-        for start in range(0, 1 << n, _CHUNK):
-            stop = min(start + _CHUNK, 1 << n)
-            yield np.arange(start, stop, dtype=np.uint64)[:, None]
-        return
-    rng = random.Random(_SAMPLE_SEED)
-    per = -(-n // 32)
-    for start in range(0, _SAMPLES, _CHUNK):
-        count = min(_CHUNK, _SAMPLES - start)
-        raw = rng.getrandbits(32 * per * count).to_bytes(4 * per * count,
-                                                         "little")
-        out = np.frombuffer(raw, dtype="<u4").reshape(count, per)
-        out = out.astype(np.uint64)
-        out[:, -1] >>= np.uint64(32 * per - n)
-        if per % 2:
-            out = np.pad(out, ((0, 0), (0, 1)))
-        yield out[:, 0::2] | (out[:, 1::2] << np.uint64(32))
+        masks = np.arange(1 << n, dtype=np.uint16)   # n <= 12 bits suffice
+        return (masks >> np.arange(n, dtype=np.uint16)[:, None] & 1).astype(bool)
+    width = 32 * -(-n // 32)
+    raw = random.Random(_SAMPLE_SEED).getrandbits(width * _SAMPLES)
+    bits = np.unpackbits(
+        np.frombuffer(raw.to_bytes(width * _SAMPLES // 8, "little"), np.uint8),
+        bitorder="little",
+    ).reshape(_SAMPLES, width)
+    # getrandbits(n) takes ceil(n/32) outputs and drops the width - n lowest
+    # bits of the last one. unpackbits gives only 0s and 1s.
+    keep = np.arange(n)
+    keep[width - 32:] += width - n
+    return bits.T[keep].view(bool)
 
 
 @dataclass(frozen=True)
@@ -560,34 +515,44 @@ def large_set_expansion_check(
     with eps = h, the graph's exact vertex Cheeger constant.
 
     Exhaustive over all 2^n subsets for n <= 12, otherwise the first 10 000
-    draws of a fixed seed. The sets are tested in chunks of uint64 words:
-    images by per-byte table lookup, sizes by popcount. Both slacks are exact
-    int64 arrays. h = p/q in lowest terms is the boundary ratio of some set
-    of at most n/2 vertices, so q <= n/2 and p <= n; with d <= n the main
-    slack d q |SA \\ A| - p |G \\ A| is at most n^3 <= 10^12 < 2^63 in size
-    for n <= ELEMENT_CAP = 10 000, and the internal one at most d n.
+    draws of a fixed seed. The sets are the columns of one boolean matrix
+    with a row per vertex; whether v lies in S·A or S·A^c is read off the
+    rows of its neighbors s v, gathered once per generator, and every count
+    is a column sum. A count is at most n <= ELEMENT_CAP = 10 000 < 2^15, so
+    it is summed exactly in int16 and then widened to int64. h = p/q in
+    lowest terms is the boundary ratio of some set of at most n/2 vertices,
+    so q <= n/2 and p <= n; with d <= n the main slack
+    d q |SA \\ A| - p |G \\ A| is at most n^3 <= 10^12 < 2^63 in size, and
+    the internal one at most d n, so both slacks are exact.
     """
     n = graph.n
     d = graph.d
     eps = vertex_cheeger(graph, max_exact=max_exact).value
     p, q = eps.numerator, eps.denominator
 
-    tables = _image_tables(graph.nbr_masks, n)
-    full = _words([graph.full_mask], tables.shape[2])[0]
-    main_lows: list[int] = []                 # least slack of each chunk
-    internal_lows: list[int] = []
-    for masks in _candidate_chunks(n):
-        comp = ~masks & full
-        exc = _popcount(_image(tables, masks) & comp)
-        islack = d * exc - _popcount(_image(tables, comp) & masks)
-        internal_lows.append(int(islack.min()))
-        size = _popcount(masks)
-        slack = (d * q * exc - p * (n - size))[2 * size >= n]
-        if slack.size:
-            main_lows.append(int(slack.min()))
+    sets = _candidate_sets(n)
+    steps = np.array(graph.neighbors, dtype=np.intp).T
 
-    main_slack = min(main_lows, default=None)
-    internal_slack = min(internal_lows)
+    def over_neighbors(op) -> np.ndarray:
+        """op folded over the rows s v, s in S, for every vertex v."""
+        out = sets[steps[0]]
+        for step in steps[1:]:
+            op(out, sets[step], out=out)
+        return out
+
+    def count(x: np.ndarray) -> np.ndarray:
+        return x.sum(axis=0, dtype=np.int16).astype(np.int64)
+
+    # S is symmetric, so v is in S·A exactly when s v is in A for some s in
+    # S, and outside S·A^c exactly when s v is in A for every s in S. For
+    # booleans, a > b is a & ~b.
+    exc = count(over_neighbors(np.logical_or) > sets)
+    internal = d * exc - count(sets > over_neighbors(np.logical_and))
+    size = count(sets)
+    main = (d * q * exc - p * (n - size))[2 * size >= n]
+
+    main_slack = int(main.min()) if main.size else None
+    internal_slack = int(internal.min())
     exhaustive = n <= _EXHAUSTIVE_LIMIT
     return LargeSetExpansionReport(
         ok=(main_slack is None or main_slack >= 0) and internal_slack >= 0,

@@ -99,10 +99,10 @@ def is_bipartite_structural(graph: CayleyGraph) -> SubgroupCertificate | None:
     docstring), so it exists exactly when |K| = n/2. Being the only one, it
     is also the first disjoint subgroup in element-tuple order.
     """
-    return graph.memo("bipartite_structural", lambda: _even_words(graph))
+    return graph.memo("bipartite_structural", lambda: _even_subgroup(graph))
 
 
-def _even_words(graph: CayleyGraph) -> SubgroupCertificate | None:
+def _even_subgroup(graph: CayleyGraph) -> SubgroupCertificate | None:
     """K = <S·S> as the certificate when it has index 2, else None."""
     mult = graph.group.mult
     gens = graph.gens.elements

@@ -133,8 +133,6 @@ def full_report(
         dual_h = dual_cheeger(graph, max_dual=max_dual).value
     except CapExceededError as exc:
         dual_reason = exc.reason
-    except ValueError as exc:
-        dual_reason = str(exc)
 
     bip_spectral = is_bipartite_spectral(summary)
     bip_structural = is_bipartite_structural(graph) is not None

@@ -10,6 +10,7 @@ once into tuples of Python ints, which is what every consumer indexes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,15 +36,12 @@ class FiniteGroup:
     ``mult`` and ``inv`` hold Python ints, never numpy integers, so that
     ``1 << mult[a][b]`` builds an exact bitmask for any order.
 
-    A constructor that knows the group's structure records it, and nothing
-    else (not ``name``) is read for it:
-
-    - ``radices`` = (m_1, ..., m_k) for Z/m_1 x ... x Z/m_k, where the
-      element with digits (a_1, ..., a_k) has the mixed-radix index
-      (...(a_1 m_2 + a_2) m_3 + ...) m_k + a_k;
-    - ``dihedral`` = m for D_m numbered as in from_dihedral.
-
-    Groups built any other way record neither.
+    A constructor that knows an abelian subgroup A of index 1 or 2 records
+    it, and nothing else (not ``name``) is read for it. ``abelian`` =
+    (m_1, ..., m_k) says that elements 0..|A|-1 form A = Z/m_1 x ... x Z/m_k,
+    the element with digits (a_1, ..., a_k) having the mixed-radix index
+    (...(a_1 m_2 + a_2) m_3 + ...) m_k + a_k, and that |A| is the order or
+    half of it. Groups built any other way record ``()``.
     """
 
     order: int
@@ -52,8 +50,7 @@ class FiniteGroup:
     identity: int = 0
     perms: tuple[tuple[int, ...], ...] | None = None
     name: str = ""
-    radices: tuple[int, ...] = ()
-    dihedral: int | None = None
+    abelian: tuple[int, ...] = ()
 
 
 def _freeze(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -174,14 +171,14 @@ def from_cyclic(n: int) -> FiniteGroup:
     table = r[:, None] + r
     table %= n  # in place, so peak memory holds one n x n array, not two
     return FiniteGroup(n, _freeze(table), tuple((-r % n).tolist()),
-                       name=f"cyclic:{n}", radices=(n,))
+                       name=f"cyclic:{n}", abelian=(n,))
 
 
 def from_dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order 2m.
 
     Indices 0..m-1 are the rotations r^a, indices m..2m-1 the reflections
-    r^a s, with s r s = r^-1.
+    r^a s, with s r s = r^-1. The rotations are the recorded Z/m.
     """
     if m < 2:
         raise GroupValidationError(f"dihedral parameter must be >= 2, got {m}")
@@ -197,7 +194,7 @@ def from_dihedral(m: int) -> FiniteGroup:
     table[:m] = (a + c) % m + e * m
     table[m:] = (a - c) % m + (1 - e) * m
     return FiniteGroup(n, _freeze(table), _inverses(table),
-                       name=f"dihedral:{m}", dihedral=m)
+                       name=f"dihedral:{m}", abelian=(m,))
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,8 +292,9 @@ def _transpositions(k: int) -> list[tuple[int, ...]]:
 
 
 def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """Direct product; the pair (a, b) gets index a * |G2| + b, so a product
-    of two groups that both record radices has the radices of both, in order."""
+    """Direct product; the pair (a, b) gets index a * |G2| + b. When A2 is
+    all of G2, A1 x G2 is the first |A1| |G2| elements in mixed radix, with
+    index [G1:A1], so the product records g1.abelian + g2.abelian; else ()."""
     n1, n2 = g1.order, g2.order
     n = n1 * n2
     if n > ELEMENT_CAP:
@@ -305,9 +303,9 @@ def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     table = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n, n)
     inv = np.add.outer(np.array(g1.inv) * n2, np.array(g2.inv)).reshape(n)
     name = f"product:{g1.name or '?'}x{g2.name or '?'}"
-    radices = g1.radices + g2.radices if g1.radices and g2.radices else ()
+    whole = g1.abelian and math.prod(g2.abelian) == n2
     return FiniteGroup(n, _freeze(table), tuple(inv.tolist()), name=name,
-                       radices=radices)
+                       abelian=g1.abelian + g2.abelian if whole else ())
 
 
 def from_table(text: str, *, name: str = "table") -> FiniteGroup:

@@ -6,13 +6,12 @@ both the adjacency eigenvalues t_1 <= ... <= t_n and the Laplacian eigenvalues
 lambda_i = 1 - t_{n+1-i}, sorted ascending, with lambda_1 = 0 always.
 
 The eigenvalues come from characters when the group constructor recorded
-the structure (Babai, "Spectra of Cayley graphs", 1979), in O(n d):
-
-- an abelian group Z/m_1 x ... x Z/m_k (``FiniteGroup.radices``) has
-  t_k = (1/d) sum_{s in S} cos(2 pi sum_j k_j s_j / m_j), one per element k;
-- the dihedral group D_m (``FiniteGroup.dihedral``) has one eigenvalue per
-  one-dimensional character, and A +- sqrt(B^2 + C^2) with multiplicity 2
-  for each two-dimensional representation (see _dihedral_eigenvalues).
+an abelian subgroup A of index 1 or 2 (``FiniteGroup.abelian``), in O(n d):
+each character of A gives one eigenvalue when A = G (Babai, "Spectra of
+Cayley graphs", 1979) and one 2x2 block when [G:A] = 2 (Serre, "Linear
+Representations of Finite Groups", section 7); see _character_eigenvalues.
+That covers cyclic and abelian groups, dihedral groups, and products of a
+dihedral group with cyclic factors after it.
 
 Every other group goes to an in-repo dense solver (Householder
 tridiagonalisation, then Sturm-count bisection), which stays the tests'
@@ -267,11 +266,8 @@ def spectrum(graph: CayleyGraph) -> SpectralSummary:
 
 
 def _summary(graph: CayleyGraph) -> SpectralSummary:
-    group = graph.group
-    if group.radices:
-        values = _abelian_eigenvalues(graph)
-    elif group.dihedral is not None:
-        values = _dihedral_eigenvalues(graph)
+    if graph.group.abelian:
+        values = _character_eigenvalues(graph)
     else:
         values = eigenvalues_symmetric(normalized_adjacency(graph))
     # T is symmetric and stochastic, so its spectrum lies in [-1, 1] exactly;
@@ -318,59 +314,60 @@ def _column_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def _abelian_eigenvalues(graph: CayleyGraph) -> list[float]:
-    """t_k = (1/d) sum_{s in S} cos(2 pi sum_j k_j s_j / m_j) for every k.
+def _character_eigenvalues(graph: CayleyGraph) -> list[float]:
+    """Eigenvalues of T from the characters chi_k(a) = exp(2 pi i sum_j
+    k_j a_j / m_j) of A = Z/m_1 x ... x Z/m_k, the recorded subgroup.
 
-    With L = lcm(m_j), the phase sum_j k_j s_j (L/m_j) mod L is exact in
-    integers, and one table of cos(2 pi p / L) serves every (k, s).
+    Right multiplication commutes with T, so V_chi = {f : f(xa) = chi(a) f(x)}
+    is T-invariant, of dimension [G:A], and C[G] is the sum of the V_chi.
+
+    - A = G: t_k = (1/d) sum_{s in S} cos(2 pi sum_j k_j s_j / m_j).
+    - [G:A] = 2, r = element |A|: on (f(1), f(r)), T is (1/d) [[a, b*],
+      [b, c]], with a = sum chi(s) and c = sum chi(r^-1 s r) over s in S n A
+      and b = sum chi(s r) over s in S outside A. S is symmetric, so a and c
+      are real; the eigenvalues are ((a+c)/2 +- sqrt(((a-c)/2)^2 + |b|^2))/d.
+
+    With L = lcm(m_j), the phase sum_j k_j a_j (L/m_j) mod L is exact in
+    integers. In one table of cos(2 pi p / 4L), entry 4p is cos(2 pi p / L),
+    the bits of _cos_table(L)[p], and entry 4p - L is sin(2 pi p / L).
     """
-    radices = graph.group.radices
-    lcm = math.lcm(*radices)
-    digits = np.empty((graph.n, len(radices)), dtype=np.int64)
-    rest = np.arange(graph.n, dtype=np.int64)
-    for j in reversed(range(len(radices))):
-        rest, digits[:, j] = np.divmod(rest, radices[j])
-    scaled = digits[list(graph.gens.elements)] * [lcm // m for m in radices]
-    phases = digits @ scaled.T % lcm
-    t = _column_sums(_cos_table(lcm)[phases]) / graph.d
-    return sorted(t.tolist())
+    group, gens, d = graph.group, graph.gens.elements, graph.d
+    moduli = group.abelian
+    size, lcm = math.prod(moduli), math.lcm(*moduli)
+    strides = [math.prod(moduli[j + 1:]) for j in range(len(moduli))]
+    digits = np.arange(size)[:, None] // strides % moduli
+    scale = [lcm // m for m in moduli]
+    table = _cos_table(4 * lcm)
 
+    def phases(elements) -> np.ndarray:  # a row per character, a column per element
+        return digits @ (digits[list(elements)] * scale).T % lcm
 
-def _dihedral_eigenvalues(graph: CayleyGraph) -> list[float]:
-    """Eigenvalues of T on D_m, one block per irreducible representation.
+    def sums(elements, shift: int = 0) -> np.ndarray:  # cos, or sin if shift is L
+        return _column_sums(table[(4 * phases(elements) - shift) % (4 * lcm)])
 
-    Element a < m is r^a and element m + a is r^a s. A one-dimensional
-    character sends r to +-1 (-1 only for even m) and s to +-1, and its
-    eigenvalue is the exact integer sum_{s in S} chi(s) over d. The j-th
-    two-dimensional representation (1 <= j < m/2) sends r^a to the rotation
-    and r^a s to the reflection by theta = 2 pi j a / m; S is symmetric, so
-    the rotations' sines cancel and sum_{s in S} rho_j(s) is
-    [[A + B, C], [C, A - B]], with A the sum of cos theta over rotations in
-    S and B, C the sums of cos theta and sin theta over reflections. Its
-    eigenvalues A +- sqrt(B^2 + C^2), over d, each have multiplicity 2.
-    """
-    m, d = graph.group.dihedral, graph.d
-    rotation = [x % m for x in graph.gens.elements]
-    reflection = [x >= m for x in graph.gens.elements]
-    values = []
-    for r_sign in ((1, -1) if m % 2 == 0 else (1,)):
-        for s_sign in (1, -1):
-            chi = sum(r_sign ** a * (s_sign if f else 1)
-                      for a, f in zip(rotation, reflection))
-            values.append(chi / d)
-    # cos(2 pi p / m) is table[4p mod 4m] and sin(2 pi p / m) is
-    # table[(4p - m) mod 4m].
-    table = _cos_table(4 * m)
-    phases = 4 * np.arange(1, (m - 1) // 2 + 1)[:, None] * rotation
-    cos = table[phases % (4 * m)]
-    sin = table[(phases - m) % (4 * m)]
-    a = _column_sums(np.where(reflection, 0.0, cos))
-    b = _column_sums(np.where(reflection, cos, 0.0))
-    c = _column_sums(np.where(reflection, sin, 0.0))
-    root = np.sqrt(b * b + c * c)
-    for block in ((a - root) / d, (a + root) / d):
-        values += 2 * block.tolist()
-    return sorted(values)
+    if size == graph.n:
+        return sorted((sums(gens) / d).tolist())
+    r, mult = size, group.mult
+    conjugate = [mult[group.inv[r]][mult[a][r]] for a in range(size)]
+    inside = [s for s in gens if s < size]
+    twisted = [mult[s][r] for s in gens if s >= size]
+    a = sums(inside)
+    # c adds its terms in ascending element order, as a does (generators are
+    # sorted). _cos_table is not bitwise even (at q = 64, entries 8, 24, 40
+    # and 56 differ in the last bit from their mirrors), so on D_m, where
+    # r^-1 s r = s^-1, only this order makes c equal to a bit for bit.
+    c = sums(sorted(conjugate[s] for s in inside))
+    b_re, b_im = sums(twisted), sums(twisted, lcm)
+    half, mid = (a - c) / 2, (a + c) / 2
+    root = np.sqrt(half * half + (b_re * b_re + b_im * b_im))
+    # chi and chi(r^-1 . r) have the same block, mathematically but not
+    # bitwise, so both take the block of the lower character index. The
+    # partner of chi_k is read off its values on the unit elements e_j.
+    units = [(1 % m) * stride for m, stride in zip(moduli, strides)]
+    partner = phases(conjugate[e] for e in units) // scale @ strides
+    lower = np.minimum(np.arange(size), partner)
+    values = np.concatenate(((mid - root)[lower], (mid + root)[lower])) / d
+    return sorted(values.tolist())
 
 
 def is_connected(summary: SpectralSummary) -> bool:

@@ -5,6 +5,7 @@ from cayleygap import (
     GeneratingSetError,
     SpecParseError,
     build,
+    build_graph,
     from_cyclic,
     from_permutations,
     from_symmetric,
@@ -25,6 +26,7 @@ import oracles
 
 Z8 = from_cyclic(8)
 G8 = build(Z8, parse_generators(Z8, "±1,±2"))
+D4 = build_graph("dihedral:4", "auto")
 
 
 def test_mask_of_and_members_small():
@@ -100,11 +102,14 @@ def test_loop_iff_identity_generator():
 
 @given(st.integers(min_value=1, max_value=255))
 def test_set_image_matches_neighbor_union(a_mask):
-    expected = 0
-    for a in mask_members(a_mask):
-        expected |= G8.nbr_masks[a]
-    assert set_image(G8, a_mask) == expected
-    assert oracles.vertex_boundary(G8, a_mask) == expected & ~a_mask
+    # S·A from the group table; on D_4, s·a and a·s differ, so a set image
+    # taken by right multiplication fails here.
+    for graph in (G8, D4):
+        mult = graph.group.mult
+        expected = mask_of(mult[s][a] for s in graph.gens.elements
+                           for a in mask_members(a_mask))
+        assert set_image(graph, a_mask) == expected
+        assert oracles.vertex_boundary(graph, a_mask) == expected & ~a_mask
 
 
 @given(st.integers(min_value=1, max_value=255))

@@ -454,11 +454,13 @@ def test_large_set_kernel_matches_loop_on_family(member):
 
 @pytest.mark.parametrize(
     "spec",
-    [("cyclic:66", "±1"), ("cyclic:97", "±1"), ("cyclic:7", "0,±1")],
+    [("cyclic:66", "±1"), ("cyclic:97", "±1"), ("cyclic:7", "0,±1"),
+     ("cyclic:20", "±1")],
     ids=lambda k: f"{k[0]} {k[1]}",
 )
 def test_large_set_kernel_matches_loop_off_family(spec):
-    """Draws of three and four 32-bit outputs, and a loop (identity in S)."""
+    """Draws of three and four 32-bit outputs, a loop (identity in S), and a
+    graph whose least main slack is reached only by sets of size n/2."""
     graph = _graph(*spec)
     rep, ref = _kernel_and_oracle(graph, max_exact=graph.n)
     assert rep == ref

@@ -181,7 +181,7 @@ def _assert_blocks_match_oracle(matrix) -> int:
     ids=lambda m: m.name)
 def test_bisection_matches_oracle_on_dense_family(member):
     graph = families.graph_of(member)
-    assert graph.group.radices == () and graph.group.dihedral is None
+    assert graph.group.abelian == ()
     assert _assert_blocks_match_oracle(normalized_adjacency(graph)) > 0
 
 
@@ -333,7 +333,7 @@ def test_square_spectrum_consistency(member):
 
 
 # ---------------------------------------------------------------------------
-# Spectra from characters (abelian and dihedral groups)
+# Spectra from characters (an abelian subgroup of index 1 or 2)
 
 
 def _assert_matches_dense(graph) -> None:
@@ -352,7 +352,7 @@ def test_abelian_spectrum_matches_dense(radices, data):
     group = from_cyclic(radices[0])
     for m in radices[1:]:
         group = from_direct_product(group, from_cyclic(m))
-    assert group.radices == tuple(radices)
+    assert group.abelian == tuple(radices)
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
     loop = data.draw(st.booleans())
     _assert_matches_dense(build(group, families.random_generators(group, draw, loop)))
@@ -361,10 +361,43 @@ def test_abelian_spectrum_matches_dense(radices, data):
 @given(st.integers(min_value=2, max_value=32), st.data())
 def test_dihedral_spectrum_matches_dense(m, data):
     group = from_dihedral(m)
-    assert group.dihedral == m
+    assert group.abelian == (m,)
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
     loop = data.draw(st.booleans())
     _assert_matches_dense(build(group, families.random_generators(group, draw, loop)))
+
+
+@given(st.integers(min_value=2, max_value=12),
+       st.lists(st.integers(min_value=1, max_value=4), min_size=1,
+                max_size=2).filter(lambda ks: math.prod(ks) <= 6),
+       st.data())
+def test_dihedral_times_abelian_spectrum_matches_dense(m, radices, data):
+    # The rotations times the abelian factors have index 2, and the
+    # reflection r = element |A| does not commute with every generator.
+    group = from_dihedral(m)
+    for k in radices:
+        group = from_direct_product(group, from_cyclic(k))
+    assert group.abelian == (m, *radices)
+    draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
+    loop = data.draw(st.booleans())
+    graph = build(group, families.random_generators(group, draw, loop))
+    dense = eigenvalues_symmetric(normalized_adjacency(graph))
+    assert _max_gap(spectrum(graph).t, dense) <= 1e-12
+
+
+@pytest.mark.parametrize("group,gens,digest", [
+    ("dihedral:16", "2,3,8,13,14,19",
+     "a15bf1bf1f0c522e5638c8d762d8cedc1cc892a93c440f8703102f6f7cd635d4"),
+    ("dihedral:32", "4,7,11,21,25,28,57,63",
+     "8245fa3ded88597390b90ff46d89f7bd76b99051edc323a78a02cfaf2090a6e2"),
+])
+def test_dihedral_spectrum_last_bits_are_pinned(group, gens, digest):
+    # Graphs where the 2x2 block moves a last bit unless c adds its terms
+    # in ascending element order and chi and its conjugate by the
+    # reflection share one block. The digests are those of the dihedral
+    # closed form A +- sqrt(B^2 + C^2), whose bits the block must keep.
+    t = spectrum(build_graph(group, gens)).t
+    assert hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("group,gens", [
@@ -413,14 +446,14 @@ def test_cos_table_exact_and_accurate():
 
 
 @pytest.mark.parametrize("spec", [
-    "product:dihedral:3xcyclic:2",
+    "product:cyclic:2xdihedral:3",
     "product:cyclic:2xsymmetric:3",
     "symmetric:3",
     "perm:(0 1 2 3)",
 ])
 def test_other_groups_take_the_dense_solver(spec, monkeypatch):
     group = parse_group_spec(spec).build()
-    assert group.radices == () and group.dihedral is None
+    assert group.abelian == ()
     runs = []
     solver = cayleygap.spectral.eigenvalues_symmetric
     monkeypatch.setattr(cayleygap.spectral, "eigenvalues_symmetric",
@@ -429,6 +462,9 @@ def test_other_groups_take_the_dense_solver(spec, monkeypatch):
     assert runs == [1]
     spectrum(build_graph("product:cyclic:2xcyclic:3", "1,2,3"))
     spectrum(build_graph("dihedral:3", "auto"))
+    product = parse_group_spec("product:dihedral:3xcyclic:2").build()
+    assert product.abelian == (3, 2)
+    spectrum(build(product, [x for x in range(1, product.order)]))
     assert runs == [1]
 
 

@@ -25,6 +25,19 @@ edge_cheeger (full_report passes the one it already holds); without one the
 search runs to the end. Its only float input, lambda_2, is lowered by
 spectral.TOL, which exceeds the solvers' error of about n eps. The proof's
 S'-weighted search takes no floor.
+
+The depth-first searches find their optimum early and spend most of their
+nodes proving it. So the vertex search's first pass and the crossing
+search's second pass dive first: they run depth first under a fixed node
+budget (_VERTEX_DIVE extend calls, _CROSSING_DIVE step calls), and a dive
+that finishes within it is the whole search. A dive that runs out restarts
+from the root on a numpy frontier (_frontier): nodes held as uint64 masks
+and int64 counts, expanded in chunks of bounded size, depth first over
+chunks, with the same bounds and the same result. The vertex frontier
+starts from the dive's incumbent; the crossing frontier keeps the walk's
+order, so its first surviving set is still the smallest mask. A frontier
+set is one uint64, so above _LAYOUT = 64 vertices (reachable only with a
+raised max_exact) the dives run with no budget.
 """
 
 from __future__ import annotations
@@ -33,6 +46,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .cayley import CayleyGraph, mask_members, mask_of
 from .errors import CapExceededError
@@ -48,6 +63,76 @@ class CheegerCertificate:
     value: Fraction
     witness: tuple[int, ...]
     witness_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+
+
+# Node budgets of the depth-first dives: extend calls of the vertex search's
+# pass 1, step calls of the crossing search's pass 2. A dive that exceeds its
+# budget restarts on a numpy frontier (_frontier), whose chunks hold at most
+# _CHUNK entries per array. A frontier set is one uint64, so above _LAYOUT
+# vertices the dives run with no budget.
+_VERTEX_DIVE = 600
+_CROSSING_DIVE = 400
+_CHUNK = 32768
+_LAYOUT = 64
+
+
+class _OverBudget(Exception):
+    """Ends a depth-first dive that has used up its node budget."""
+
+
+def _count(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 mask, as int64 (bitwise_count gives uint8)."""
+    return np.bitwise_count(x).astype(np.int64)
+
+
+def _frontier(
+    root: tuple[np.ndarray, ...], n: int,
+    expand: Callable[[int, tuple[np.ndarray, ...]], tuple[tuple[np.ndarray, ...], int]],
+) -> int:
+    """Expand a frontier of nodes in chunks, depth first over chunks; returns
+    the first nonzero result of expand, or 0 when the frontier runs out.
+
+    A chunk is a tuple of arrays with one row per node; root is the chunk at
+    depth 0. expand(depth, chunk) returns the surviving children of the
+    chunk's nodes, in node order, and a nonzero result to stop. A node has
+    at most n children, and each level is cut into chunks of at most
+    _CHUNK // (n * width) nodes, width the entries of a root row's widest
+    array: so the arrays of a chunk's (node, child) pairs hold at most
+    _CHUNK entries each, and the stack, one chunk list per level, at most
+    _CHUNK entries per array per level. The chunks of a level are expanded
+    in order, each one's subtree before the next chunk, so the nodes are
+    visited in depth-first order chunk by chunk.
+    """
+    per = max(1, _CHUNK // (n * max(a[0].size for a in root)))
+    stack = [(0, [root])]
+    while stack:
+        depth, level = stack[-1]
+        chunk = level.pop()
+        if not level:
+            stack.pop()
+        children, found = expand(depth, chunk)
+        if found:
+            return found
+        count = len(children[0])
+        if count:
+            starts = range((count - 1) // per * per, -1, -per)
+            stack.append((depth + 1, [tuple(a[i:i + per] for a in children) for i in starts]))
+    return 0
+
+
+def _may_lower(lhs: np.ndarray, rhs: np.ndarray, ties: np.ndarray | bool) -> np.ndarray:
+    """The rows whose bound lhs/rhs (cross-multiplied with the incumbent)
+    may still lower (ratio, size): below it, or equal where ties holds."""
+    return (lhs < rhs) | ((lhs == rhs) & ties)
+
+
+def _pairs(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(node, child) pairs, node-major: node i with each v in first[i]..stop[i]-1
+    ascending. Returns the node index and v of every pair."""
+    width = stop - first
+    node = np.repeat(np.arange(len(first)), width)
+    offset = np.cumsum(width) - width
+    return node, np.arange(len(node)) - offset[node] + first[node]
 
 
 # The rooted searches below use right translation x -> x·g, a graph
@@ -119,6 +204,10 @@ def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
     above e are decided, every neighbour above e outside A is boundary (pb),
     and of the cand neighbours below e at most `left` more elements can be
     absorbed, so pb + max(0, cand - left) bounds the boundary.
+
+    Pass 1 is a dive: after _VERTEX_DIVE extend calls it keeps its incumbent
+    and restarts from {0} on the frontier (_vertex_bulk), which applies the
+    same tests to a chunk of nodes at once. Pass 2 always runs depth first.
     """
     kcap = n // 2
     below = [(1 << u) - 1 for u in range(n + 1)]
@@ -146,8 +235,13 @@ def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
             extra = live - j + 2
         return extra
 
+    calls, budget = 0, _VERTEX_DIVE if n <= _LAYOUT else math.inf
+
     def extend(start: int, mask: int, size: int, nbr: int) -> None:
-        nonlocal best_num, best_size
+        nonlocal best_num, best_size, calls
+        calls += 1
+        if calls > budget:
+            raise _OverBudget
         bn, bs = best_num, best_size
         for u in range(start, n):
             # Everything left in this loop extends `mask`; vertices below u
@@ -193,8 +287,90 @@ def _vertex_search(nbr_masks: Sequence[int], n: int) -> tuple[int, int, int]:
         return nb, (nb & ~below[e] & ~a).bit_count() + (cand - left if cand > left else 0)
 
     if kcap > 1:
-        extend(1, 1, 1, masks[0])
+        try:
+            extend(1, 1, 1, masks[0])
+        except _OverBudget:
+            best_num, best_size = _vertex_bulk(masks, n, best_num, best_size)
     return best_num, best_size, _smallest_mask(n, best_size, best_num, step, 0)
+
+
+def _vertex_bulk(masks: Sequence[int], n: int, best_num: int, best_size: int) -> tuple[int, int]:
+    """Pass 1 of _vertex_search on a chunked frontier (_frontier), from the
+    rooted set {0} and the incumbent (best_num, best_size); returns the
+    optimal (boundary, size). n <= _LAYOUT, so a set is one uint64.
+
+    Each chunk applies extend's tests to all its (node, u) pairs at once,
+    under the incumbent the chunk started with, which is sound because the
+    incumbent only improves. The loop-head break is monotone in u (its left
+    side grows and kmax shrinks), so it is a filter. The chunk's best child
+    replaces the incumbent under the strict tie rule, and the children are
+    then filtered by the cheap bound and by the passed-over bound.
+    """
+    kcap = n // 2
+    one = np.uint64(1)
+    bits = one << np.arange(n, dtype=np.uint64)
+    low = bits - one   # low[u]: the vertices below u
+    nbrs = np.array(masks, dtype=np.uint64)
+    # byte_planes[b] = (t1, t2): for a set Q whose byte b is x and whose
+    # other bytes are 0, t1[x] and t2[x] hold the vertices with at least one
+    # and at least two neighbours in Q.
+    byte_planes = []
+    for b in range(0, n, 8):
+        t1 = t2 = np.zeros(1, dtype=np.uint64)
+        for m in nbrs[b:b + 8]:
+            t1, t2 = np.concatenate((t1, t1 | m)), np.concatenate((t2, t2 | (t1 & m)))
+        byte_planes.append((t1, t2))
+
+    def prove(depth: int, chunk: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], int]:
+        # The chunk's nodes are rooted sets of depth + 1 vertices.
+        nonlocal best_num, best_size
+        start, mask, nbr = chunk
+        size = depth + 1
+        bn, bs = best_num, best_size
+        node, u = _pairs(start, np.full_like(start, n))
+        mask, nbr = mask[node], nbr[node]
+        kmax = np.minimum(size + n - u, kcap)
+        keep = _may_lower(_count(nbr & low[u] & ~mask) * bs, bn * kmax,
+                          (kmax if bn else size + 1) < bs)
+        u = u[keep]
+        mask2 = mask[keep] | bits[u]
+        nbr2 = nbr[keep] | nbrs[u]
+        size2 = size + 1
+        if len(u):
+            num2 = int(_count(nbr2 & ~mask2).min())
+            if num2 * bs < bn * size2 or (num2 * bs == bn * size2 and size2 < bs):
+                best_num, best_size = bn, bs = num2, size2
+        keep = (u + 1 < n) & (size2 < kcap)
+        u, mask2, nbr2 = u[keep] + 1, mask2[keep], nbr2[keep]   # u: the child's start
+        kmax = np.minimum(size2 + n - u, kcap)
+        pb = _count(nbr2 & low[u] & ~mask2)
+        live_mask = nbr2 & ~low[u]
+        live = _count(live_mask)
+        j = np.minimum(kmax - size2, live)
+        keep = _may_lower((pb + live - j) * bs, bn * kmax, (kmax if bn else size2 + 1) < bs)
+        u, mask2, nbr2, kmax, pb, live_mask, live, j = (
+            a[keep] for a in (u, mask2, nbr2, kmax, pb, live_mask, live, j))
+        # passed_over_bound on every child, with q1, q2 merged from the
+        # planes of the passed-over set's bytes.
+        passed = low[u] & ~mask2 & ~nbr2
+        q1 = np.zeros_like(passed)
+        q2 = np.zeros_like(passed)
+        for shift, (t1, t2) in enumerate(byte_planes):
+            byte = (passed >> np.uint64(8 * shift)) & np.uint64(255)
+            r1, r2 = t1[byte], t2[byte]
+            q2 |= r2 | (q1 & r1)
+            q1 |= r1
+        ones = _count(live_mask & q1)
+        two = live - _count(live_mask & q2)
+        i = np.minimum(j, two)
+        extra = live - i + (i > live - ones)
+        extra = np.where((j > i) & (live - j + 2 < extra), live - j + 2, extra)
+        keep = _may_lower((pb + extra) * bs, bn * kmax, (kmax if bn else size2 + 1) < bs)
+        return (u[keep], mask2[keep], nbr2[keep]), 0
+
+    root = (np.array([1]), np.array([1], dtype=np.uint64), nbrs[:1])
+    _frontier(root, n, prove)
+    return best_num, best_size
 
 
 class _Certified(Exception):
@@ -253,6 +429,10 @@ def _crossing_search(
     weight of y to A and to the vertices at and above e, a completion by
     `left` more elements crosses at least
         w(A, A^c) + (sum of the `left` smallest h_y - 2 c_y over y < e).
+
+    Pass 2 is a dive: after _CROSSING_DIVE step calls it restarts from the
+    empty set on the frontier (_crossing_bulk), in the walk's order. Pass 1
+    always runs depth first.
     """
     kcap = n // 2
     # weight[u][y]: total weight of the edges u-y, loops dropped.
@@ -322,10 +502,16 @@ def _crossing_search(
     for e in range(n - 1, -1, -1):
         high[e] = [h + w for h, w in zip(high[e + 1], weight[e])]
 
+    calls, budget = 0, _CROSSING_DIVE if n <= _LAYOUT else math.inf
+
     def step(state: tuple[list[int], int], e: int, a: int,
              left: int) -> tuple[tuple[list[int], int], int]:
         # state: (c, w(A, A^c)), c[y] the weight of y to A for y below the
         # last element added.
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise _OverBudget
         c, cross = state
         cross += deg[e] - 2 * c[e]
         row, he = weight[e], high[e]
@@ -338,7 +524,55 @@ def _crossing_search(
             extend(1, 1, 1, deg[0], 0, one[0], two[0], 0, 0)
         except _Certified:
             pass
-    return best_num, best_size, _smallest_mask(n, best_size, best_num, step, ([0] * n, 0))
+    try:
+        mask = _smallest_mask(n, best_size, best_num, step, ([0] * n, 0))
+    except _OverBudget:
+        mask = _crossing_bulk(weight, high, deg, n, best_size, best_num)
+    return best_num, best_size, mask
+
+
+def _crossing_bulk(
+    weight: Sequence[Sequence[int]], high: Sequence[Sequence[int]], deg: Sequence[int],
+    n: int, size: int, bound: int,
+) -> int:
+    """Pass 2 of _crossing_search on a chunked frontier (_frontier): the
+    smallest mask of `size` vertices crossing at most `bound`. n <= _LAYOUT,
+    so a set is one uint64.
+
+    A node is a set of `depth` elements: its lowest element (n at the root),
+    its mask, w(A, A^c) and the row c of weights to A. Each chunk applies
+    step's bound to all its (node, e) pairs at once: c is an (F, n) array,
+    and the sum of the `left` smallest h_y - 2 c_y over y < e comes from
+    np.partition along the rows. Children come node-major in ascending e,
+    the walk's order, so the first complete set that survives is the
+    smallest mask.
+    """
+    wt = np.array(weight, dtype=np.int64)
+    hi = np.array(high, dtype=np.int64)
+    degs = np.array(deg, dtype=np.int64)
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    cols = np.arange(n)
+    never = np.iinfo(np.int64).max   # stands for y >= e, which cannot join
+
+    def prove(depth: int, chunk: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], int]:
+        top, mask, cross, c = chunk
+        left = size - depth - 1
+        node, e = _pairs(np.full_like(top, left), top)
+        c = c[node] + wt[e]   # wt[e, e] = 0, so c[:, e] is still e's weight to A
+        cross = cross[node] + degs[e] - 2 * c[np.arange(len(e)), e]
+        lb = cross
+        if left:
+            gains = np.where(cols < e[:, None], hi[e] - 2 * c, never)
+            lb = cross + np.partition(gains, left - 1, axis=1)[:, :left].sum(axis=1)
+        keep = np.flatnonzero(lb <= bound)
+        mask = mask[node[keep]] | bits[e[keep]]
+        if not left and len(keep):
+            return (), int(mask[0])
+        return (e[keep], mask, cross[keep], c[keep]), 0
+
+    root = (np.array([n]), np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64),
+            np.zeros((1, n), dtype=np.int64))
+    return _frontier(root, n, prove)
 
 
 def _require_exact(n: int, max_exact: int) -> None:

@@ -197,11 +197,6 @@ def from_dihedral(m: int) -> FiniteGroup:
                        name=f"dihedral:{m}", abelian=(m,))
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p * q)(i) = p(q(i))
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def cycle_string(perm: Sequence[int]) -> str:
     """Cycle-notation label for a permutation, 'e' for the identity."""
     k = len(perm)
@@ -228,10 +223,15 @@ def from_permutations(
     """Closure of the given permutations under composition, by BFS from the identity.
 
     Element 0 is the identity permutation; discovery order fixes the indexing.
-    At most ELEMENT_CAP elements are generated. The BFS records, for each
-    generator g, the index of g * perms[j] for every j, and for each element
-    the parent and generator that found it, so row a of the table is row
-    parent(a) mapped through g's column of indices.
+    At most ELEMENT_CAP elements are generated. Each BFS level composes its
+    elements with all generators in numpy gathers of at most
+    ELEMENT_CAP // r heads each (r generators), so the cap is checked after
+    at most about ELEMENT_CAP products, and looks the products up by their
+    bytes in (element, generator) order, the order in which new elements
+    take their indices. The BFS records, for each generator g, the index of
+    g * perms[j] for every j, and for each element the parent and generator
+    that found it, so row a of the table is row parent(a) mapped through g's
+    column of indices.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
@@ -243,31 +243,54 @@ def from_permutations(
         if sorted(g) != list(range(k)):
             raise GroupValidationError(f"{g} is not a bijection on 0..{k - 1}")
 
-    identity = tuple(range(k))
-    perms: list[tuple[int, ...]] = [identity]
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    left: list[list[int]] = [[] for _ in gens]   # left[i][j] = g_i * perms[j]
-    found_by: list[tuple[int, int]] = [(0, 0)]   # (parent, generator)
-    for head, cur in enumerate(perms):
-        for i, g in enumerate(gens):
-            nxt = _compose(g, cur)
-            j = index.get(nxt)
-            if j is None:
-                if len(perms) >= ELEMENT_CAP:
-                    raise ElementCapError("element", ELEMENT_CAP, len(perms) + 1)
-                j = index[nxt] = len(perms)
-                perms.append(nxt)
-                found_by.append((head, i))
-            left[i].append(j)
+    gen_rows = np.array(gens, dtype=np.intp)
+    r = len(gens)
+    as_bytes = np.dtype((np.void, k * gen_rows.itemsize))   # one key per permutation
+    levels = [np.arange(k, dtype=np.intp)[None]]
+    index = {levels[0].view(as_bytes).item(): 0}
+    left: list[int] = []             # left[j * r + i] = index of g_i * perms[j]
+    parent, via = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    per = max(1, ELEMENT_CAP // r)   # heads per gather
+    first_head = 0
+    while True:
+        heads = levels[-1]
+        # found: h * r + i for each new g_i * heads[h]; rows: those products.
+        found, rows = [], []
+        for lo in range(0, len(heads), per):
+            # g_i * head for every head of the block, in (head, generator) order.
+            block = heads[lo:lo + per]
+            products = np.ascontiguousarray(gen_rows[:, block].transpose(1, 0, 2)).reshape(-1, k)
+            fresh = []
+            for p, key in enumerate(products.view(as_bytes).ravel().tolist()):
+                j = index.get(key)
+                if j is None:
+                    if len(index) >= ELEMENT_CAP:
+                        raise ElementCapError("element", ELEMENT_CAP, len(index) + 1)
+                    j = index[key] = len(index)
+                    fresh.append(p)
+                left.append(j)
+            rows.append(products[fresh])
+            found += [lo * r + p for p in fresh]
+        if not found:
+            break
+        at = np.array(found, dtype=np.intp)
+        levels.append(np.concatenate(rows))
+        parent.append(first_head + at // r)
+        via.append(at % r)
+        first_head += len(heads)
 
-    n = len(perms)
-    gathers = np.array(left, dtype=np.intp)
+    n = len(index)
+    gathers = np.array(left, dtype=np.intp).reshape(n, r).T
+    parent, via = np.concatenate(parent), np.concatenate(via)
     table = np.empty((n, n), dtype=np.intp)
     table[0] = np.arange(n)
-    for a in range(1, n):
-        parent, i = found_by[a]
-        table[a] = gathers[i][table[parent]]
-    return FiniteGroup(n, _freeze(table), _inverses(table), perms=tuple(perms),
+    lo = 1
+    for level in levels[1:]:
+        hi = lo + len(level)
+        table[lo:hi] = gathers[via[lo:hi, None], table[parent[lo:hi]]]
+        lo = hi
+    perms = tuple(map(tuple, np.concatenate(levels).tolist()))
+    return FiniteGroup(n, _freeze(table), _inverses(table), perms=perms,
                        name=name or "permutation")
 
 

@@ -293,6 +293,96 @@ def test_rooted_witnesses_on_complete_graphs(n):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
 
 
+@pytest.fixture(params=[3, 300], ids=lambda c: f"chunk{c}")
+def bulk(request, monkeypatch):
+    # Dives with no budget, so every vertex pass 1 and every crossing pass 2
+    # runs on the frontier: in chunks of one node (3 entries per array), or
+    # of 300 // (n * width) nodes.
+    monkeypatch.setattr(cayleygap.cheeger, "_VERTEX_DIVE", 0)
+    monkeypatch.setattr(cayleygap.cheeger, "_CROSSING_DIVE", 0)
+    monkeypatch.setattr(cayleygap.cheeger, "_CHUNK", request.param)
+
+
+@pytest.mark.parametrize("key", list(VERTEX_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_minima_in_bulk(key, bulk):
+    test_frozen_vertex_minima(key)
+    if key in CROSSING_MINIMA:
+        test_frozen_crossing_minima(key)
+
+
+@pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
+def test_bulk_engines_match_oracles(member, bulk):
+    graph = build_graph(member.group_spec, member.gens_spec)   # not the cached graph's memo
+    n = graph.n
+    cert = vertex_cheeger(graph)
+    assert (cert.value, cert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
+    edge = edge_cheeger(graph)
+    assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
+    rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
+    assert _crossing_search(rows, n) == weighted
+
+
+@pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
+                         ids=lambda v: str(v) if isinstance(v, (int, bool)) else v.name)
+def test_bulk_engines_match_oracle_above_12(group, seed, loop, bulk):
+    test_vertex_engine_matches_oracle_above_12(group, seed, loop)
+
+
+@pytest.mark.parametrize("n", range(10, 15))
+def test_bulk_witnesses_on_complete_graphs(n, bulk):
+    test_rooted_witnesses_on_complete_graphs(n)
+
+
+def test_bulk_zero_ratio_ties_keep_the_smallest_size(bulk):
+    test_zero_ratio_ties_keep_the_smallest_size()
+
+
+def test_bulk_ties_below_a_larger_tie_keep_the_smallest_size(bulk, monkeypatch):
+    # The frontier's three filters share the dive's tie rule. With it the
+    # vertex frontier expands at most 303 nodes in chunks of one node and
+    # 743 in chunks of 300 // (n * width) nodes; exploring the ties at the
+    # incumbent size too takes 418 and 837.
+    expanded = []
+    real_frontier = cayleygap.cheeger._frontier
+
+    def frontier(root, n, expand):
+        def counted(depth, chunk):
+            expanded.append(len(chunk[0]))
+            return expand(depth, chunk)
+        return real_frontier(root, n, counted)
+
+    monkeypatch.setattr(cayleygap.cheeger, "_frontier", frontier)
+    graph = _coset_graph(20, 4)
+    assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)
+    assert sum(expanded) <= {3: 303, 300: 743}[cayleygap.cheeger._CHUNK]
+    test_ties_below_a_larger_tie_keep_the_smallest_size()
+
+
+@pytest.mark.parametrize("n", [64, 65, 66])
+def test_no_frontier_above_the_layout_limit(n, monkeypatch):
+    # A frontier set is one uint64. Above 64 vertices both dives run to the
+    # end whatever their budget; at 64 a zero budget sends both to the
+    # frontier. The results are the cycle's closed forms either way.
+    built = []
+    real_frontier = cayleygap.cheeger._frontier
+
+    def frontier(*args):
+        built.append(n)
+        return real_frontier(*args)
+
+    monkeypatch.setattr(cayleygap.cheeger, "_frontier", frontier)
+    monkeypatch.setattr(cayleygap.cheeger, "_VERTEX_DIVE", 0)
+    monkeypatch.setattr(cayleygap.cheeger, "_CROSSING_DIVE", 0)
+    graph = build_graph(f"cyclic:{n}", "±1")
+    half = n // 2
+    vert = vertex_cheeger(graph, max_exact=n)
+    assert (vert.value, vert.witness) == (Fraction(2, half), tuple(range(half)))
+    edge = edge_cheeger(graph, max_exact=n)
+    assert (edge.value, edge.witness) == (Fraction(1, half), tuple(range(half)))
+    assert len(built) == (2 if n <= 64 else 0)
+
+
 _SMALL_GROUPS = (
     [from_cyclic(n) for n in range(2, 13)]
     + [from_dihedral(m) for m in range(3, 7)]
@@ -508,21 +598,22 @@ def test_trivial_graph_rejected():
         edge_cheeger(graph)
 
 
-def _matching_graph(n):
-    """x <-> x+n/2 on Z/n: n/2 disjoint edges, never produced by build()."""
+def _coset_graph(n, step):
+    """x <-> x +- step on Z/n: one component per coset of <step> (n/2
+    disjoint edges when step = n/2), never produced by build()."""
     g = from_cyclic(n)
-    half = n // 2
-    neighbors = tuple((g.mult[half][x],) for x in range(n))
+    gens = tuple(sorted({step, n - step}))
+    neighbors = tuple(tuple(g.mult[s][x] for s in gens) for x in range(n))
     return CayleyGraph(
         group=g,
-        gens=GeneratingSet((half,)),
+        gens=GeneratingSet(gens),
         neighbors=neighbors,
-        nbr_masks=tuple(1 << row[0] for row in neighbors),
+        nbr_masks=tuple(sum(1 << y for y in row) for row in neighbors),
     )
 
 
 def test_disconnected_graph_has_zero_cheeger():
-    graph = _matching_graph(6)
+    graph = _coset_graph(6, 3)
     for cert in (vertex_cheeger(graph), edge_cheeger(graph)):
         assert cert.value == 0
         assert cert.witness == (0, 3)
@@ -531,7 +622,37 @@ def test_disconnected_graph_has_zero_cheeger():
 def test_zero_ratio_ties_keep_the_smallest_size():
     # A union of two of the four edges also has ratio 0; pruning the
     # subtrees that only tie ratio 0 would return one of those.
-    graph = _matching_graph(8)
+    graph = _coset_graph(8, 4)
     assert _vertex_search(graph.nbr_masks, 8) == (0, 2, 0b10001)
     unit = [((1, m),) for m in graph.nbr_masks]
     assert _crossing_search(unit, 8) == (0, 2, 0b10001)
+
+
+# Four disjoint 5-cycles, the cosets of <4> in Z/20.
+_CYCLE = (0, 4, 8, 12, 16)
+_CYCLE_MASK = sum(1 << v for v in _CYCLE)
+
+
+def test_ties_below_a_larger_tie_keep_the_smallest_size():
+    # Pass 1 first finds a union of two 5-cycles (ratio 0, size 10) below
+    # {0, 1}. The 5-cycle through 0 lies below {0, 4}, whose loop head and
+    # subtree bounds only tie ratio 0: pruning on a tie would keep size 10.
+    graph = _coset_graph(20, 4)
+    assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)
+    unit = [((1, m),) for m in graph.nbr_masks]
+    assert _crossing_search(unit, 20) == (0, 5, _CYCLE_MASK)
+    for cert in (vertex_cheeger(graph), edge_cheeger(graph)):
+        assert (cert.value, cert.witness) == (0, _CYCLE)
+
+
+def test_ties_that_cannot_lower_the_size_are_pruned(monkeypatch):
+    # A subtree that only ties the incumbent ratio is explored only if it
+    # may hold a smaller set. On the 5-cycles the dive then ends within 186
+    # extend calls; exploring the ties at the incumbent size too takes 823.
+    def no_bulk(*args):
+        raise AssertionError("pass 1 ran past its dive")
+
+    monkeypatch.setattr(cayleygap.cheeger, "_VERTEX_DIVE", 186)
+    monkeypatch.setattr(cayleygap.cheeger, "_vertex_bulk", no_bulk)
+    graph = _coset_graph(20, 4)
+    assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,22 @@ def test_from_permutations_cap(monkeypatch):
     assert isinstance(exc.value, CapExceededError)
     assert str(exc.value) == "element cap exceeded: problem size 11 > limit 10"
     assert exc.value.reason == "cap:element=10,needed=11"
+
+
+def test_element_cap_bounds_the_closure_memory():
+    # 780 transpositions on 40 points: the second BFS level has 608 400
+    # products (195 MB as one gather). The heads are gathered a block at a
+    # time, so the cap fires after about ELEMENT_CAP products and the peak
+    # stays small; the same holds for `--group symmetric:100`.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ElementCapError) as exc:
+            parse_group_spec("symmetric:40").build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.reason == "cap:element=10000,needed=10001"
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("cls", [CapExceededError, ElementCapError])

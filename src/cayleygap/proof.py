@@ -240,14 +240,13 @@ def set_property_check(
 
     overlap = (set_image(graph, a_mask) & a_mask).bit_count()
     translate_threshold = beta * (1 + d / eps_f + 2 / eps_f) * size
-    translates = (right_translate(group, a_mask, g) for g in range(n))
     return SetPropertyReport(
         size_ok=size >= n / (2 + beta + d * beta / eps_f) and 2 * size <= n,
         overlap_ok=overlap <= (beta / eps_f) * size,
+        # x -> xg commutes with x -> sx, so |sAg delta (Ag)^c| = |sA delta A^c|.
         translate_ok=all(
-            (left_translate(group, ag, s) ^ (~ag & full)).bit_count()
+            (left_translate(group, a_mask, s) ^ (~a_mask & full)).bit_count()
             <= translate_threshold
-            for ag in translates
             for s in graph.gens.elements
         ),
     )

@@ -150,44 +150,41 @@ def full_report(
     # cross-check of that fact.
     put("connectivity", "pass" if is_connected(summary) else "fail",
         margin=summary.lambda2 if n > 1 else None)
+    put("bipartite_equivalence",
+        "pass" if bip_structural == bip_spectral else "fail")
 
-    # The spectral bound rows: lambda_n <= 2 - h^4/(2^9 d^6 (d+1)^2), the
-    # interval [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)] for every
-    # nontrivial eigenvalue of T, and the slack factor of the first.
+    # A bipartite graph has lambda_n = 2, so the spectral-gap rows say
+    # nothing about it, whatever h is.
     if bip_structural:
-        blocked = ("not_applicable", "bipartite")
-    elif h is None:
-        blocked = ("skipped", h_reason)
-    else:
-        blocked = None
-    tightness: float | None = None
-    if blocked is not None:
         for name in ("main_bound", "eigenvalue_interval_lower",
                      "eigenvalue_interval_upper", "tightness_ratio"):
-            put(name, blocked[0], reason=blocked[1])
-    else:
-        d = graph.d
-        guaranteed = float(h**4 / main_bound_constant(d))
-        within("main_bound", (2.0 - guaranteed) - summary.lambda_max)
-        # h exists, so n >= 2 and there are nontrivial eigenvalues.
-        within("eigenvalue_interval_lower", summary.t[0] - (-1.0 + guaranteed))
-        within("eigenvalue_interval_upper",
-               (1.0 - float(h**2 / (2 * d * d))) - summary.t[-2])
-        tightness = (2.0 - summary.lambda_max) / guaranteed
-        put("tightness_ratio", rows["main_bound"].status,
-            margin=tightness - 1.0)
+            put(name, "not_applicable", reason="bipartite")
 
-    # Cheeger-Buser h_edge^2/2 <= lambda_2 <= 2 h_edge, and the exact
-    # vertex-edge relation h/d <= h_edge <= h.
-    if h is None:
-        for name in ("cheeger_buser_lower", "cheeger_buser_upper",
-                     "vertex_edge_lower", "vertex_edge_upper"):
-            put(name, "skipped", reason=h_reason)
-    else:
+    tightness: float | None = None
+    trace: ProofTrace | None = None
+    if h is not None:
+        d = graph.d
+        # The spectral bound rows: lambda_n <= 2 - h^4/(2^9 d^6 (d+1)^2),
+        # the interval [-1 + h^4/(2^9 d^6 (d+1)^2), 1 - h^2/(2 d^2)] for
+        # every nontrivial eigenvalue of T, and the slack factor of the first.
+        if not bip_structural:
+            guaranteed = float(h**4 / main_bound_constant(d))
+            within("main_bound", (2.0 - guaranteed) - summary.lambda_max)
+            # h exists, so n >= 2 and there are nontrivial eigenvalues.
+            within("eigenvalue_interval_lower",
+                   summary.t[0] - (-1.0 + guaranteed))
+            within("eigenvalue_interval_upper",
+                   (1.0 - float(h**2 / (2 * d * d))) - summary.t[-2])
+            tightness = (2.0 - summary.lambda_max) / guaranteed
+            put("tightness_ratio", rows["main_bound"].status,
+                margin=tightness - 1.0)
+
+        # Cheeger-Buser h_edge^2/2 <= lambda_2 <= 2 h_edge, and the exact
+        # vertex-edge relation h/d <= h_edge <= h.
         within("cheeger_buser_lower",
                summary.lambda2 - float(edge_h * edge_h / 2))
         within("cheeger_buser_upper", 2 * float(edge_h) - summary.lambda2)
-        ve_lower = edge_h - Fraction(h, graph.d)
+        ve_lower = edge_h - Fraction(h, d)
         ve_upper = h - edge_h
         put("vertex_edge_lower",
             "pass" if ve_lower >= 0 else "fail",
@@ -196,23 +193,6 @@ def full_report(
             "pass" if ve_upper >= 0 else "fail",
             margin=float(ve_upper))
 
-    # Dual Cheeger (1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and
-    # dual = 1 exactly iff lambda_n = 2 within TOL.
-    if dual_h is None:
-        for name in ("dual_cheeger_lower", "dual_cheeger_upper",
-                     "dual_cheeger_equivalence"):
-            put(name, "skipped", reason=dual_reason)
-    else:
-        gap = 2.0 - summary.lambda_max
-        one_minus = 1 - dual_h
-        within("dual_cheeger_lower", gap - float(one_minus * one_minus / 2))
-        within("dual_cheeger_upper", 2 * float(one_minus) - gap)
-        put("dual_cheeger_equivalence",
-            "pass" if (dual_h == 1) == bip_spectral else "fail")
-
-    if h is None:
-        put("large_set_expansion", "skipped", reason=h_reason)
-    else:
         exp = large_set_expansion_check(graph, max_exact=max_exact)
         worst = min(exp.main_slack, exp.internal_slack)
         put("large_set_expansion",
@@ -220,13 +200,6 @@ def full_report(
             margin=float(worst),
             reason=None if exp.exhaustive else f"sampled:{exp.tested}")
 
-    put("bipartite_equivalence",
-        "pass" if bip_structural == bip_spectral else "fail")
-
-    trace: ProofTrace | None = None
-    if h is None:
-        put("proof_pipeline", "skipped", reason=h_reason)
-    else:
         # h passed max_exact, the only cap run_pipeline applies.
         trace = run_pipeline(graph, zeta, max_exact=max_exact)
         if trace.hypothesis_met:
@@ -245,7 +218,23 @@ def full_report(
         else:
             put("proof_pipeline", "fail")
 
-    checks = tuple(rows[name] for name in CHECK_NAMES)
+    # Dual Cheeger (1 - dual)^2/2 <= 2 - lambda_n <= 2(1 - dual), and
+    # dual = 1 exactly iff lambda_n = 2 within TOL.
+    if dual_h is not None:
+        gap = 2.0 - summary.lambda_max
+        one_minus = 1 - dual_h
+        within("dual_cheeger_lower", gap - float(one_minus * one_minus / 2))
+        within("dual_cheeger_upper", 2 * float(one_minus) - gap)
+        put("dual_cheeger_equivalence",
+            "pass" if (dual_h == 1) == bip_spectral else "fail")
+
+    # A row that no block decided lacks the constant it needs: dual_h for
+    # the dual Cheeger rows, h for every other.
+    checks = tuple(
+        rows.get(name) or CheckRow(name, "skipped", reason=(
+            dual_reason if name.startswith("dual_cheeger_") else h_reason))
+        for name in CHECK_NAMES
+    )
     return VerificationReport(
         group_label=group.name,
         gens=graph.gens.elements,
@@ -471,12 +460,15 @@ def build_graph(group_spec: str, gens_spec: str | None) -> CayleyGraph:
     return build(group, gens)
 
 
-_SweepTask = tuple[str, str | None, int, int, Fraction | None]
+# The last field is the error that expanding the item's spec raised, if any.
+_SweepTask = tuple[str, str | None, int, int, Fraction | None, str | None]
 
 
 def _sweep_worker(args: _SweepTask) -> SweepItem:
-    item_spec, gens_spec, max_exact, max_dual, zeta = args
+    item_spec, gens_spec, max_exact, max_dual, zeta, error = args
     label = item_spec if gens_spec is None else f"{item_spec} gens={gens_spec}"
+    if error is not None:
+        return SweepItem(spec=label, error=error)
     try:
         graph = build_graph(item_spec, gens_spec)
         report = full_report(graph, max_exact=max_exact, max_dual=max_dual, zeta=zeta)
@@ -501,13 +493,13 @@ def sweep(
         group_part, gens_part = parse_sweep_spec(spec)
         try:
             expanded = expand_group_specs(group_part)
-        except (CayleyGapError, ValueError):
-            # Unparseable spec: hand it to the worker so the error is
-            # recorded as a per-item result and the sweep continues.
-            tasks.append((group_part, gens_part, max_exact, max_dual, zeta))
+        except (CayleyGapError, ValueError) as exc:
+            # Unparseable spec: still a task, so its error is recorded as a
+            # per-item result in input order and the sweep continues.
+            tasks.append((group_part, gens_part, max_exact, max_dual, zeta, str(exc)))
             continue
         for single in expanded:
-            tasks.append((single.label(), gens_part, max_exact, max_dual, zeta))
+            tasks.append((single.label(), gens_part, max_exact, max_dual, zeta, None))
     # The pool starts all its workers at once, so start no more than there
     # are tasks.
     workers = min(workers, len(tasks))

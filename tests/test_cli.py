@@ -468,6 +468,11 @@ def test_zeta_with_zero_denominator_is_input_error(capsys):
     assert out.err == "error: cannot parse zeta value '1/0'\n"
 
 
+def test_zeta_with_digit_separators():
+    # Python 3.10's Fraction rejects '_', so there the float fallback reads it.
+    assert float(cayleygap.cli._parse_zeta("0.000_1")) == 0.0001
+
+
 ZETA_COMMANDS = {
     "proof": ["proof", "--group", "cyclic:4", "--gens", "±1"],
     "verify": ["verify", "--group", "cyclic:4", "--gens", "±1"],

@@ -217,21 +217,33 @@ def test_set_properties_z6():
     assert oracles.translate_defect(Z6, A6) == 0
 
 
-@pytest.mark.parametrize("zeta", [zeta_max(Fraction(2, 3), 2), Fraction(1, 1000)])
-def test_set_properties_match_recomputation(zeta):
-    # every nonempty A in Z/6, once in regime and once at a wider beta
-    params = make_parameters(Fraction(2, 3), 2, zeta)
+D3 = _graph("dihedral:3", "auto")
+
+
+@pytest.mark.parametrize("graph,eps,zeta", [
+    (Z6, Fraction(2, 3), zeta_max(Fraction(2, 3), 2)),
+    (Z6, Fraction(2, 3), Fraction(1, 1000)),
+    (D3, Fraction(1), zeta_max(Fraction(1), 3)),
+    (D3, Fraction(1), Fraction(1, 10000)),
+], ids=["zeta0", "zeta1", "dihedral-zeta0", "dihedral-zeta1"])
+def test_set_properties_match_recomputation(graph, eps, zeta):
+    # every nonempty A, once in regime and once at a wider beta; the oracle
+    # takes the translate defect over every right translate Ag, and the
+    # dihedral group is where Ag and gA differ
+    params = make_parameters(eps, graph.d, zeta)
     eps = float(params.eps)
-    for a_mask in range(1, 1 << Z6.n):
-        rep = set_property_check(Z6, a_mask, params)
+    for a_mask in range(1, 1 << graph.n):
+        rep = set_property_check(graph, a_mask, params)
         size = a_mask.bit_count()
         assert rep.size_ok == (
-            Z6.n / (2 + params.beta + Z6.d * params.beta / eps) <= size <= Z6.n / 2)
+            graph.n / (2 + params.beta + graph.d * params.beta / eps)
+            <= size <= graph.n / 2)
         assert rep.overlap_ok == (
-            (set_image(Z6, a_mask) & a_mask).bit_count() <= params.beta / eps * size)
+            (set_image(graph, a_mask) & a_mask).bit_count()
+            <= params.beta / eps * size)
         assert rep.translate_ok == (
-            oracles.translate_defect(Z6, a_mask)
-            <= params.beta * (1 + Z6.d / eps + 2 / eps) * size)
+            oracles.translate_defect(graph, a_mask)
+            <= params.beta * (1 + graph.d / eps + 2 / eps) * size)
 
 
 def test_set_properties_reject_empty():

@@ -53,13 +53,60 @@ def test_interval_check_direct():
     assert lower.status == upper.status == "pass"
     assert lower.margin == pytest.approx(0.1909796147830386, rel=1e-12)
     assert upper.margin == pytest.approx(0.5659830056250525, rel=1e-12)
-    # single vertex: no nontrivial eigenvalues and no admissible set for h
-    report = full_report(build_graph("cyclic:1", "0"))
-    for name in ("eigenvalue_interval_lower", "eigenvalue_interval_upper"):
-        row = _row(report, name)
-        assert row.status == "skipped"
-        assert row.reason == "no admissible sets: need n >= 2"
-        assert row.margin is None
+
+
+_PASS = ("pass", None)
+_NO_SETS = ("skipped", "no admissible sets: need n >= 2")
+_OVER_EXACT = ("skipped", "cap:max_exact=24,needed=25")
+_OVER_DUAL = ("skipped", "cap:max_dual=14,needed=25")
+
+
+@pytest.mark.parametrize("spec,gens,rows", [
+    # single vertex: no nontrivial eigenvalues and no admissible set for h,
+    # but dual_h = 0 is decided
+    ("cyclic:1", "0", {
+        "connectivity": _PASS,
+        "main_bound": _NO_SETS,
+        "eigenvalue_interval_lower": _NO_SETS,
+        "eigenvalue_interval_upper": _NO_SETS,
+        "cheeger_buser_lower": _NO_SETS,
+        "cheeger_buser_upper": _NO_SETS,
+        "vertex_edge_lower": _NO_SETS,
+        "vertex_edge_upper": _NO_SETS,
+        "dual_cheeger_lower": _PASS,
+        "dual_cheeger_upper": _PASS,
+        "dual_cheeger_equivalence": _PASS,
+        "large_set_expansion": _NO_SETS,
+        "bipartite_equivalence": _PASS,
+        "proof_pipeline": _NO_SETS,
+        "tightness_ratio": _NO_SETS,
+    }),
+    # odd and over both caps: the gap rows are skipped, not not_applicable
+    ("cyclic:25", "±1", {
+        "connectivity": _PASS,
+        "main_bound": _OVER_EXACT,
+        "eigenvalue_interval_lower": _OVER_EXACT,
+        "eigenvalue_interval_upper": _OVER_EXACT,
+        "cheeger_buser_lower": _OVER_EXACT,
+        "cheeger_buser_upper": _OVER_EXACT,
+        "vertex_edge_lower": _OVER_EXACT,
+        "vertex_edge_upper": _OVER_EXACT,
+        "dual_cheeger_lower": _OVER_DUAL,
+        "dual_cheeger_upper": _OVER_DUAL,
+        "dual_cheeger_equivalence": _OVER_DUAL,
+        "large_set_expansion": _OVER_EXACT,
+        "bipartite_equivalence": _PASS,
+        "proof_pipeline": _OVER_EXACT,
+        "tightness_ratio": _OVER_EXACT,
+    }),
+])
+def test_full_report_row_table(spec, gens, rows):
+    report = full_report(build_graph(spec, gens))
+    assert {row.name: (row.status, row.reason) for row in report.checks} == rows
+    assert [row.name for row in report.checks] == list(CHECK_NAMES)
+    for row in report.checks:
+        if row.status == "skipped":
+            assert row.margin is None
 
 
 def test_tightness_ratio_values():
@@ -325,6 +372,15 @@ def test_sweep_records_errors():
 
     text = sweep_to_text(items)
     assert "error:" in text
+
+
+def test_sweep_records_the_expansion_error():
+    # the spec's own error, not the one parsing '5..3' as an integer gives
+    items = sweep(["cyclic:5..3 gens=±1", "cyclic:3"])
+    assert [(item.spec, item.error) for item in items] == [
+        ("cyclic:5..3 gens=±1", "empty range in 'cyclic:5..3'"),
+        ("cyclic:3", None),
+    ]
 
 
 def test_sweep_empty():

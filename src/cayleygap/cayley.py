@@ -160,16 +160,9 @@ def right_translate(group: FiniteGroup, a_mask: int, g: int) -> int:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
-class MultisetGenerators:
-    """The multiset S·S of two-step products; total multiplicity is d^2."""
-
-    group: FiniteGroup
-    counts: dict[int, int]
-
-
-def square_multiset(gens: GeneratingSet, group: FiniteGroup) -> MultisetGenerators:
-    """All products s*t with multiplicity; symmetric because S is."""
+def square_multiset(gens: GeneratingSet, group: FiniteGroup) -> dict[int, int]:
+    """The multiset S·S of two-step products s*t, as {element: count}; the
+    counts sum to d^2, and the multiset is symmetric because S is."""
     counts: dict[int, int] = {}
     mult = group.mult
     for s in gens.elements:
@@ -177,11 +170,10 @@ def square_multiset(gens: GeneratingSet, group: FiniteGroup) -> MultisetGenerato
         for t in gens.elements:
             g = row[t]
             counts[g] = counts.get(g, 0) + 1
-    ms = MultisetGenerators(group, counts)
     for g, c in counts.items():
         if counts.get(group.inv[g], 0) != c:
             raise GeneratingSetError("square multiset lost its symmetry")
-    return ms
+    return counts
 
 
 class ImageExcess(NamedTuple):
@@ -189,22 +181,23 @@ class ImageExcess(NamedTuple):
     weighted: int     # same count with product multiplicities
 
 
-def multiset_image_excess(ms: MultisetGenerators, a_mask: int) -> ImageExcess:
-    """Both readings of |S'A \\ A| for the square multiset S' = S·S."""
+def multiset_image_excess(group: FiniteGroup, counts: dict[int, int], a_mask: int) -> ImageExcess:
+    """Both readings of |S'A \\ A| for a multiset S' = {element: count} of
+    the group, such as the square multiset S·S."""
     if a_mask == 0:
         raise ValueError("A must be nonempty")
-    mult = ms.group.mult
+    mult = group.mult
     members = mask_members(a_mask)
     union_out = 0
     weighted = 0
-    for g in sorted(ms.counts):
+    for g in sorted(counts):
         row = mult[g]
         img = 0
         for a in members:
             img |= 1 << row[a]
         out = img & ~a_mask
         union_out |= out
-        weighted += ms.counts[g] * out.bit_count()
+        weighted += counts[g] * out.bit_count()
     return ImageExcess(union_out.bit_count(), weighted)
 
 

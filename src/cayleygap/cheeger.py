@@ -15,6 +15,9 @@ tie-break. The vertex, edge and S'-weighted searches share one witness rule:
 they first find (ratio, |A|), pruning every subtree that cannot lower it,
 and then search the sets of that size and ratio for the smallest bitmask.
 
+The edge and S'-weighted searches are one crossing search on a Cayley
+multigraph, given as the group table and a symmetric multiset of elements.
+
 The edge search also ends its first pass early at a spectral floor. Every
 set A of k vertices in a d-regular graph has
 |E(A, A^c)| >= d lambda_2 k (n - k)/n (Fiedler 1973; Alon and Milman 1985),
@@ -49,7 +52,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .cayley import CayleyGraph, mask_members, mask_of
+from .cayley import CayleyGraph, mask_members
 from .errors import CapExceededError
 from .spectral import TOL, SpectralSummary
 
@@ -389,16 +392,16 @@ def _certified(floor: Sequence[int], num: int, size: int) -> bool:
 
 
 def _crossing_search(
-    rows: Sequence[tuple[tuple[int, int], ...]], n: int,
+    mult: Sequence[Sequence[int]], counts: dict[int, int],
     floor: Sequence[int] | None = None,
 ) -> tuple[int, int, int]:
     """Minimise the weighted crossing count w(A, A^c)/|A| over
-    1 <= |A| <= n//2; returns (crossing, size, mask).
+    1 <= |A| <= n//2 on a Cayley multigraph; returns (crossing, size, mask).
 
-    rows[u] is a tuple of (weight, neighbour-mask) layers: u and y are joined
-    by an edge of weight w for each layer of weight w whose mask holds y.
-    Loops (bit u in rows[u]) never cross. Unit weights in one layer give the
-    edge Cheeger count |E(A, A^c)|.
+    mult is the group table (n = len(mult)) and counts a symmetric multiset
+    {element: count}: u and g·u are joined by an edge of weight counts[g];
+    element 0, the identity, gives loops, which never cross. Unit counts on
+    S give the edge Cheeger count |E(A, A^c)|, and S·S the proof's count.
 
     Pass 1 finds the value (b*, k*), the least ratio and then the least size,
     over the rooted sets. Below a node, A holds `mask`, the passed-over set P
@@ -434,20 +437,28 @@ def _crossing_search(
     empty set on the frontier (_crossing_bulk), in the walk's order. Pass 1
     always runs depth first.
     """
+    n = len(mult)
     kcap = n // 2
-    # weight[u][y]: total weight of the edges u-y, loops dropped.
+    # weight[u][y] = counts[g] for the one g with g·u = y; rows[u]: one
+    # (count, mask of those y) layer per distinct count, in count order.
     weight = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for w, m in rows[u]:
-            for y in mask_members(m & ~(1 << u)):
-                weight[u][y] += w
+    layers: dict[int, list[int]] = {}
+    for g, c in counts.items():
+        if g:
+            masks = layers.setdefault(c, [0] * n)
+            for u, y in enumerate(mult[g]):
+                weight[u][y] = c
+                masks[u] |= 1 << y
+    order = sorted(layers.items())
+    rows = [tuple((c, masks[u]) for c, masks in order) for u in range(n)]
     # deg[u]: weight from u to every other vertex; low[u]: to vertices below u.
     deg = [sum(row) for row in weight]
     low = [sum(row[:u]) for u, row in enumerate(weight)]
-    # one[u], two[u]: vertices joined to u with weight >= 1 and >= 2. Adding u
-    # to a set with planes (x1, x2) gives (x1 | one[u], x2 | two[u] | x1 & one[u]).
-    one = [mask_of(y for y, w in enumerate(row) if w) for row in weight]
-    two = [mask_of(y for y, w in enumerate(row) if w > 1) for row in weight]
+    # one[u], two[u]: vertices joined to u with weight >= 1 and >= 2 (a row's
+    # layers are disjoint, so their sum is their union). Adding u to a set
+    # with planes (x1, x2) gives (x1 | one[u], x2 | two[u] | x1 & one[u]).
+    one = [sum(m for _, m in row) for row in rows]
+    two = [sum(m for c, m in row if c > 1) for row in rows]
     above = [~((1 << u) - 1) for u in range(n + 1)]   # vertices u, u+1, ...
     best_num, best_size = deg[0], 1   # the rooted set {0}
 
@@ -608,9 +619,9 @@ def edge_cheeger(
 
 
 def _edge_certificate(graph: CayleyGraph, summary: SpectralSummary | None) -> CheegerCertificate:
-    rows = [((1, m),) for m in graph.nbr_masks]
     floor = None if summary is None else _spectral_floor(graph, summary.lambda2)
-    num, size, mask = _crossing_search(rows, graph.n, floor)
+    num, size, mask = _crossing_search(
+        graph.group.mult, dict.fromkeys(graph.gens.elements, 1), floor)
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 
 

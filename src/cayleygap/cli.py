@@ -66,9 +66,12 @@ def _parse_zeta(text: str) -> Fraction | None:
     try:
         zeta = Fraction(text)
     except (ValueError, ZeroDivisionError):
+        # Python 3.10's Fraction rejects digit separators; float accepts them
+        # where they may sit, and the literal without them is then exact.
         try:
-            zeta = Fraction(float(text))
-        except (ValueError, OverflowError) as exc:
+            float(text)
+            zeta = Fraction(text.replace("_", ""))
+        except ValueError as exc:
             raise ValueError(f"cannot parse zeta value {text!r}") from exc
     if not 0 < zeta <= 2:
         raise ValueError(f"zeta must lie in (0, 2], got {text}")

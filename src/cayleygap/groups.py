@@ -515,7 +515,9 @@ _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
 def expand_group_specs(text: str) -> list[GroupSpec]:
-    """Like parse_group_spec but with range sugar, e.g. cyclic:3..16."""
+    """Like parse_group_spec but with range sugar, e.g. cyclic:3..16. A range
+    of more than ELEMENT_CAP members holds 0 or a parameter above the cap,
+    which no family builds, so it is refused before any spec is built."""
     body = text.strip()
     if ":" in body:
         family, rest = body.split(":", 1)
@@ -524,6 +526,9 @@ def expand_group_specs(text: str) -> list[GroupSpec]:
             lo, hi = int(m.group(1)), int(m.group(2))
             if lo > hi:
                 raise SpecParseError(f"empty range in {text!r}")
+            if hi - lo >= ELEMENT_CAP:
+                raise SpecParseError(
+                    f"range in {text!r} has {hi - lo + 1} members, more than {ELEMENT_CAP}")
             return [GroupSpec(family.strip().lower(), n=k) for k in range(lo, hi + 1)]
     return [parse_group_spec(body)]
 

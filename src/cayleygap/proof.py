@@ -31,7 +31,6 @@ import numpy as np
 
 from .cayley import (
     CayleyGraph,
-    MultisetGenerators,
     left_translate,
     mask_members,
     mask_of,
@@ -126,28 +125,6 @@ def make_parameters(eps: Fraction, d: int, zeta: Fraction | float) -> ProofParam
 # Candidate half-set from the two-step multiset
 
 
-def _support_adjacency(
-    ms: MultisetGenerators, n: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """Weighted rows of the support graph of S'.
-
-    The rows are the (multiplicity, neighbor-mask) layers `_crossing_search`
-    takes, one layer per multiplicity of the non-identity elements of S'.
-    The identity (multiplicity >= d) gives loops, which carry no crossing
-    weight and are left out.
-    """
-    mult = ms.group.mult
-    by_count: dict[int, list[int]] = {}
-    for g in sorted(ms.counts):
-        if g != ms.group.identity:
-            by_count.setdefault(ms.counts[g], []).append(g)
-    layers = sorted(by_count.items())
-    return [
-        tuple((w, mask_of(mult[g][x] for g in elems)) for w, elems in layers)
-        for x in range(n)
-    ]
-
-
 @dataclass(frozen=True)
 class CandidateReport:
     hypothesis_met: bool
@@ -175,8 +152,9 @@ def find_candidate_set(
     The components of the support graph are the cosets of K = <S·S>. When K
     has index 2 (the structural certificate H = K exists) each coset has
     crossing weight zero and n/2 vertices, so the minimiser is the one with
-    the smaller mask; otherwise the graph is connected and the crossing
-    search finds it.
+    the smaller mask, which the crossing search would also find, only
+    slower; otherwise the crossing search runs on the group table and the
+    square multiset's counts.
     """
     n = graph.n
     if n > max_exact:
@@ -185,16 +163,15 @@ def find_candidate_set(
     gap = 1.0 + t_min
     if not t_min < -1.0 + params.zeta:
         return CandidateReport(False, t_min, gap)
-    ms = square_multiset(graph.gens, graph.group)
+    counts = square_multiset(graph.gens, graph.group)
     cert = is_bipartite_structural(graph)
     if cert is not None:
         h_mask = mask_of(cert.elements)
         a_mask = min(h_mask, graph.full_mask ^ h_mask)
         size = n // 2
     else:
-        rows = _support_adjacency(ms, n)
-        _, size, a_mask = _crossing_search(rows, n)
-    excess = multiset_image_excess(ms, a_mask)
+        _, size, a_mask = _crossing_search(graph.group.mult, counts)
+    excess = multiset_image_excess(graph.group, counts, a_mask)
     ratio_ok = excess.weighted < params.beta * size
     return CandidateReport(
         True,

@@ -312,7 +312,7 @@ def support_component_witness(graph: CayleyGraph) -> int | None:
     crossing edges is a union of components."""
     n = graph.n
     mult = graph.group.mult
-    support = set(square_multiset(graph.gens, graph.group).counts) - {0}
+    support = set(square_multiset(graph.gens, graph.group)) - {0}
     comps = []
     seen: set[int] = set()
     for v in range(n):
@@ -419,7 +419,7 @@ def square_normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
         inv_x = group.inv[x]
         row = [0.0] * n
         for y in range(n):
-            m = multiset.counts.get(group.mult[y][inv_x], 0)
+            m = multiset.get(group.mult[y][inv_x], 0)
             if m:
                 row[y] = m / d2
         rows.append(row)

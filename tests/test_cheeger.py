@@ -25,7 +25,6 @@ from cayleygap import (
 )
 import cayleygap.cheeger
 from cayleygap.cheeger import _certified, _crossing_search, _spectral_floor, _vertex_search
-from cayleygap.proof import _support_adjacency
 
 import families
 import oracles
@@ -174,11 +173,11 @@ def test_frozen_dual_witness_pairs(key):
     assert (cert.value, cert.witness_pair) == DUAL_PAIRS[key]
 
 
-# (crossing, size, mask) of `_crossing_search` on unit rows (the edge count)
-# and on the S'-weighted `_support_adjacency` rows, for graphs above the
-# naive oracles' reach. Frozen from the search when its only lower bound was
-# the crossings to passed-over vertices, so that a pruning change that moves
-# the first minimiser fails.
+# (crossing, size, mask) of `_crossing_search` on the generating set with
+# unit counts (the edge count) and on the square multiset S' = S·S, for graphs
+# above the naive oracles' reach. Frozen from the search when its only lower
+# bound was the crossings to passed-over vertices, so that a pruning change
+# that moves the first minimiser fails.
 CROSSING_MINIMA = {
     ("symmetric:4", "auto"): ((24, 12, 886203), (0, 12, 262017)),
     ("symmetric:4", "(0 1);(1 2);(2 3)"): ((6, 12, 1247991), (0, 12, 262017)),
@@ -188,15 +187,18 @@ CROSSING_MINIMA = {
 }
 
 
+def _unit_counts(graph):
+    """The generating set as a multiset of unit counts: the edge search's."""
+    return dict.fromkeys(graph.gens.elements, 1)
+
+
 @pytest.mark.parametrize("key", list(CROSSING_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
 def test_frozen_crossing_minima(key):
     graph = build_graph(*key)
-    n = graph.n
-    unit = [((1, m),) for m in graph.nbr_masks]
-    weighted = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    mult = graph.group.mult
     assert (
-        _crossing_search(unit, n),
-        _crossing_search(weighted, n),
+        _crossing_search(mult, _unit_counts(graph)),
+        _crossing_search(mult, square_multiset(graph.gens, graph.group)),
     ) == CROSSING_MINIMA[key]
 
 
@@ -275,9 +277,9 @@ def test_vertex_engine_matches_oracle_above_12(group, seed, loop):
     assert (cert.value, cert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
     edge = edge_cheeger(graph)
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
-    rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(rows, n) == weighted
+    assert _crossing_search(graph.group.mult, counts) == weighted
 
 
 @pytest.mark.parametrize("n", range(10, 15))
@@ -318,9 +320,9 @@ def test_bulk_engines_match_oracles(member, bulk):
     assert (cert.value, cert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
     edge = edge_cheeger(graph)
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
-    rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(rows, n) == weighted
+    assert _crossing_search(graph.group.mult, counts) == weighted
 
 
 @pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
@@ -414,46 +416,45 @@ def test_rooted_searches_match_oracles(graph):
     assert (vert.value, vert.witness) == oracles.naive_vertex_cheeger(graph.nbr_masks, n)
     edge = edge_cheeger(graph)
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
-    rows = _support_adjacency(square_multiset(graph.gens, graph.group), n)
+    counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(rows, n) == weighted
+    assert _crossing_search(graph.group.mult, counts) == weighted
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
         dual = dual_cheeger(graph)
         assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
 
 
 @st.composite
-def _weighted_rows(draw):
-    """Crossing-search rows on a group of order <= 12: one to four layers of
-    weight 1-3, each an inverse-closed set T joining x to t·x (t in T).
-    Layers may overlap, and T may hold the identity (a loop)."""
+def _weighted_multisets(draw):
+    """A symmetric multiset on a group of order <= 12, drawn as one to four
+    layers of weight 1-3, each an inverse-closed set T joining x to t·x
+    (t in T). Layers may overlap, and T may hold the identity (a loop)."""
     group = draw(st.sampled_from(_SMALL_GROUPS))
-    mult, n = group.mult, group.order
     layers = []
     for _ in range(draw(st.integers(1, 4))):
         weight = draw(st.integers(1, 3))
-        picks = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        picks = draw(st.sets(st.integers(0, group.order - 1), min_size=1))
         layers.append((weight, picks | {group.inv[t] for t in picks}))
-    rows = [
-        tuple((w, mask_of(mult[t][x] for t in elems)) for w, elems in layers)
-        for x in range(n)
-    ]
-    return group, rows
+    return group, layers
 
 
 @settings(max_examples=60)
-@given(_weighted_rows())
+@given(_weighted_multisets())
 def test_crossing_search_matches_oracle_on_weighted_rows(case):
-    group, rows = case
-    n = group.order
+    group, layers = case
+    mult, n = group.mult, group.order
+    counts = {}
+    for w, elems in layers:
+        for t in elems:
+            counts[t] = counts.get(t, 0) + w
     pairs = []
     for x in range(n):
         weight = {}
-        for w, m in rows[x]:
-            for y in mask_members(m):
-                weight[y] = weight.get(y, 0) + w
+        for w, elems in layers:
+            for t in elems:
+                weight[mult[t][x]] = weight.get(mult[t][x], 0) + w
         pairs.append(tuple(sorted(weight.items())))
-    assert _crossing_search(rows, n) == oracles.naive_weighted_edge_min(pairs, n)
+    assert _crossing_search(mult, counts) == oracles.naive_weighted_edge_min(pairs, n)
 
 
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
@@ -473,8 +474,8 @@ def test_spectral_floor_holds_on_random_graphs(group, seed, loop):
     floor = _spectral_floor(graph, spectrum(graph).lambda2)
     assert len(floor) == n // 2 + 1
     assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
-    unit = [((1, m),) for m in graph.nbr_masks]
-    assert _crossing_search(unit, n, floor) == _crossing_search(unit, n)
+    mult, unit = graph.group.mult, _unit_counts(graph)
+    assert _crossing_search(mult, unit, floor) == _crossing_search(mult, unit)
 
 
 def test_certification_rule():
@@ -624,8 +625,7 @@ def test_zero_ratio_ties_keep_the_smallest_size():
     # subtrees that only tie ratio 0 would return one of those.
     graph = _coset_graph(8, 4)
     assert _vertex_search(graph.nbr_masks, 8) == (0, 2, 0b10001)
-    unit = [((1, m),) for m in graph.nbr_masks]
-    assert _crossing_search(unit, 8) == (0, 2, 0b10001)
+    assert _crossing_search(graph.group.mult, _unit_counts(graph)) == (0, 2, 0b10001)
 
 
 # Four disjoint 5-cycles, the cosets of <4> in Z/20.
@@ -639,8 +639,7 @@ def test_ties_below_a_larger_tie_keep_the_smallest_size():
     # subtree bounds only tie ratio 0: pruning on a tie would keep size 10.
     graph = _coset_graph(20, 4)
     assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)
-    unit = [((1, m),) for m in graph.nbr_masks]
-    assert _crossing_search(unit, 20) == (0, 5, _CYCLE_MASK)
+    assert _crossing_search(graph.group.mult, _unit_counts(graph)) == (0, 5, _CYCLE_MASK)
     for cert in (vertex_cheeger(graph), edge_cheeger(graph)):
         assert (cert.value, cert.witness) == (0, _CYCLE)
 

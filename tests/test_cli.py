@@ -271,6 +271,18 @@ def test_sweep_error_item(capsys):
     assert len(out.out.splitlines()) == 2   # header + the one good row
 
 
+def test_sweep_of_a_huge_range_is_one_error_line(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a member of the range was built")
+
+    monkeypatch.setattr(cayleygap.verify, "build_graph", no_build)
+    code = main(["sweep", "cyclic:1..20001"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == ("error: cyclic:1..20001: range in 'cyclic:1..20001' "
+                       "has 20001 members, more than 10000\n")
+
+
 def test_missing_table_file_is_one_error_line(capsys, tmp_path):
     path = tmp_path / "missing.txt"
     code = main(["spectrum", "--group", f"table:{path}", "--gens", "1"])
@@ -469,8 +481,9 @@ def test_zeta_with_zero_denominator_is_input_error(capsys):
 
 
 def test_zeta_with_digit_separators():
-    # Python 3.10's Fraction rejects '_', so there the float fallback reads it.
-    assert float(cayleygap.cli._parse_zeta("0.000_1")) == 0.0001
+    # Python 3.10's Fraction rejects '_', so there the fallback reads it; the
+    # value is exact on every version.
+    assert cayleygap.cli._parse_zeta("0.000_1") == Fraction(1, 10000)
 
 
 ZETA_COMMANDS = {

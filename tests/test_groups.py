@@ -237,6 +237,16 @@ def test_expand_group_specs_single_and_errors():
         expand_group_specs("cyclic:9..3")
 
 
+def test_expand_group_specs_refuses_ranges_past_the_element_cap():
+    # Such a range holds 0 or a parameter above the cap, so every one of its
+    # members past the cap could only be an error; it is refused whole.
+    with pytest.raises(SpecParseError, match="has 20001 members"):
+        expand_group_specs("cyclic:1..20001")
+    with pytest.raises(SpecParseError, match="has 10001 members"):
+        expand_group_specs("dihedral:0..10000")
+    assert [s.n for s in expand_group_specs("cyclic:1..10000")] == list(range(1, 10001))
+
+
 def test_default_generators_per_family():
     spec = parse_group_spec("cyclic:6")
     assert sorted(default_generators(spec, spec.build())) == [1, 5]

@@ -13,12 +13,16 @@ from cayleygap import (
     GeneratingSet,
     agreement_set_bounds_check,
     beta_of_zeta,
+    build,
     build_graph,
     construct_subgroup,
     dichotomy_check,
     disjointness_check,
     find_candidate_set,
     from_cyclic,
+    from_dihedral,
+    from_direct_product,
+    is_bipartite_structural,
     large_set_expansion_check,
     make_parameters,
     mask_of,
@@ -33,7 +37,7 @@ from cayleygap import (
     zeta_max_candidate,
 )
 from cayleygap.cheeger import _crossing_search
-from cayleygap.proof import _candidate_sets, _support_adjacency
+from cayleygap.proof import _candidate_sets
 
 import families
 import oracles
@@ -140,9 +144,7 @@ WEIGHTED_MINIMA = {
 
 
 def _weighted_search(graph):
-    ms = square_multiset(graph.gens, graph.group)
-    rows = _support_adjacency(ms, graph.n)
-    return _crossing_search(rows, graph.n)
+    return _crossing_search(graph.group.mult, square_multiset(graph.gens, graph.group))
 
 
 @pytest.mark.parametrize("key", sorted(WEIGHTED_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
@@ -196,6 +198,50 @@ def test_candidate_cap():
     params = make_parameters(Fraction(5, 6), 6, zeta_max(Fraction(5, 6), 6))
     with pytest.raises(CapExceededError):
         find_candidate_set(graph, params, max_exact=12)
+
+
+def _searched_candidate(graph, zeta):
+    """find_candidate_set on a graph with no structural certificate, so the
+    candidate comes from the S' search, and that search's result."""
+    assert is_bipartite_structural(graph) is None
+    params = make_parameters(Fraction(1), graph.d, zeta)
+    return find_candidate_set(graph, params), _weighted_search(graph)
+
+
+# The two forced zeta = 1/2 graphs of the benchmark's verify workload, with
+# the S' crossing of their candidate.
+@pytest.mark.parametrize("key,crossing", [
+    (("cyclic:23", "±1,±2"), 28),
+    (("dihedral:11", "auto"), 8),
+], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_forced_candidate_excess_is_the_search_crossing(key, crossing):
+    # sum over g of count(g) |gA \ A| counts each S'-edge leaving A once, so
+    # the candidate's weighted excess is the crossing the search minimised.
+    rep, (cross, size, mask) = _searched_candidate(_graph(*key), Fraction(1, 2))
+    assert rep.hypothesis_met
+    assert (rep.a_mask, len(rep.a_set)) == (mask, size)
+    assert rep.weighted_excess == cross == crossing
+
+
+@pytest.mark.parametrize("group,seed,loop", [
+    (from_cyclic(9), 1, False),
+    (from_cyclic(12), 2, False),
+    (from_dihedral(6), 3, False),
+    (from_dihedral(7), 4, True),
+    (from_cyclic(13), 10, False),
+    (from_cyclic(14), 5, False),
+    (from_direct_product(from_cyclic(3), from_cyclic(5)), 6, True),
+    (from_dihedral(8), 7, False),
+    (from_cyclic(16), 8, True),
+], ids=lambda v: str(v) if isinstance(v, (int, bool)) else v.name)
+def test_candidate_excess_is_the_search_crossing(group, seed, loop):
+    # zeta = 2 meets the hypothesis t_min < 1 on every connected graph.
+    draw = random.Random(seed).sample(range(1, group.order), 2)
+    graph = build(group, families.random_generators(group, draw, loop))
+    rep, (cross, size, mask) = _searched_candidate(graph, Fraction(2))
+    assert rep.hypothesis_met
+    assert (rep.a_mask, len(rep.a_set)) == (mask, size)
+    assert rep.weighted_excess == cross
 
 
 # ---------------------------------------------------------------------------

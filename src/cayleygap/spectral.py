@@ -3,7 +3,7 @@
 The normalised adjacency operator T has entries T[x][y] = #{s in S : sx = y}/d.
 It is symmetric with row sums 1, so its spectrum lies in [-1, 1]. We report
 both the adjacency eigenvalues t_1 <= ... <= t_n and the Laplacian eigenvalues
-lambda_i = 1 - t_{n+1-i}, sorted ascending, with lambda_1 = 0 always.
+lambda_i = 1 - t_{n+1-i}, sorted ascending, with lambda_1 = 0 exactly.
 
 The eigenvalues come from characters when the group constructor recorded
 an abelian subgroup A of index 1 or 2 (``FiniteGroup.abelian``), in O(n d):
@@ -13,16 +13,25 @@ Representations of Finite Groups", section 7); see _character_eigenvalues.
 That covers cyclic and abelian groups, dihedral groups, and products of a
 dihedral group with cyclic factors after it.
 
-Every other group goes to an in-repo dense solver (Householder
-tridiagonalisation, then Sturm-count bisection), which stays the tests'
-oracle for the character path. A Cayley graph's eigenvalues repeat (each
-irreducible representation rho gives dim rho copies of its own), so the
-bisection takes the Sturm counts once per distinct bracket, not once per
-eigenvalue. Both paths use only numpy elementwise arithmetic, ``np.sum`` and
-``sqrt``; no BLAS, LAPACK or libm transcendental is called (the cosines are
-Taylor series on an angle reduced exactly in integers), so results are
-bitwise reproducible, and no external solver is consulted outside the test
-suite.
+Every other group (symmetric, ``perm:`` and ``table:`` groups, and products
+that record no abelian subgroup) takes them from the cyclic subgroup
+A = <g> of an element g of largest order L: each character of A gives a
+k x k Hermitian block, k = n/L, embedded as a real symmetric 2k x 2k
+matrix (_coset_eigenvalues). The floor(L/2) + 1 blocks go to the in-repo
+solver (Householder tridiagonalisation, then Sturm-count bisection) in one
+batch. The solver's cost at these sizes is its Python steps, one per row
+per stage, so a batch of blocks takes about the steps of one block, where
+the blocks one by one take about those of the n x n matrix.
+
+The same solver on the dense T, ``eigenvalues_symmetric(normalized_adjacency
+(graph))``, stays the tests' oracle for both paths; ``spectrum`` never
+builds T. A Cayley graph's eigenvalues repeat (each irreducible
+representation rho gives dim rho copies of its own), so the bisection takes
+the Sturm counts once per distinct bracket, not once per eigenvalue. Both
+paths use only numpy elementwise arithmetic, ``np.sum`` and ``sqrt``; no
+BLAS, LAPACK or libm transcendental is called (the cosines are Taylor
+series on an angle reduced exactly in integers), so results are bitwise
+reproducible, and no external solver is consulted outside the test suite.
 """
 
 from __future__ import annotations
@@ -100,41 +109,53 @@ def eigenvalues_symmetric(matrix) -> list[float]:
     if abs(exponent) < _SAFE_EXPONENT:
         exponent = 0
     np.ldexp(a, -exponent, out=a)
-    d, e = _tridiagonalize(a)
-    t = np.ldexp(_tridiagonal_eigenvalues(d, e), exponent)
+    d, e = _tridiagonalize(a[None])
+    t = np.ldexp(_tridiagonal_eigenvalues(d[0], e[0]), exponent)
     return sorted(t.tolist())
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of the symmetric ``a`` (overwritten) to (d, e).
+    """Householder reduction of each symmetric a[b] (a is overwritten) to
+    its tridiagonal (d[b], e[b]).
 
     Step k reflects rows/columns k+1.. so that column k vanishes below its
     subdiagonal, then updates the trailing block by the symmetric rank-2
-    form sub -= 2 (v w^T + w v^T), which keeps it exactly symmetric.
+    form sub -= 2 (v w^T + w v^T), which keeps it exactly symmetric. A
+    matrix whose column k is already zero there is left as it is. Every
+    operation is elementwise or a sum along the last axis, so each matrix
+    gets the bits it would get alone.
     """
-    n = a.shape[0]
-    e = np.zeros(n - 1)
+    batch, n = a.shape[0], a.shape[1]
+    e = np.zeros((batch, n - 1))
     for k in range(n - 2):
-        x = a[k + 1:, k]
-        if not np.any(x[1:]):
-            e[k] = x[0]
+        x = a[:, k + 1:, k]
+        e[:, k] = x[:, 0]           # kept by a matrix that is not reflected
+        reflect = np.any(x[:, 1:], axis=1)
+        if reflect.all():
+            rows = slice(None)      # a view: sub is updated in place
+        elif reflect.any():
+            rows = np.flatnonzero(reflect)
+        else:
             continue
-        x_max = float(np.max(np.abs(x)))
-        v = x / x_max
-        alpha = math.copysign(math.sqrt(float(np.sum(v * v))), float(v[0]))
-        v[0] += alpha
-        v /= math.sqrt(float(np.sum(v * v)))
-        sub = a[k + 1:, k + 1:]
-        p = np.sum(sub * v, axis=1)
-        w = p - float(np.sum(v * p)) * v
+        x = x[rows]
+        x_max = np.max(np.abs(x), axis=1)
+        v = x / x_max[:, None]
+        alpha = np.copysign(np.sqrt(np.sum(v * v, axis=1)), v[:, 0])
+        v[:, 0] += alpha
+        v /= np.sqrt(np.sum(v * v, axis=1))[:, None]
+        sub = a[rows, k + 1:, k + 1:]
+        p = np.sum(sub * v[:, None, :], axis=2)
+        w = p - np.sum(v * p, axis=1)[:, None] * v
         # 2 (v w^T + w v^T), formed as vw + vw^T with vw = v (2w)^T: doubling
         # is exact, and the sum is exactly symmetric.
-        vw = np.outer(v, 2.0 * w)
-        sub -= vw + vw.T
-        e[k] = -alpha * x_max
+        vw = v[:, :, None] * (2.0 * w)[:, None, :]
+        sub -= vw + vw.transpose(0, 2, 1)
+        if not isinstance(rows, slice):
+            a[rows, k + 1:, k + 1:] = sub
+        e[rows, k] = -alpha * x_max
     if n > 1:
-        e[n - 2] = a[n - 1, n - 2]
-    return np.diagonal(a).copy(), e
+        e[:, n - 2] = a[:, n - 1, n - 2]
+    return np.diagonal(a, axis1=1, axis2=2).copy(), e
 
 
 def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -148,19 +169,22 @@ def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     t = d.copy()
     for first, stop in zip([0, *cuts], [*cuts, d.size]):
         if stop - first > 1:
-            t[first:stop] = _bisect_block(d[first:stop], e[first:stop - 1])
+            t[first:stop] = _bisect_block(d[None, first:stop], e[None, first:stop - 1])[0]
     return t
 
 
 def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an unreduced symmetric tridiagonal, by Sturm counts.
+    """Eigenvalues of each symmetric tridiagonal (d[b], e[b]), by Sturm counts;
+    entry r of row b of the result is the (r+1)-th smallest of tridiagonal b.
 
-    All n brackets start at the padded Gershgorin interval and are narrowed
-    together: a round evaluates the Sturm count (number of eigenvalues below
-    x) at 15 interior points of each bracket and keeps the sixteenth that
-    holds the bracket's eigenvalue, until every bracket is narrower than
-    2 eps |lambda| + eps ||T||. About 14 rounds; ConvergenceError after
-    _MAX_ROUNDS.
+    All brackets of a tridiagonal start at its padded Gershgorin interval
+    and are narrowed together: a round evaluates the Sturm count (number of
+    eigenvalues below x) at 15 interior points of each bracket and keeps
+    the sixteenth that holds the bracket's eigenvalue, until every bracket
+    is narrower than 2 eps |lambda| + eps ||T||. About 14 rounds;
+    ConvergenceError after _MAX_ROUNDS. A tridiagonal whose brackets are
+    all that narrow leaves the batch, and pivmin, the Gershgorin bounds and
+    the pad are its own, so its eigenvalues are the bits it would get alone.
 
     Counts are taken once per distinct bracket. A Cayley graph's
     eigenvalues repeat, so many brackets are equal; equal brackets have
@@ -177,59 +201,68 @@ def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     place. So no division is by zero or by a denormal, and counts and next
     pivots are those of the two-step rule.
     """
-    n = d.size
-    e2 = np.concatenate(([0.0], e * e))
-    pivmin = _SAFE_MIN * max(1.0, float(np.max(e2)))
+    batch, n = d.shape
+    side = np.zeros((batch, 1))
+    e2 = np.concatenate((side, e * e), axis=1)
+    pivmin = _SAFE_MIN * np.maximum(1.0, np.max(e2, axis=1))
     abs_e = np.abs(e)
-    radius = np.append(abs_e, 0.0) + np.concatenate(([0.0], abs_e))
-    lo_bound = float(np.min(d - radius))
-    hi_bound = float(np.max(d + radius))
-    norm = max(abs(lo_bound), abs(hi_bound))
+    radius = np.concatenate((abs_e, side), axis=1) + np.concatenate((side, abs_e), axis=1)
+    lo_bound = np.min(d - radius, axis=1)
+    hi_bound = np.max(d + radius, axis=1)
+    norm = np.maximum(np.abs(lo_bound), np.abs(hi_bound))
     pad = 2.1 * (norm * _EPS * n + 2.0 * pivmin)
-    lo = np.full(n, lo_bound - pad)
-    hi = np.full(n, hi_bound + pad)
-    rows = np.arange(n)
-    target = rows[:, None]
+    lo = np.repeat((lo_bound - pad)[:, None], n, axis=1)
+    hi = np.repeat((hi_bound + pad)[:, None], n, axis=1)
+    out = np.empty((batch, n))
+    live = np.arange(batch)     # tridiagonals still in the batch
+    target = np.arange(n)[:, None]
     fractions = np.arange(1, _MULTISECTION) / _MULTISECTION
-    shape = (n, _MULTISECTION - 1)
-    # Work arrays at full size; a round uses their first u rows, one per
-    # distinct bracket.
-    q_all = np.ones(shape)
-    scratch_all = np.empty(shape)
-    negative_all = np.empty(shape, dtype=bool)
-    count_all = np.empty(shape, dtype=np.int64)
-    new = np.empty(n, dtype=bool)
-    new[0] = True
     for _ in range(_MAX_ROUNDS):
         width = hi - lo
-        tolerance = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS * norm
-        if np.all(width <= tolerance):
-            return 0.5 * (lo + hi)
-        x = lo[:, None] + width[:, None] * fractions
-        # new[r]: bracket r starts a run of equal brackets.
-        np.not_equal(lo[1:], lo[:-1], out=new[1:])
-        np.logical_or(new[1:], hi[1:] != hi[:-1], out=new[1:])
+        tolerance = 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS * norm[:, None]
+        # A zero tridiagonal (norm 0) has lo = -hi, so its midpoints are
+        # its eigenvalues, exactly 0, from the first round.
+        done = np.all(width <= tolerance, axis=1) | (norm == 0.0)
+        if done.any():
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            if done.all():
+                return out
+            keep = ~done
+            live, lo, hi, width = live[keep], lo[keep], hi[keep], width[keep]
+            d, e2, pivmin, norm = d[keep], e2[keep], pivmin[keep], norm[keep]
+        x = lo[:, :, None] + width[:, :, None] * fractions
+        # new[b, r]: bracket r of tridiagonal b starts a run of equal brackets.
+        new = np.ones(lo.shape, dtype=bool)
+        np.not_equal(lo[:, 1:], lo[:, :-1], out=new[:, 1:])
+        np.logical_or(new[:, 1:], hi[:, 1:] != hi[:, :-1], out=new[:, 1:])
         distinct = x[new]
-        u = distinct.shape[0]
-        q, scratch = q_all[:u], scratch_all[:u]
-        negative, count = negative_all[:u], count_all[:u]
-        count.fill(0)
+        owner = np.flatnonzero(new) // n
+        diag, off2 = d[owner].T[:, :, None], e2[owner].T[:, :, None]
+        floor = pivmin[owner][:, None]
+        ceiling = -floor
+        q = np.ones(distinct.shape)
+        scratch = np.empty(distinct.shape)
+        negative = np.empty(distinct.shape, dtype=bool)
+        count = np.zeros(distinct.shape, dtype=np.int64)
         for i in range(n):
             # Pivot recurrence q_i = (d_i - x) - e_{i-1}^2 / q_{i-1}, in place.
-            np.divide(e2[i], q, out=scratch)
-            np.subtract(d[i], distinct, out=q)
+            np.divide(off2[i], q, out=scratch)
+            np.subtract(diag[i], distinct, out=q)
             q -= scratch
-            np.less(q, pivmin, out=negative)
-            np.minimum(q, -pivmin, out=q, where=negative)
+            np.less(q, floor, out=negative)
+            np.minimum(q, ceiling, out=q, where=negative)
             count += negative
-        below = count[np.cumsum(new) - 1]
+        below = count[np.cumsum(new) - 1].reshape(x.shape)
         # New bracket: the first point whose count exceeds the target and
         # the point before it; the invariant count(lo) <= target < count(hi)
-        # holds whether or not the computed counts are monotone.
-        points = np.concatenate((lo[:, None], x, hi[:, None]), axis=1)
-        above = np.concatenate((below > target, np.ones((n, 1), dtype=bool)), axis=1)
+        # holds whether or not the computed counts are monotone. One row
+        # per bracket, over all tridiagonals.
+        points = np.concatenate((lo[:, :, None], x, hi[:, :, None]), axis=2).reshape(lo.size, -1)
+        above = np.ones((lo.size, _MULTISECTION), dtype=bool)
+        above[:, :-1] = (below > target).reshape(lo.size, -1)
         j = np.argmax(above, axis=1)
-        lo, hi = points[rows, j], points[rows, j + 1]
+        rows = np.arange(lo.size)
+        lo, hi = points[rows, j].reshape(lo.shape), points[rows, j + 1].reshape(lo.shape)
     raise ConvergenceError(f"Sturm bisection did not converge in {_MAX_ROUNDS} rounds")
 
 
@@ -269,12 +302,13 @@ def _summary(graph: CayleyGraph) -> SpectralSummary:
     if graph.group.abelian:
         values = _character_eigenvalues(graph)
     else:
-        values = eigenvalues_symmetric(normalized_adjacency(graph))
+        values = _coset_eigenvalues(graph)
     # T is symmetric and stochastic, so its spectrum lies in [-1, 1] exactly;
     # anything outside is rounding, and clamping it only removes error.
     t = [min(1.0, max(-1.0, x)) for x in values]
     if abs(t[-1] - 1.0) > TOL:
         raise AssertionError(f"top adjacency eigenvalue {t[-1]!r}, expected 1")
+    t[-1] = 1.0     # T is stochastic, so 1 is an eigenvalue exactly
     lam = tuple(1.0 - t[len(t) - 1 - i] for i in range(len(t)))
     return SpectralSummary(tuple(t), lam)
 
@@ -368,6 +402,75 @@ def _character_eigenvalues(graph: CayleyGraph) -> list[float]:
     lower = np.minimum(np.arange(size), partner)
     values = np.concatenate(((mid - root)[lower], (mid + root)[lower])) / d
     return sorted(values.tolist())
+
+
+def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:
+    """Eigenvalues of T from the characters of a cyclic subgroup A = <g>, g
+    the lowest-indexed element of largest order L, with k = n/L cosets.
+
+    As in _character_eigenvalues, V_chi = {f : f(xa) = chi(a) f(x)} is
+    T-invariant for each character chi_j(g^e) = w^(je), w = exp(2 pi i/L),
+    and C[G] is the sum of the L spaces V_chi (A's regular representation
+    induced to G; Serre, section 7). With the left-coset representatives
+    r_1 < ... < r_k (each the lowest index in its coset) and s r_i = r_l
+    g^e, T acts on (f(r_1), ..., f(r_k)) by the Hermitian k x k block
+    M_j[i][l] = (1/d) sum of w^(je) over {s : s r_i in r_l A}.
+
+    Each entry adds its terms in generator order, and M_j is averaged with
+    its conjugate transpose, which makes it exactly Hermitian. The block of
+    j = 0..floor(L/2) is embedded as the real symmetric [[Re, -Im], [Im,
+    Re]], whose eigenvalues are those of M_j and of M_(L-j), its conjugate.
+    A real character (2j = 0 mod L) has M_j = M_(L-j), so every second of
+    its sorted values is kept. All blocks are 2k x 2k and solved in one
+    batch, except when L <= 2: then every character is real and the
+    blocks are the k x k M_j themselves. The phases come from
+    _cos_table(4L) as in _character_eigenvalues.
+    """
+    group, n, d = graph.group, graph.n, graph.d
+    table = np.array(group.mult, dtype=np.intp)
+    elements = np.arange(n)
+    # order[x] = the least e >= 1 with x^e = 1, for every x at once.
+    order = np.zeros(n, dtype=np.intp)
+    power, e = elements, 1
+    while not order.all():
+        order[(power == 0) & (order == 0)] = e
+        power, e = table[power, elements], e + 1
+    g = int(np.argmax(order))
+    size = int(order[g])
+    cyclic = [0]
+    for _ in range(size - 1):
+        cyclic.append(group.mult[cyclic[-1]][g])
+    # Row x of coset is x g^e for e = 0..L-1; its least entry r is the
+    # coset's representative, and x g^e = r means x = r g^(-e).
+    coset = table[:, cyclic]
+    rep = np.min(coset, axis=1)
+    exponent = -np.argmin(coset, axis=1) % size
+    reps = np.flatnonzero(rep == elements)
+    k = reps.size
+    number = np.zeros(n, dtype=np.intp)
+    number[reps] = np.arange(k)
+    # s r_i = r_l g^e: l and e for each generator s and each i.
+    image = table[np.array(graph.gens.elements)[:, None], reps]
+    column, shift = number[rep[image]], exponent[image]
+    chars = np.arange(size // 2 + 1)
+    phase = 4 * (chars[:, None, None] * shift % size)
+    circle = _cos_table(4 * size)
+    cos, sin = circle[phase], circle[(phase - size) % (4 * size)]
+    re, im = np.zeros((2, chars.size, k, k))
+    rows = np.arange(k)
+    for s in range(d):      # s permutes the cosets, so no (i, l) repeats
+        re[:, rows, column[s]] += cos[:, s]
+        im[:, rows, column[s]] += sin[:, s]
+    # Exactly Hermitian: x + y = y + x and x - y = -(y - x) in floating point.
+    re = (re + re.transpose(0, 2, 1)) / (2 * d)
+    if size <= 2:
+        # Every character is real (im = 0), so the blocks are the k x k M_j.
+        return sorted(_bisect_block(*_tridiagonalize(re)).ravel().tolist())
+    im = (im - im.transpose(0, 2, 1)) / (2 * d)
+    block = np.block([[re, -im], [im, re]])
+    values = np.sort(_bisect_block(*_tridiagonalize(block)), axis=1)
+    real = 2 * chars % size == 0
+    return sorted(np.concatenate((values[real, ::2].ravel(), values[~real].ravel())).tolist())
 
 
 def is_connected(summary: SpectralSummary) -> bool:

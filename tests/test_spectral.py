@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cayleygap.spectral
 from cayleygap import (
@@ -16,6 +16,8 @@ from cayleygap import (
     from_cyclic,
     from_dihedral,
     from_direct_product,
+    from_permutations,
+    from_table,
     is_bipartite_spectral,
     is_connected,
     normalized_adjacency,
@@ -159,14 +161,15 @@ def test_eigenvalues_bitwise_reproducible():
 
 def _assert_bisection_matches_oracle(d, e) -> None:
     d, e = np.asarray(d, dtype=np.float64), np.asarray(e, dtype=np.float64)
-    ours = cayleygap.spectral._bisect_block(d, e)
+    ours = cayleygap.spectral._bisect_block(d[None], e[None])[0]
     assert np.array_equal(ours, oracles.frozen_bisect_block(d, e))
 
 
 def _assert_blocks_match_oracle(matrix) -> int:
     """Tridiagonalise as eigenvalues_symmetric does and check every block
     of two or more rows; returns the number of rows so checked."""
-    d, e = cayleygap.spectral._tridiagonalize(np.array(matrix, dtype=np.float64))
+    d, e = cayleygap.spectral._tridiagonalize(np.array(matrix, dtype=np.float64)[None])
+    d, e = d[0], e[0]
     cuts = (np.flatnonzero(e == 0.0) + 1).tolist()
     checked = 0
     for first, stop in zip([0, *cuts], [*cuts, d.size]):
@@ -231,12 +234,20 @@ def test_bisection_matches_oracle_on_crafted_pivots(first):
     _assert_bisection_matches_oracle([0.0, first, 0.0, 0.0], [1.0, 1.0, 1.0])
 
 
-def test_symmetric_5_spectrum_bits_are_pinned():
-    # The golden files reach the dense path only at n <= 24; this pins its
-    # last bit at n = 120.
-    t = spectrum(build_graph("symmetric:5", "auto")).t
+def test_symmetric_5_dense_bits_are_pinned():
+    # The dense oracle's last bits at n = 120, where the golden files only
+    # reach it through tests.
+    t = eigenvalues_symmetric(normalized_adjacency(build_graph("symmetric:5", "auto")))
     digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
     assert digest == "d582ad2cff1f41327c0122e01feed3c9858d07ffa7ad07133f26c994264760a8"
+
+
+def test_symmetric_5_spectrum_bits_are_pinned():
+    # The cyclic-subgroup blocks (L = 6, k = 20: four 40 x 40 blocks, two
+    # of them complex) in one batch.
+    t = spectrum(build_graph("symmetric:5", "auto")).t
+    digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
+    assert digest == "e1343acb4edb7c6c3cad163190acf90bf3c216961fcdffed9288f223f37d2af2"
 
 
 @pytest.mark.parametrize("bad",[float("nan"), float("inf"), float("-inf")])
@@ -445,19 +456,38 @@ def test_cos_table_exact_and_accurate():
     assert _cos_table(4 * 7)[::4].tolist() == _cos_table(7).tolist()
 
 
+# ---------------------------------------------------------------------------
+# Spectra from a cyclic subgroup (every group without a recorded A)
+
+
+def _forbid_dense(monkeypatch) -> None:
+    """Make building T or running the dense solver fail inside spectrum."""
+    def refuse(*args):
+        raise AssertionError("dense path taken")
+    monkeypatch.setattr(cayleygap.spectral, "normalized_adjacency", refuse)
+    monkeypatch.setattr(cayleygap.spectral, "eigenvalues_symmetric", refuse)
+
+
+def _assert_blocks_match_dense(graph) -> None:
+    assert graph.group.abelian == ()
+    dense = eigenvalues_symmetric(normalized_adjacency(graph))
+    assert _max_gap(spectrum(graph).t, dense) <= 1e-12
+
+
 @pytest.mark.parametrize("spec", [
     "product:cyclic:2xdihedral:3",
     "product:cyclic:2xsymmetric:3",
     "symmetric:3",
     "perm:(0 1 2 3)",
 ])
-def test_other_groups_take_the_dense_solver(spec, monkeypatch):
+def test_other_groups_take_the_block_path(spec, monkeypatch):
     group = parse_group_spec(spec).build()
     assert group.abelian == ()
     runs = []
-    solver = cayleygap.spectral.eigenvalues_symmetric
-    monkeypatch.setattr(cayleygap.spectral, "eigenvalues_symmetric",
-                        lambda matrix: runs.append(1) or solver(matrix))
+    blocks = cayleygap.spectral._coset_eigenvalues
+    monkeypatch.setattr(cayleygap.spectral, "_coset_eigenvalues",
+                        lambda graph: runs.append(1) or blocks(graph))
+    _forbid_dense(monkeypatch)
     spectrum(build(group, [x for x in range(1, group.order)]))
     assert runs == [1]
     spectrum(build_graph("product:cyclic:2xcyclic:3", "1,2,3"))
@@ -466,6 +496,99 @@ def test_other_groups_take_the_dense_solver(spec, monkeypatch):
     assert product.abelian == (3, 2)
     spectrum(build(product, [x for x in range(1, product.order)]))
     assert runs == [1]
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("symmetric:3", "auto"),
+    ("symmetric:4", "auto"),
+    ("symmetric:4", "(0 1);(1 2);(2 3)"),
+    ("symmetric:5", "auto"),
+    ("product:cyclic:2xsymmetric:3", "1,2,3,4,5,6,7,8,9,10,11"),
+    ("perm:(0 1);(2 3);(4 5)", "1,2,3,7"),  # L = 2: real k x k blocks
+    ("symmetric:2", "auto"),
+])
+def test_block_spectrum_matches_dense(spec, gens):
+    _assert_blocks_match_dense(build_graph(spec, gens))
+
+
+def test_block_spectrum_of_a_table_group():
+    # The quaternion group Q8 read from a table: L = 4 and k = 2, so chi_1
+    # gives a complex block. S = {-1, +-i, +-j}.
+    rules = {("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+             ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j")}
+    elements = [(sign, u) for u in "1ijk" for sign in (1, -1)]
+
+    def times(x, y):
+        (a, u), (b, v) = x, y
+        if u == "1" or v == "1":
+            return a * b, v if u == "1" else u
+        if u == v:
+            return -a * b, "1"
+        c, w = rules[u, v]
+        return a * b * c, w
+
+    group = from_table("\n".join(
+        [str(len(elements))]
+        + [" ".join(str(elements.index(times(x, y))) for y in elements) for x in elements]))
+    assert group.abelian == ()
+    graph = build(group, [1, 2, 3, 4, 5])
+    _assert_blocks_match_dense(graph)
+
+
+@given(st.integers(min_value=3, max_value=5), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.data())
+@settings(max_examples=40)
+def test_block_spectrum_matches_dense_on_random_permutation_groups(
+        degree, count, seed, loop, data):
+    rng = np.random.default_rng(seed)
+    group = from_permutations([tuple(rng.permutation(degree).tolist()) for _ in range(count)])
+    assume(group.order > 1)
+    draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=4))
+    _assert_blocks_match_dense(build(group, families.random_generators(group, draw, loop)))
+
+
+def test_mirrored_products_agree(monkeypatch):
+    # The same group either way round: dihedral first records the rotations
+    # times Z/2 (index 2); Z/2 first records nothing and takes the blocks
+    # of an element of order 256 (k = 4), with no n x n matrix.
+    _forbid_dense(monkeypatch)
+    first = spectrum(build_graph("product:cyclic:2xdihedral:256", "1,255,256,512"))
+    mirror = spectrum(build_graph("product:dihedral:256xcyclic:2", "2,510,512,1"))
+    assert _max_gap(first.t, mirror.t) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,gens", [("symmetric:2", "auto"), *(
+    (m.group_spec, m.gens_spec) for m in families.MEMBERS)])
+def test_lambda_1_is_exactly_zero(spec, gens):
+    s = spectrum(build_graph(spec, gens))
+    assert s.t[-1] == 1.0 and s.lam[0] == 0.0
+
+
+def _solve_alone(matrices) -> list[np.ndarray]:
+    out = []
+    for m in matrices:
+        d, e = cayleygap.spectral._tridiagonalize(m[None].copy())
+        out.append(cayleygap.spectral._bisect_block(d, e)[0])
+    return out
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_solver_equals_each_matrix_alone(n, batch, seed):
+    # Matrices of different scales, with some exactly zero or sparse, so the
+    # batch holds matrices that skip a reflection or converge in different
+    # rounds, and a zero one that is done at once.
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for b in range(batch):
+        a = rng.integers(-3, 4, size=(n, n)) * rng.uniform(0.0, 1.0, size=(n, n))
+        a *= rng.random((n, n)) < rng.choice([0.0, 0.3, 1.0])
+        matrices.append((a + a.T) * 10.0 ** rng.integers(-3, 4))
+    stack = np.array(matrices)
+    d, e = cayleygap.spectral._tridiagonalize(stack.copy())
+    together = cayleygap.spectral._bisect_block(d, e)
+    for ours, alone in zip(together, _solve_alone(matrices)):
+        assert [x.hex() for x in ours] == [x.hex() for x in alone]
 
 
 # ---------------------------------------------------------------------------

@@ -387,3 +387,32 @@ def test_sweep_empty():
     assert sweep([]) == []
     assert sweep_to_csv([]) == CSV_HEADER + "\n"
     assert json.loads(sweep_to_json([])) == {"schema_version": 1, "reports": []}
+
+
+def _same_but_floats(ours, ref, path: str = "report") -> None:
+    """Equal structure, strings, ints, bools and None; floats within 1e-12."""
+    if isinstance(ours, float) or isinstance(ref, float):
+        assert abs(ours - ref) <= 1e-12, path
+    elif isinstance(ours, dict):
+        assert ours.keys() == ref.keys(), path
+        for key in ours:
+            _same_but_floats(ours[key], ref[key], f"{path}.{key}")
+    elif isinstance(ours, list):
+        assert len(ours) == len(ref), path
+        for i, (x, y) in enumerate(zip(ours, ref)):
+            _same_but_floats(x, y, f"{path}[{i}]")
+    else:
+        assert ours == ref, path
+
+
+@pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
+def test_family_report_is_the_dense_report(member, monkeypatch):
+    # Each family report read from the cyclic-subgroup blocks has every row
+    # status, reason and exact field of the report read from the dense T,
+    # which is how every family report was made before the blocks.
+    ours = report_json_dict(families.report_of(member))
+    monkeypatch.setattr(
+        cayleygap.spectral, "_coset_eigenvalues",
+        lambda graph: cayleygap.eigenvalues_symmetric(cayleygap.normalized_adjacency(graph)))
+    dense = full_report(build_graph(member.group_spec, member.gens_spec))
+    _same_but_floats(ours, report_json_dict(dense))

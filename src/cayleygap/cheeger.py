@@ -9,9 +9,11 @@ All three isoperimetric quantities are exact rationals:
 
 Witnesses are deterministic: the minimum (resp. first maximum) under the
 tie-break (ratio, |A|, bitmask value), so every result equals the naive
-all-subsets scan, value and witness both. The dual enumerator prunes a
-subtree only when no pair in it can replace the incumbent under that
-tie-break. The vertex, edge and S'-weighted searches share one witness rule:
+all-subsets scan, value and witness both. The dual enumerator starts from a
+seed pair's ratio as a floor and prunes a subtree when no pair in it reaches
+the floor or beats the incumbent, or when no maximiser lies in it (some
+vertex whose neighbours are all placed could move or drop out and raise the
+ratio). The vertex, edge and S'-weighted searches share one witness rule:
 they first find (ratio, |A|), pruning every subtree that cannot lower it,
 and then search the sets of that size and ratio for the smallest bitmask.
 
@@ -648,43 +650,157 @@ def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> Che
 
 
 def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
-    """Branch and bound over (V1, V2, V3) assignments of 0, 1, ..., n-1.
+    cross, m, m1, m2, _ = _dual_search(graph.nbr_masks, graph.n)
+    value = Fraction(2 * cross, graph.d * m)
+    pair = (mask_members(m1), mask_members(m2))
+    return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
+
+
+def _dual_seed(masks: Sequence[int], n: int) -> tuple[int, int, int, int]:
+    """A pair (V1, V2) with 0 in V1, as (cross, m, m1, m2): m = |V1| + |V2|
+    and cross = e(V1, V2), the crossing edges (a loop never crosses).
+
+    V1 and V2 are the vertices at even and odd BFS distance from 0; loops
+    are never followed, since a vertex is marked when it is first reached.
+    Then 1-opt moves run over the vertices 1..n-1 in order, each taking the
+    first of its moves that strictly raises cross/m (flip to the other side,
+    drop; or add to V1, add to V2), until a whole pass makes none. Every
+    ratio is compared in integers, so the seed is a pair, not an estimate.
+    """
+    sides = [1, 0]
+    seen = level = 1
+    parity = 0
+    while level:
+        reached = 0
+        for v in mask_members(level):
+            reached |= masks[v]
+        level = reached & ~seen
+        seen |= level
+        parity ^= 1
+        sides[parity] |= level
+    m1, m2 = sides
+    m = seen.bit_count()
+    cross = sum((masks[v] & m2).bit_count() for v in mask_members(m1))
+    moved = True
+    while moved:
+        moved = False
+        for v in range(1, n):
+            bit = 1 << v
+            nm = masks[v] & ~bit
+            a, b = (nm & m1).bit_count(), (nm & m2).bit_count()
+            if (m1 | m2) & bit:
+                c, s = (b, a) if m1 & bit else (a, b)
+                if s > c:                       # flip
+                    m1 ^= bit
+                    m2 ^= bit
+                    cross += s - c
+                elif cross > c * m:             # drop: (cross - c)/(m - 1) > cross/m
+                    m1 &= ~bit
+                    m2 &= ~bit
+                    cross -= c
+                    m -= 1
+                else:
+                    continue
+            elif b * m > cross:                 # add to V1
+                m1 |= bit
+                cross += b
+                m += 1
+            elif a * m > cross:                 # add to V2
+                m2 |= bit
+                cross += a
+                m += 1
+            else:
+                continue
+            moved = True
+    return cross, m, m1, m2
+
+
+def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]:
+    """(cross, m, m1, m2, nodes): the first maximiser of cross/m over the
+    pairs (V1, V2) with 0 in V1, in the order that assigns 0, 1, ..., n-1 to
+    V1, V2, V3 in turn; nodes counts the assign calls.
 
     A crossing edge is counted when its later endpoint is assigned, so an
     unassigned vertex w adds at most low[w] = |N(w) ∩ {0..w-1}| crossings,
-    and adds 1 to m = |V1| + |V2| if it joins V1 or V2. With the incumbent
-    ratio p/q, a completion of a node at vertex v (cross crossings so far)
-    beats it strictly only if
-        cross·q - p·m + G[v] > 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
-    (Dinkelbach's test for a ratio). Every other node is pruned: no pair below
-    it beats the incumbent strictly, so the first maximiser in enumeration
-    order is the one the unpruned scan finds. G is rebuilt on each strict
-    improvement. At v == n, G[n] = 0 and the test is the improvement test.
+    and adds 1 to m = |V1| + |V2| if it joins V1 or V2.
+
+    Floor. The seed (_dual_seed) is a real pair, so its p/q = cross/m is at
+    most the optimum r* from the first node on. A completion of a node at
+    vertex v (cross crossings so far) reaches p/q only if
+        cross·q - p·m + G[v] >= 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
+    (Dinkelbach's test for a ratio). Until the first leaf is accepted, a node
+    is pruned only when this fails, so every pair that reaches the floor, and
+    the first maximiser with them, survives; the first leaf that reaches it
+    becomes the incumbent. From then on p/q is the incumbent, the test is
+    strict (> 0, a completion must beat it), and G is rebuilt on each
+    improvement. At v == n, G[n] = 0 and the test is the acceptance test.
+    Bipartite graphs. 2·cross is the sum of c_u below over u in V1 ∪ V2,
+    so 2·cross <= d·m <= d·n. If the seed reaches 2·cross = d·n, every
+    vertex is placed with all d neighbours on the other side: the seed is a
+    bipartition, of ratio 1, the most any pair reaches, and the search is
+    skipped (nodes = 0). Any pair of ratio 1 has the same property on its
+    own vertices, so it holds every neighbour of each; in the connected
+    graph that is every vertex, and 0 in V1 fixes the 2-colouring. The seed
+    is therefore the only maximiser with 0 in V1.
+
+    Local optimality. Let (V1, V2) be any maximiser, m = |V1| + |V2|, and for
+    u in V1 ∪ V2 let c_u count u's neighbours on the other side and s_u those
+    on its own side (a loop counts on neither). Then
+      - s_u <= c_u: moving u to the other side gives cross - c_u + s_u
+        crossings at the same m, which beats the maximum if s_u > c_u;
+      - c_u >= r* = cross/m: dropping u gives (cross - c_u)/(m - 1), and
+        (cross - c_u)·m > cross·(m - 1) exactly when cross > c_u·m. (If
+        m = 1, u is alone, c_u = 0 and cross = 0, so c_u >= r* holds.)
+    closes[k] holds the vertices u whose neighbours and u itself lie in
+    0..k-1, so at depth k their c_u and s_u are fixed for every leaf below.
+    A node at depth k is pruned if some u in closes[k] lies in V1 ∪ V2 with
+    s_u > c_u or c_u·q < p: then c_u < p/q <= r*, as p/q is the floor or
+    the incumbent, both reached by real pairs. No maximiser lies below such
+    a node, so the first maximiser is still the leaf the search accepts
+    last. (The rules need the floor: with the incumbent alone they prune
+    leaves that would have raised it early, and the search grows.)
     """
-    n, d = graph.n, graph.d
-    masks = graph.nbr_masks
+    d = masks[0].bit_count()
+    p, q, best1, best2 = _dual_seed(masks, n)
+    if 2 * p == d * n:
+        return p, q, best1, best2, 0
     low = [(masks[w] & ((1 << w) - 1)).bit_count() for w in range(n)]
-    best_cross, best_m = -1, 1
-    best_pair = (0, 0)
+    closes: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for u in range(n):
+        nbr = masks[u] & ~(1 << u)          # a loop counts on neither side
+        closes[max(u, nbr.bit_length() - 1) + 1].append((1 << u, nbr))
+    tie = 0                                 # 1 once a leaf is accepted
+    expanded = 0                            # each makes three assign calls
 
     def suffix_gains() -> list[int]:
         gains = [0] * (n + 1)
         for w in range(n - 1, -1, -1):
-            gain = low[w] * best_m - best_cross
+            gain = low[w] * q - p
             gains[w] = gains[w + 1] + (gain if gain > 0 else 0)
         return gains
 
     gains = suffix_gains()
 
     def assign(v: int, m1: int, m2: int, m: int, cross: int) -> None:
-        nonlocal best_cross, best_m, best_pair, gains
-        if cross * best_m - best_cross * m + gains[v] <= 0:
+        nonlocal p, q, best1, best2, gains, tie, expanded
+        if cross * q - p * m + gains[v] < tie:
             return
+        closing = closes[v]
+        if closing:
+            for bit, nbr in closing:
+                if m1 & bit:
+                    c, s = (nbr & m2).bit_count(), (nbr & m1).bit_count()
+                elif m2 & bit:
+                    c, s = (nbr & m1).bit_count(), (nbr & m2).bit_count()
+                else:
+                    continue
+                if s > c or c * q < p:
+                    return
         if v == n:
-            best_cross, best_m = cross, m
-            best_pair = (m1, m2)
+            p, q, best1, best2, tie = cross, m, m1, m2, 1
             gains = suffix_gains()
             return
+        expanded += 1
         bit = 1 << v
         nm = masks[v]
         assign(v + 1, m1 | bit, m2, m + 1, cross + (nm & m2).bit_count())
@@ -692,7 +808,4 @@ def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
         assign(v + 1, m1, m2, m, cross)
 
     assign(1, 1, 0, 1, 0)
-    value = Fraction(2 * best_cross, d * best_m)
-    pair = (mask_members(best_pair[0]), mask_members(best_pair[1]))
-    return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
-
+    return p, q, best1, best2, 1 + 3 * expanded

@@ -14,6 +14,7 @@ import numpy as np
 
 from cayleygap import (
     CayleyGraph,
+    CheegerCertificate,
     FiniteGroup,
     closure,
     eigenvalues_symmetric,
@@ -115,6 +116,59 @@ def naive_dual_cheeger(
             best_cross, best_m = cross, m
             best_pair = (tuple(v1), tuple(v2))
     return Fraction(best_cross, d * best_m), best_pair
+
+
+def reference_dual_search(graph: CayleyGraph) -> CheegerCertificate:
+    """The dual search before its seed, floor and local-optimality pruning,
+    kept as the reference for the graphs above naive_dual_cheeger's reach.
+
+    Branch and bound over (V1, V2, V3) assignments of 0, 1, ..., n-1.
+
+    A crossing edge is counted when its later endpoint is assigned, so an
+    unassigned vertex w adds at most low[w] = |N(w) ∩ {0..w-1}| crossings,
+    and adds 1 to m = |V1| + |V2| if it joins V1 or V2. With the incumbent
+    ratio p/q, a completion of a node at vertex v (cross crossings so far)
+    beats it strictly only if
+        cross·q - p·m + G[v] > 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
+    (Dinkelbach's test for a ratio). Every other node is pruned: no pair below
+    it beats the incumbent strictly, so the first maximiser in enumeration
+    order is the one the unpruned scan finds. G is rebuilt on each strict
+    improvement. At v == n, G[n] = 0 and the test is the improvement test.
+    """
+    n, d = graph.n, graph.d
+    masks = graph.nbr_masks
+    low = [(masks[w] & ((1 << w) - 1)).bit_count() for w in range(n)]
+    best_cross, best_m = -1, 1
+    best_pair = (0, 0)
+
+    def suffix_gains() -> list[int]:
+        gains = [0] * (n + 1)
+        for w in range(n - 1, -1, -1):
+            gain = low[w] * best_m - best_cross
+            gains[w] = gains[w + 1] + (gain if gain > 0 else 0)
+        return gains
+
+    gains = suffix_gains()
+
+    def assign(v: int, m1: int, m2: int, m: int, cross: int) -> None:
+        nonlocal best_cross, best_m, best_pair, gains
+        if cross * best_m - best_cross * m + gains[v] <= 0:
+            return
+        if v == n:
+            best_cross, best_m = cross, m
+            best_pair = (m1, m2)
+            gains = suffix_gains()
+            return
+        bit = 1 << v
+        nm = masks[v]
+        assign(v + 1, m1 | bit, m2, m + 1, cross + (nm & m2).bit_count())
+        assign(v + 1, m1, m2 | bit, m + 1, cross + (nm & m1).bit_count())
+        assign(v + 1, m1, m2, m, cross)
+
+    assign(1, 1, 0, 1, 0)
+    value = Fraction(2 * best_cross, d * best_m)
+    pair = (mask_members(best_pair[0]), mask_members(best_pair[1]))
+    return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
 
 
 def naive_weighted_edge_min(pairs, n: int) -> tuple[int, int, int]:

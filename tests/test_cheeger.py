@@ -24,7 +24,14 @@ from cayleygap import (
     vertex_cheeger,
 )
 import cayleygap.cheeger
-from cayleygap.cheeger import _certified, _crossing_search, _spectral_floor, _vertex_search
+from cayleygap.cheeger import (
+    _certified,
+    _crossing_search,
+    _dual_search,
+    _dual_seed,
+    _spectral_floor,
+    _vertex_search,
+)
 
 import families
 import oracles
@@ -173,6 +180,55 @@ def test_frozen_dual_witness_pairs(key):
     assert (cert.value, cert.witness_pair) == DUAL_PAIRS[key]
 
 
+# assign calls of `_dual_search` on every DUAL_VALUES and DUAL_PAIRS graph
+# and two dense circulants, frozen so that a weaker floor or a lost
+# local-optimality rule fails a test rather than only costing time. The
+# counts are the same on every platform: the seed and the search use only
+# Python ints. A bipartite graph's seed is the answer, with no search.
+DUAL_NODES = {
+    ("cyclic:3", "±1"): 13,
+    ("cyclic:4", "±1"): 0,
+    ("cyclic:5", "±1"): 40,
+    ("cyclic:6", "±1"): 0,
+    ("cyclic:7", "±1"): 79,
+    ("cyclic:8", "±1"): 0,
+    ("cyclic:9", "±1"): 130,
+    ("cyclic:4", "±1,±2"): 31,
+    ("cyclic:5", "±1,±2"): 109,
+    ("cyclic:6", "±1,±2"): 208,
+    ("cyclic:7", "±1,±2"): 331,
+    ("cyclic:8", "±1,±2"): 502,
+    ("dihedral:3", "auto"): 76,
+    ("dihedral:4", "auto"): 0,
+    ("symmetric:3", "auto"): 0,
+    ("product:cyclic:2xcyclic:2xcyclic:2", "4,2,1"): 0,
+    ("product:cyclic:2xcyclic:2xcyclic:2", "4,5,6,7"): 0,
+    ("product:cyclic:3xcyclic:3", "3,6,1,2"): 2161,
+    ("product:cyclic:2xcyclic:4", "4,1,3"): 0,
+    ("cyclic:11", "±1"): 193,
+    ("cyclic:12", "±1"): 0,
+    ("cyclic:13", "±1"): 268,
+    ("cyclic:14", "±1"): 0,
+    ("cyclic:11", "±1,±2"): 3061,
+    ("cyclic:12", "±1,±2"): 4339,
+    ("cyclic:13", "±1,±2"): 15112,
+    ("cyclic:14", "±1,±2"): 19603,
+    ("dihedral:6", "auto"): 0,
+    ("dihedral:7", "auto"): 4543,
+    ("cyclic:13", "±1,±5"): 32416,
+    ("cyclic:14", "±1,±2,7"): 74302,
+}
+
+
+@pytest.mark.parametrize("key", list(DUAL_NODES), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_dual_node_counts(key):
+    graph = build_graph(*key)
+    assert _dual_search(graph.nbr_masks, graph.n)[4] == DUAL_NODES[key]
+    cert = dual_cheeger(graph)
+    assert cert == oracles.reference_dual_search(graph)
+    assert (cert.value == 1) == (DUAL_NODES[key] == 0)
+
+
 # (crossing, size, mask) of `_crossing_search` on the generating set with
 # unit counts (the edge count) and on the square multiset S' = S·S, for graphs
 # above the naive oracles' reach. Frozen from the search when its only lower
@@ -247,6 +303,7 @@ def test_dual_engine_matches_oracle(member):
     cert = dual_cheeger(graph)
     assert cert.value == value
     assert cert.witness_pair == pair
+    assert oracles.reference_dual_search(graph) == cert
 
 
 # Seeded graphs of order 13..16, above the families.small(12) members the
@@ -263,6 +320,35 @@ _MID_GRAPHS = [
     (from_direct_product(from_cyclic(2), from_cyclic(8)), 9, False),
     (from_direct_product(from_cyclic(4), from_cyclic(4)), 10, True),
 ]
+
+
+# Seeded graphs of order 11..14, above the dual oracle's reach, checked
+# against the dual search without seed, floor or local pruning: with a loop
+# or not, and with two drawn elements (sparse S) or n // 3 (dense S), plus
+# the _MID_GRAPHS of order at most 14: (group, seed, loop, elements drawn).
+_DUAL_GRAPHS = [
+    (group, 100 + 4 * i + 2 * dense + loop, loop, group.order // 3 if dense else 2)
+    for i, group in enumerate([
+        from_cyclic(11), from_cyclic(13), from_cyclic(14), from_dihedral(6),
+        from_dihedral(7), from_direct_product(from_cyclic(3), from_cyclic(4)),
+    ])
+    for dense in (False, True)
+    for loop in (False, True)
+] + [(group, seed, loop, 2) for group, seed, loop in _MID_GRAPHS if group.order <= 14]
+
+
+@pytest.mark.parametrize("group,seed,loop,k", _DUAL_GRAPHS,
+                         ids=lambda v: str(v) if isinstance(v, (int, bool)) else v.name)
+def test_dual_engine_matches_reference_above_10(group, seed, loop, k):
+    draw = random.Random(seed).sample(range(1, group.order), k)
+    graph = build(group, families.random_generators(group, draw, loop))
+    assert dual_cheeger(graph) == oracles.reference_dual_search(graph)
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_dual_engine_matches_reference_above_the_cap(n):
+    graph = build_graph(f"cyclic:{n}", "±1,±2")
+    assert dual_cheeger(graph, max_dual=16) == oracles.reference_dual_search(graph)
 
 
 @pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
@@ -422,6 +508,19 @@ def test_rooted_searches_match_oracles(graph):
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
         dual = dual_cheeger(graph)
         assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
+
+
+@settings(max_examples=60)
+@given(_small_cayley_graphs())
+def test_dual_seed_is_a_pair_below_the_optimum(graph):
+    cross, m, m1, m2 = _dual_seed(graph.nbr_masks, graph.n)
+    assert m1 & 1 and not m1 & m2
+    assert m == (m1 | m2).bit_count()
+    v2 = set(mask_members(m2))
+    assert cross == sum(y in v2 for x in mask_members(m1) for y in graph.neighbors[x])
+    ratio = Fraction(2 * cross, graph.d * m)
+    assert ratio <= dual_cheeger(graph).value
+    assert (ratio == 1) == (oracles.enumerated_bipartite_certificate(graph) is not None)
 
 
 @st.composite

@@ -19,6 +19,13 @@ and then search the sets of that size and ratio for the smallest bitmask.
 
 The edge and S'-weighted searches are one crossing search on a Cayley
 multigraph, given as the group table and a symmetric multiset of elements.
+Its first incumbent is the better of the rooted set {0} and the best union
+of left cosets of a cyclic subgroup <g>, g in the multiset (_coset_union):
+each element maps left cosets onto left cosets, so all unions of up to 12
+cosets are scored at once on the coset graph. The union is a real set, so
+the result is unchanged and the search can only visit fewer nodes. On
+symmetric:4 with the transpositions it is the optimum, which the spectral
+floor below then certifies before the first node.
 
 The edge search also ends its first pass early at a spectral floor. Every
 set A of k vertices in a d-regular graph has
@@ -393,12 +400,71 @@ def _certified(floor: Sequence[int], num: int, size: int) -> bool:
     return True
 
 
+def _coset_union(
+    mult: Sequence[Sequence[int]], counts: dict[int, int],
+) -> tuple[int, int, int] | None:
+    """The (ratio, size)-least union of at most half the left cosets x<g> of
+    one cyclic subgroup <g>, g != 0 in the multiset, as (crossing, size,
+    mask); None when no <g> has 2 to 12 cosets.
+
+    c·(x g^e) = (c x) g^e, so each element c maps left cosets onto left
+    cosets, and a union U of cosets crosses |<g>| times its crossing in the
+    coset graph: sum over c of counts[c] · #{C in U : c·C not in U}. Every
+    union is scored at once in int64 from the coset graph's weight matrix.
+    A conjugate y<g>y^-1 has the cosets x<g>y^-1, right translates of those
+    of <g>, with the same crossings, so it is skipped like a repeated <g>.
+    """
+    n = len(mult)
+    inv = [row.index(0) for row in mult]
+    seen: set[frozenset[int]] = set()
+    best = None
+    for g in sorted(counts):
+        if not g:
+            continue
+        sub = [0, g]   # <g> = {1, g, g^2, ...}
+        while mult[sub[-1]][g]:
+            sub.append(mult[sub[-1]][g])
+        k = n // len(sub)
+        if not 2 <= k <= 12 or frozenset(sub) in seen:
+            continue
+        seen.update(frozenset(mult[mult[y][h]][inv[y]] for h in sub) for y in range(n))
+        label, cosets = [-1] * n, []
+        for x in range(n):
+            if label[x] < 0:
+                for h in sub:
+                    label[mult[x][h]] = len(cosets)
+                cosets.append(x)
+        weight = [[0] * k for _ in range(k)]   # the coset graph
+        for c, w in counts.items():
+            for i, x in enumerate(cosets):
+                weight[i][label[mult[c][x]]] += w
+        weight = np.array(weight, dtype=np.int64)
+        # Union u = high | low, low of the cosets below k // 2 and high of the
+        # rest: its crossing is each part's own less the weight between them.
+        half = k // 2
+        low = (np.arange(1 << half)[:, None] >> np.arange(k)) & 1
+        high = (np.arange(0, 1 << k, 1 << half)[:, None] >> np.arange(k)) & 1
+        own = [((m @ weight) * (1 - m)).sum(axis=1) for m in (high, low)]
+        cross = (own[0][:, None] + own[1] - high @ (weight + weight.T) @ low.T).ravel()
+        # (ratio, size, u) as one int64: 60 is a multiple of every size <= 6.
+        size = _count(np.arange(1 << k))
+        key = np.where((size > 0) & (2 * size <= k),
+                       60 // np.maximum(size, 1) * cross * 8 + size, np.iinfo(np.int64).max)
+        u = int(np.argmin(key))
+        num, size2 = len(sub) * int(cross[u]), len(sub) * int(size[u])
+        if best is None or num * best[1] < best[0] * size2 or (
+                num * best[1] == best[0] * size2 and size2 < best[1]):
+            best = num, size2, sum(1 << x for x in range(n) if u >> label[x] & 1)
+    return best
+
+
 def _crossing_search(
     mult: Sequence[Sequence[int]], counts: dict[int, int],
     floor: Sequence[int] | None = None,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, int]:
     """Minimise the weighted crossing count w(A, A^c)/|A| over
-    1 <= |A| <= n//2 on a Cayley multigraph; returns (crossing, size, mask).
+    1 <= |A| <= n//2 on a Cayley multigraph; returns (crossing, size, mask,
+    nodes), nodes the extend calls of pass 1.
 
     mult is the group table (n = len(mult)) and counts a symmetric multiset
     {element: count}: u and g·u are joined by an edge of weight counts[g];
@@ -406,12 +472,22 @@ def _crossing_search(
     S give the edge Cheeger count |E(A, A^c)|, and S·S the proof's count.
 
     Pass 1 finds the value (b*, k*), the least ratio and then the least size,
-    over the rooted sets. Below a node, A holds `mask`, the passed-over set P
-    can never join, and the future vertices y (above the last one decided)
-    are free. Let c_y and p_y be y's weight to A and to P. In any completion
-    y pays at least min(c_y, p_y): its edges to P cross if it joins A, its
-    edges to A if it does not. These edges are disjoint from each other and
-    from the A-P edges, so every completion crosses at least
+    over the rooted sets. Its first incumbent is the better of the rooted
+    set {0} and the best union of cosets of a cyclic subgroup (_coset_union).
+    Both are real sets, so every incumbent is attained and pass 1 still ends
+    at (b*, k*), and pass 2, which takes only (b*, k*), finds the same mask.
+    The depth-first order is unchanged, and each test prunes at least as
+    much under a lower incumbent, so pass 1 visits a subset of the nodes it
+    would from {0} alone. On symmetric:4 with the transpositions the union
+    is the optimum 24/12, which the spectral floor certifies before the
+    first node.
+
+    Below a node, A holds `mask`, the passed-over set P can never join, and
+    the future vertices y (above the last one decided) are free. Let c_y
+    and p_y be y's weight to A and to P. In any completion y pays at least
+    min(c_y, p_y): its edges to P cross if it joins A, its edges to A if it
+    does not. These edges are disjoint from each other and from the A-P
+    edges, so every completion crosses at least
         lb = w(A, P) + sum over future y of min(c_y, p_y).
     min(c, p) is the number of k >= 1 with c >= k and p >= k; counting only
     k = 1, 2 keeps lb a lower bound and fits in bit planes c1 = {c >= 1},
@@ -423,7 +499,7 @@ def _crossing_search(
 
     floor, when given, holds for 1 <= k <= n//2 a lower bound floor[k] on
     the crossing of every set of k vertices (floor[0] is unused). Pass 1 then
-    stops as soon as the rooted set {0} or an improved incumbent meets it
+    stops as soon as the first incumbent or an improved one meets it
     (_certified): no set can lower (ratio, size) any more.
 
     Pass 2 returns the smallest mask among all sets, rooted or not, with
@@ -463,13 +539,18 @@ def _crossing_search(
     two = [sum(m for c, m in row if c > 1) for row in rows]
     above = [~((1 << u) - 1) for u in range(n + 1)]   # vertices u, u+1, ...
     best_num, best_size = deg[0], 1   # the rooted set {0}
+    union = _coset_union(mult, counts)
+    if union and union[0] * best_size < best_num * union[1]:   # a tie keeps {0}
+        best_num, best_size = union[:2]
+    nodes = 0
 
     def extend(start: int, mask: int, size: int, eb: int, pe: int,
                c1: int, c2: int, p1: int, p2: int) -> None:
         # eb: crossing weight of `mask`; pe: crossing weight between `mask`
         # and vertices already passed over (they can never join A); c1, c2
         # and p1, p2: the planes of `mask` and of the passed-over vertices.
-        nonlocal best_num, best_size
+        nonlocal best_num, best_size, nodes
+        nodes += 1
         bn, bs = best_num, best_size
         pe_run = pe
         for u in range(start, n):
@@ -541,7 +622,7 @@ def _crossing_search(
         mask = _smallest_mask(n, best_size, best_num, step, ([0] * n, 0))
     except _OverBudget:
         mask = _crossing_bulk(weight, high, deg, n, best_size, best_num)
-    return best_num, best_size, mask
+    return best_num, best_size, mask, nodes
 
 
 def _crossing_bulk(
@@ -622,7 +703,7 @@ def edge_cheeger(
 
 def _edge_certificate(graph: CayleyGraph, summary: SpectralSummary | None) -> CheegerCertificate:
     floor = None if summary is None else _spectral_floor(graph, summary.lambda2)
-    num, size, mask = _crossing_search(
+    num, size, mask, _ = _crossing_search(
         graph.group.mult, dict.fromkeys(graph.gens.elements, 1), floor)
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 

@@ -170,7 +170,7 @@ def find_candidate_set(
         a_mask = min(h_mask, graph.full_mask ^ h_mask)
         size = n // 2
     else:
-        _, size, a_mask = _crossing_search(graph.group.mult, counts)
+        _, size, a_mask, _ = _crossing_search(graph.group.mult, counts)
     excess = multiset_image_excess(graph.group, counts, a_mask)
     ratio_ok = excess.weighted < params.beta * size
     return CandidateReport(

@@ -26,6 +26,7 @@ from cayleygap import (
 import cayleygap.cheeger
 from cayleygap.cheeger import (
     _certified,
+    _coset_union,
     _crossing_search,
     _dual_search,
     _dual_seed,
@@ -253,9 +254,36 @@ def test_frozen_crossing_minima(key):
     graph = build_graph(*key)
     mult = graph.group.mult
     assert (
-        _crossing_search(mult, _unit_counts(graph)),
-        _crossing_search(mult, square_multiset(graph.gens, graph.group)),
+        _crossing_search(mult, _unit_counts(graph))[:3],
+        _crossing_search(mult, square_multiset(graph.gens, graph.group))[:3],
     ) == CROSSING_MINIMA[key]
+
+
+# Pass-1 extend calls of `_crossing_search` on the CROSSING_MINIMA graphs:
+# unit counts with the spectral floor, unit counts without it, and the square
+# multiset S' = S·S. Frozen so that a weaker bound or a lost first incumbent
+# fails a test rather than only costing time. Pass 1 uses only Python ints
+# and the coset union exact int64 sums, so the counts are the same on every
+# platform. On symmetric:4 auto the union is the optimum and the floor
+# certifies it before the first node.
+CROSSING_NODES = {
+    ("symmetric:4", "auto"): (0, 12723, 19),
+    ("symmetric:4", "(0 1);(1 2);(2 3)"): (811, 811, 19),
+    ("dihedral:12", "auto"): (408, 408, 19),
+    ("dihedral:11", "auto"): (968, 968, 262),
+    ("cyclic:23", "±1,±2"): (55, 55, 751),
+}
+
+
+@pytest.mark.parametrize("key", list(CROSSING_NODES), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_crossing_node_counts(key):
+    graph = build_graph(*key)
+    mult, unit = graph.group.mult, _unit_counts(graph)
+    floor = _spectral_floor(graph, spectrum(graph).lambda2)
+    runs = (_crossing_search(mult, unit, floor), _crossing_search(mult, unit),
+            _crossing_search(mult, square_multiset(graph.gens, graph.group)))
+    assert tuple(run[3] for run in runs) == CROSSING_NODES[key]
+    assert (runs[0][:3], runs[2][:3]) == CROSSING_MINIMA[key]
 
 
 # (boundary, size, mask) of `_vertex_search` on the same graphs and on
@@ -365,7 +393,7 @@ def test_vertex_engine_matches_oracle_above_12(group, seed, loop):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(graph.group.mult, counts) == weighted
+    assert _crossing_search(graph.group.mult, counts)[:3] == weighted
 
 
 @pytest.mark.parametrize("n", range(10, 15))
@@ -408,7 +436,7 @@ def test_bulk_engines_match_oracles(member, bulk):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(graph.group.mult, counts) == weighted
+    assert _crossing_search(graph.group.mult, counts)[:3] == weighted
 
 
 @pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
@@ -422,8 +450,8 @@ def test_bulk_witnesses_on_complete_graphs(n, bulk):
     test_rooted_witnesses_on_complete_graphs(n)
 
 
-def test_bulk_zero_ratio_ties_keep_the_smallest_size(bulk):
-    test_zero_ratio_ties_keep_the_smallest_size()
+def test_bulk_zero_ratio_ties_keep_the_smallest_size(bulk, monkeypatch):
+    test_zero_ratio_ties_keep_the_smallest_size(monkeypatch)
 
 
 def test_bulk_ties_below_a_larger_tie_keep_the_smallest_size(bulk, monkeypatch):
@@ -444,7 +472,7 @@ def test_bulk_ties_below_a_larger_tie_keep_the_smallest_size(bulk, monkeypatch):
     graph = _coset_graph(20, 4)
     assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)
     assert sum(expanded) <= {3: 303, 300: 743}[cayleygap.cheeger._CHUNK]
-    test_ties_below_a_larger_tie_keep_the_smallest_size()
+    test_ties_below_a_larger_tie_keep_the_smallest_size(monkeypatch)
 
 
 @pytest.mark.parametrize("n", [64, 65, 66])
@@ -504,7 +532,7 @@ def test_rooted_searches_match_oracles(graph):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(graph.group.mult, counts) == weighted
+    assert _crossing_search(graph.group.mult, counts)[:3] == weighted
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
         dual = dual_cheeger(graph)
         assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
@@ -525,35 +553,55 @@ def test_dual_seed_is_a_pair_below_the_optimum(graph):
 
 @st.composite
 def _weighted_multisets(draw):
-    """A symmetric multiset on a group of order <= 12, drawn as one to four
-    layers of weight 1-3, each an inverse-closed set T joining x to t·x
-    (t in T). Layers may overlap, and T may hold the identity (a loop)."""
+    """A symmetric multiset {element: count} on a group of order <= 12,
+    drawn as the sum of one to four layers of weight 1-3, each an
+    inverse-closed set T joining x to t·x (t in T). Layers may overlap, and
+    T may hold the identity (a loop)."""
     group = draw(st.sampled_from(_SMALL_GROUPS))
-    layers = []
+    counts = {}
     for _ in range(draw(st.integers(1, 4))):
         weight = draw(st.integers(1, 3))
         picks = draw(st.sets(st.integers(0, group.order - 1), min_size=1))
-        layers.append((weight, picks | {group.inv[t] for t in picks}))
-    return group, layers
+        for t in picks | {group.inv[t] for t in picks}:
+            counts[t] = counts.get(t, 0) + weight
+    return group, counts
+
+
+def _rows(mult, counts):
+    """(neighbour, weight) rows of the multigraph joining x to c·x with
+    weight counts[c], in the form naive_weighted_edge_min takes."""
+    rows = []
+    for x in range(len(mult)):
+        weight = {}
+        for c, w in counts.items():
+            weight[mult[c][x]] = weight.get(mult[c][x], 0) + w
+        rows.append(tuple(sorted(weight.items())))
+    return rows
+
+
+def _check_coset_union(mult, counts, least):
+    """_coset_union gives None or a union of left cosets of one <g> (g in
+    the multiset) of at most half the vertices, crossing what it says, with
+    ratio at least that of least = (crossing, size) of the minimum."""
+    union = _coset_union(mult, counts)
+    if union is None:
+        return
+    num, size, mask = union
+    members = mask_members(mask)
+    assert 1 <= size == len(members) <= len(mult) // 2
+    assert any(all(mask >> mult[x][g] & 1 for x in members) for g in counts if g)
+    assert num == sum(w for c, w in counts.items() for x in members if not mask >> mult[c][x] & 1)
+    assert num * least[1] >= least[0] * size
 
 
 @settings(max_examples=60)
 @given(_weighted_multisets())
 def test_crossing_search_matches_oracle_on_weighted_rows(case):
-    group, layers = case
-    mult, n = group.mult, group.order
-    counts = {}
-    for w, elems in layers:
-        for t in elems:
-            counts[t] = counts.get(t, 0) + w
-    pairs = []
-    for x in range(n):
-        weight = {}
-        for w, elems in layers:
-            for t in elems:
-                weight[mult[t][x]] = weight.get(mult[t][x], 0) + w
-        pairs.append(tuple(sorted(weight.items())))
-    assert _crossing_search(mult, counts) == oracles.naive_weighted_edge_min(pairs, n)
+    # The search's first incumbent, the best coset union, is checked too.
+    group, counts = case
+    least = oracles.naive_weighted_edge_min(_rows(group.mult, counts), group.order)
+    assert _crossing_search(group.mult, counts)[:3] == least
+    _check_coset_union(group.mult, counts, least[:2])
 
 
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
@@ -574,7 +622,8 @@ def test_spectral_floor_holds_on_random_graphs(group, seed, loop):
     assert len(floor) == n // 2 + 1
     assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
     mult, unit = graph.group.mult, _unit_counts(graph)
-    assert _crossing_search(mult, unit, floor) == _crossing_search(mult, unit)
+    floored, plain = _crossing_search(mult, unit, floor), _crossing_search(mult, unit)
+    assert floored[:3] == plain[:3] and floored[3] <= plain[3]
 
 
 def test_certification_rule():
@@ -594,27 +643,52 @@ def test_certification_rule():
 
 
 def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
-    # On symmetric:4 auto the floor meets the optimum 24/12. Only a caller
-    # that passes the spectrum gets the floor; full_report passes its own.
+    # On symmetric:4 auto the best union of cosets is the optimum 24/12, and
+    # the floor certifies it before pass 1's first node. Only a caller that
+    # passes the spectrum gets the floor; full_report passes its own, and
+    # edge_cheeger(g), which the cheeger command calls, proves 24/12 node by
+    # node. The proof's S'-weighted search has its own binding.
     key = ("symmetric:4", "auto")
     num, size, mask = CROSSING_MINIMA[key][0]
-    verdicts = []
+    nodes = []
+    real_search = cayleygap.cheeger._crossing_search
 
-    def recorded(floor, num, size):
-        verdicts.append(_certified(floor, num, size))
-        return verdicts[-1]
+    def recorded(*args):
+        result = real_search(*args)
+        nodes.append(result[3])
+        return result
 
-    monkeypatch.setattr(cayleygap.cheeger, "_certified", recorded)
+    monkeypatch.setattr(cayleygap.cheeger, "_crossing_search", recorded)
     runs = ((lambda g: edge_cheeger(g), False),
             (lambda g: edge_cheeger(g, summary=spectrum(g)), True),
             (full_report, True))
     for run, floored in runs:
-        verdicts.clear()
+        nodes.clear()
         graph = build_graph(*key)
         run(graph)
         cert = edge_cheeger(graph)
-        assert (verdicts[-1] if floored else verdicts) == (True if floored else [])
+        assert len(nodes) == 1 and (nodes[0] == 0) == floored
         assert (cert.value, cert.witness) == (Fraction(num, graph.d * size), mask_members(mask))
+
+
+@pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
+def test_coset_union_on_family_graphs(member):
+    # The oracle up to n = 12; above it the search, which the oracles check.
+    graph = families.graph_of(member)
+    mult, n = graph.group.mult, graph.n
+    for counts in (_unit_counts(graph), square_multiset(graph.gens, graph.group)):
+        if n <= 12:
+            least = oracles.naive_weighted_edge_min(_rows(mult, counts), n)
+        else:
+            least = _crossing_search(mult, counts)
+        _check_coset_union(mult, counts, least[:2])
+
+
+@pytest.mark.parametrize("gens,optimum", [("auto", (24, 12)), ("(0 1);(1 2);(2 3)", (6, 12))])
+def test_coset_union_is_the_edge_optimum_on_symmetric_4(gens, optimum):
+    # optimum: (crossing, size) of the edge minimum in CROSSING_MINIMA.
+    graph = build_graph("symmetric:4", gens)
+    assert _coset_union(graph.group.mult, _unit_counts(graph))[:2] == optimum
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
@@ -719,12 +793,21 @@ def test_disconnected_graph_has_zero_cheeger():
         assert cert.witness == (0, 3)
 
 
-def test_zero_ratio_ties_keep_the_smallest_size():
+def _without_coset_union(monkeypatch):
+    """Starts the crossing search from {0} alone. The components of a
+    _coset_graph are cosets of <step>, so the coset union is the answer and
+    pass 1 would never reach the ties these tests are about."""
+    monkeypatch.setattr(cayleygap.cheeger, "_coset_union", lambda mult, counts: None)
+
+
+def test_zero_ratio_ties_keep_the_smallest_size(monkeypatch):
     # A union of two of the four edges also has ratio 0; pruning the
     # subtrees that only tie ratio 0 would return one of those.
     graph = _coset_graph(8, 4)
     assert _vertex_search(graph.nbr_masks, 8) == (0, 2, 0b10001)
-    assert _crossing_search(graph.group.mult, _unit_counts(graph)) == (0, 2, 0b10001)
+    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 2, 0b10001)
+    _without_coset_union(monkeypatch)
+    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 2, 0b10001)
 
 
 # Four disjoint 5-cycles, the cosets of <4> in Z/20.
@@ -732,13 +815,15 @@ _CYCLE = (0, 4, 8, 12, 16)
 _CYCLE_MASK = sum(1 << v for v in _CYCLE)
 
 
-def test_ties_below_a_larger_tie_keep_the_smallest_size():
+def test_ties_below_a_larger_tie_keep_the_smallest_size(monkeypatch):
     # Pass 1 first finds a union of two 5-cycles (ratio 0, size 10) below
     # {0, 1}. The 5-cycle through 0 lies below {0, 4}, whose loop head and
     # subtree bounds only tie ratio 0: pruning on a tie would keep size 10.
     graph = _coset_graph(20, 4)
     assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)
-    assert _crossing_search(graph.group.mult, _unit_counts(graph)) == (0, 5, _CYCLE_MASK)
+    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 5, _CYCLE_MASK)
+    _without_coset_union(monkeypatch)
+    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 5, _CYCLE_MASK)
     for cert in (vertex_cheeger(graph), edge_cheeger(graph)):
         assert (cert.value, cert.witness) == (0, _CYCLE)
 

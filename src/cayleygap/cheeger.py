@@ -737,16 +737,14 @@ def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
 
 
-def _dual_seed(masks: Sequence[int], n: int) -> tuple[int, int, int, int]:
-    """A pair (V1, V2) with 0 in V1, as (cross, m, m1, m2): m = |V1| + |V2|
-    and cross = e(V1, V2), the crossing edges (a loop never crosses).
+def _dual_seed(masks: Sequence[int]) -> tuple[int, int, int]:
+    """The BFS-parity pair (V1, V2) as (cross, m1, m2), with cross = e(V1, V2)
+    the crossing edges (a loop never crosses).
 
-    V1 and V2 are the vertices at even and odd BFS distance from 0; loops
-    are never followed, since a vertex is marked when it is first reached.
-    Then 1-opt moves run over the vertices 1..n-1 in order, each taking the
-    first of its moves that strictly raises cross/m (flip to the other side,
-    drop; or add to V1, add to V2), until a whole pass makes none. Every
-    ratio is compared in integers, so the seed is a pair, not an estimate.
+    V1 and V2 are the vertices at even and odd BFS distance from 0, so 0 is
+    in V1, and the graph is connected, so V1 ∪ V2 holds all n vertices.
+    Loops are never followed, since a vertex is marked when it is first
+    reached.
     """
     sides = [1, 0]
     seen = level = 1
@@ -760,40 +758,7 @@ def _dual_seed(masks: Sequence[int], n: int) -> tuple[int, int, int, int]:
         parity ^= 1
         sides[parity] |= level
     m1, m2 = sides
-    m = seen.bit_count()
-    cross = sum((masks[v] & m2).bit_count() for v in mask_members(m1))
-    moved = True
-    while moved:
-        moved = False
-        for v in range(1, n):
-            bit = 1 << v
-            nm = masks[v] & ~bit
-            a, b = (nm & m1).bit_count(), (nm & m2).bit_count()
-            if (m1 | m2) & bit:
-                c, s = (b, a) if m1 & bit else (a, b)
-                if s > c:                       # flip
-                    m1 ^= bit
-                    m2 ^= bit
-                    cross += s - c
-                elif cross > c * m:             # drop: (cross - c)/(m - 1) > cross/m
-                    m1 &= ~bit
-                    m2 &= ~bit
-                    cross -= c
-                    m -= 1
-                else:
-                    continue
-            elif b * m > cross:                 # add to V1
-                m1 |= bit
-                cross += b
-                m += 1
-            elif a * m > cross:                 # add to V2
-                m2 |= bit
-                cross += a
-                m += 1
-            else:
-                continue
-            moved = True
-    return cross, m, m1, m2
+    return sum((masks[v] & m2).bit_count() for v in mask_members(m1)), m1, m2
 
 
 def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]:
@@ -805,9 +770,10 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     unassigned vertex w adds at most low[w] = |N(w) ∩ {0..w-1}| crossings,
     and adds 1 to m = |V1| + |V2| if it joins V1 or V2.
 
-    Floor. The seed (_dual_seed) is a real pair, so its p/q = cross/m is at
-    most the optimum r* from the first node on. A completion of a node at
-    vertex v (cross crossings so far) reaches p/q only if
+    Floor. The seed (_dual_seed) is a real pair on all n vertices, so its
+    p/q = cross/n is at most the optimum r* from the first node on. A
+    completion of a node at vertex v (cross crossings so far) reaches p/q
+    only if
         cross·q - p·m + G[v] >= 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
     (Dinkelbach's test for a ratio). Until the first leaf is accepted, a node
     is pruned only when this fails, so every pair that reaches the floor, and
@@ -842,7 +808,8 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     leaves that would have raised it early, and the search grows.)
     """
     d = masks[0].bit_count()
-    p, q, best1, best2 = _dual_seed(masks, n)
+    p, best1, best2 = _dual_seed(masks)
+    q = n
     if 2 * p == d * n:
         return p, q, best1, best2, 0
     low = [(masks[w] & ((1 << w) - 1)).bit_count() for w in range(n)]

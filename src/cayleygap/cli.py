@@ -166,8 +166,9 @@ def _forced_zeta(graph: CayleyGraph, args: argparse.Namespace) -> Fraction | Non
         return None
     try:
         h = vertex_cheeger(graph, max_exact=args.max_exact).value
-    except CapExceededError:
-        # No h to compare with; the report's rows carry the cap reason.
+    except (CapExceededError, ValueError):
+        # No h to compare with (over the cap, or n < 2); the report's rows
+        # carry the reason.
         return zeta
     if h > 0 and zeta > (ceiling := zeta_max(h, graph.d)):
         print(

@@ -47,7 +47,6 @@ class FiniteGroup:
     order: int
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
-    identity: int = 0
     perms: tuple[tuple[int, ...], ...] | None = None
     name: str = ""
     abelian: tuple[int, ...] = ()
@@ -106,8 +105,6 @@ def validate_axioms(group: FiniteGroup) -> None:
     if len(group.mult) != n or any(len(row) != n for row in group.mult):
         raise GroupValidationError("multiplication table is not n x n")
     m = _checked_array(group.mult, n)
-    if group.identity != 0:
-        raise GroupValidationError("identity must sit at index 0")
     r = np.arange(n)
     a = _first((m[0] != r) | (m[:, 0] != r))
     if a >= 0:
@@ -142,12 +139,12 @@ def closure(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
     a set containing the identity is already a subgroup.
     """
     mult = group.mult
-    gens = sorted({int(s) for s in seeds} | {group.identity})
+    gens = sorted({int(s) for s in seeds} | {0})
     for s in gens:
         if not 0 <= s < group.order:
             raise ValueError(f"seed {s} outside 0..{group.order - 1}")
-    members = {group.identity}
-    frontier = [group.identity]
+    members = {0}
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:

@@ -354,7 +354,7 @@ def construct_subgroup(
     |H| > n/3, H != G."""
     group = graph.group
     n = graph.n
-    size = profile[group.identity]
+    size = profile[0]
     members = [g for g in range(n) if profile[g] >= params.r * size]
     h_mask = mask_of(members)
 

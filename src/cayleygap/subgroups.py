@@ -64,7 +64,7 @@ def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
     assigned = list(squares_commutators_subgroup(group).elements)
     for x in assigned:
         vec[x] = 0
-    reps = [group.identity]
+    reps = [0]
     for g in range(n):
         if vec[g] >= 0:
             continue

@@ -307,9 +307,8 @@ def brute_force_index2(group: FiniteGroup) -> list[tuple[int, ...]]:
     found = []
     from itertools import combinations
 
-    for rest in combinations([x for x in range(n) if x != group.identity],
-                             half - 1):
-        members = (group.identity,) + rest
+    for rest in combinations(range(1, n), half - 1):
+        members = (0,) + rest
         mask = 0
         for x in members:
             mask |= 1 << x
@@ -335,7 +334,7 @@ def validate_subgroup(group: FiniteGroup, elements: tuple[int, ...]) -> None:
     """Raise AssertionError unless the elements contain the identity and are
     closed under inverses and products."""
     members = set(elements)
-    if group.identity not in members:
+    if 0 not in members:
         raise AssertionError("candidate subgroup misses the identity")
     for a in elements:
         if group.inv[a] not in members:

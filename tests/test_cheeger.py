@@ -194,8 +194,8 @@ DUAL_NODES = {
     ("cyclic:7", "±1"): 79,
     ("cyclic:8", "±1"): 0,
     ("cyclic:9", "±1"): 130,
-    ("cyclic:4", "±1,±2"): 31,
-    ("cyclic:5", "±1,±2"): 109,
+    ("cyclic:4", "±1,±2"): 34,
+    ("cyclic:5", "±1,±2"): 112,
     ("cyclic:6", "±1,±2"): 208,
     ("cyclic:7", "±1,±2"): 331,
     ("cyclic:8", "±1,±2"): 502,
@@ -212,12 +212,12 @@ DUAL_NODES = {
     ("cyclic:14", "±1"): 0,
     ("cyclic:11", "±1,±2"): 3061,
     ("cyclic:12", "±1,±2"): 4339,
-    ("cyclic:13", "±1,±2"): 15112,
+    ("cyclic:13", "±1,±2"): 15151,
     ("cyclic:14", "±1,±2"): 19603,
     ("dihedral:6", "auto"): 0,
     ("dihedral:7", "auto"): 4543,
-    ("cyclic:13", "±1,±5"): 32416,
-    ("cyclic:14", "±1,±2,7"): 74302,
+    ("cyclic:13", "±1,±5"): 34339,
+    ("cyclic:14", "±1,±2,7"): 74983,
 }
 
 
@@ -541,12 +541,21 @@ def test_rooted_searches_match_oracles(graph):
 @settings(max_examples=60)
 @given(_small_cayley_graphs())
 def test_dual_seed_is_a_pair_below_the_optimum(graph):
-    cross, m, m1, m2 = _dual_seed(graph.nbr_masks, graph.n)
+    cross, m1, m2 = _dual_seed(graph.nbr_masks)
+    n = graph.n
     assert m1 & 1 and not m1 & m2
-    assert m == (m1 | m2).bit_count()
+    assert m1 | m2 == (1 << n) - 1
+    dist = {0: 0}
+    queue = [0]
+    for x in queue:
+        for y in graph.neighbors[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    assert set(mask_members(m1)) == {x for x in dist if dist[x] % 2 == 0}
     v2 = set(mask_members(m2))
     assert cross == sum(y in v2 for x in mask_members(m1) for y in graph.neighbors[x])
-    ratio = Fraction(2 * cross, graph.d * m)
+    ratio = Fraction(2 * cross, graph.d * n)
     assert ratio <= dual_cheeger(graph).value
     assert (ratio == 1) == (oracles.enumerated_bipartite_certificate(graph) is not None)
 

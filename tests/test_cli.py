@@ -125,6 +125,21 @@ def test_verify_forced_over_cap_prints_skipped_rows(capsys):
     assert "skipped  (cap:max_exact=24,needed=26)" in out.out
 
 
+def test_verify_forced_on_one_element_group_prints_skipped_rows(capsys):
+    argv = ["verify", "--group", "cyclic:1", "--gens", "0", "--zeta"]
+    assert main([*argv, "auto"]) == 0
+    auto = capsys.readouterr()
+    assert main([*argv, "1/2"]) == 0
+    forced = capsys.readouterr()
+    assert forced == auto
+    assert forced.err == ""
+    assert "skipped  (no admissible sets: need n >= 2)" in forced.out
+    # proof has no report to skip rows in, so the same error ends the run.
+    assert main(["proof", *argv[1:], "1/2"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: no admissible sets: need n >= 2\n")
+
+
 def test_proof_zeta_fraction(capsys):
     code = main(["proof", "--group", "cyclic:6", "--gens", "±1",
                  "--zeta", "1/1492992"])
@@ -346,6 +361,21 @@ def test_unknown_command(capsys):
     assert main(["florble"]) == 2
 
 
+@pytest.mark.parametrize("group,gens,message", [
+    ("cyclic:1", "auto", "the trivial group has no generating set"),
+    ("dihedral:5001", "auto", "element cap exceeded: problem size 10002 > limit 10000"),
+    ("symmetric:3", "(0 5)", "cycle uses point 5 but the group acts on 0..2"),
+    ("product:cyclic:2", "auto", "product needs at least two factors: 'product:cyclic:2'"),
+    ("perm:(0 0 1)", "1", "repeated point inside a cycle: (0 0 1)"),
+    ("table:", "1", "table spec needs a file path"),
+])
+def test_spec_error_is_one_error_line(capsys, group, gens, message):
+    code = main(["verify", "--group", group, "--gens", gens])
+    out = capsys.readouterr()
+    assert code == 2
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
 def test_bad_group_spec(capsys):
     code = main(["verify", "--group", "florble:9"])
     out = capsys.readouterr()
@@ -461,6 +491,21 @@ def test_unwritable_out_is_one_error_line(capsys, monkeypatch, tmp_path, target)
         assert out.out == ""
         assert out.err.startswith(f"error: cannot write {path}: ")
         assert out.err.count("\n") == 1
+
+
+def test_out_unwritable_after_the_run_is_one_error_line(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "report.txt"
+
+    def build_then_block_out(*args):
+        path.unlink()
+        path.mkdir()        # the final write meets a directory
+        return build_graph(*args)
+
+    monkeypatch.setattr(cayleygap.cli, "build_graph", build_then_block_out)
+    code = main(["verify", "--group", "cyclic:5", "--gens", "±1", "--out", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert (out.out, out.err) == ("", f"error: cannot write {path}: Is a directory\n")
 
 
 def test_out_is_left_empty_when_the_run_fails(capsys, tmp_path):

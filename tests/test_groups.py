@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 import cayleygap.groups
 from cayleygap import (
     CapExceededError,
+    CayleyGapError,
     ElementCapError,
     FiniteGroup,
     GroupValidationError,
     SpecParseError,
+    build_graph,
     default_generators,
     expand_group_specs,
     from_cyclic,
@@ -33,7 +35,6 @@ import oracles
 def test_cyclic_structure():
     g = from_cyclic(6)
     assert g.order == 6
-    assert g.identity == 0
     assert g.mult[2][3] == 5
     assert g.mult[4][5] == 3
     assert g.inv[1] == 5
@@ -59,7 +60,7 @@ def test_symmetric_structure():
     g = from_symmetric(4)
     assert g.order == 24
     assert g.perms is not None
-    assert g.perms[g.identity] == (0, 1, 2, 3)
+    assert g.perms[0] == (0, 1, 2, 3)
 
 
 def test_direct_product_structure():
@@ -76,12 +77,11 @@ def test_direct_product_structure():
 def test_family_groups_satisfy_axioms(member):
     group = families.graph_of(member).group
     validate_axioms(group)
-    e = group.identity
     for x in range(group.order):
-        assert group.mult[x][group.inv[x]] == e
-        assert group.mult[group.inv[x]][x] == e
-        assert group.mult[x][e] == x
-        assert group.mult[e][x] == x
+        assert group.mult[x][group.inv[x]] == 0
+        assert group.mult[group.inv[x]][x] == 0
+        assert group.mult[x][0] == x
+        assert group.mult[0][x] == x
 
 
 def test_validate_axioms_rejects_broken_table():
@@ -104,7 +104,9 @@ _NONASSOCIATIVE = ((0, 1, 2), (1, 0, 0), (2, 0, 0))
      "table entry mult[1][2] = 7 outside 0..2"),
     (FiniteGroup(2, ((0, 1), (1, 10**30)), (0, 1)),
      f"table entry mult[1][1] = {10**30} outside 0..1"),
-    (FiniteGroup(3, _Z3, (0, 2, 1), identity=1), "identity must sit at index 0"),
+    # Z/3 with its identity at index 1: element 0 must be the identity.
+    (FiniteGroup(3, ((2, 0, 1), (0, 1, 2), (1, 2, 0)), (2, 1, 0)),
+     "index 0 does not act as identity on 0"),
     (FiniteGroup(3, ((0, 1, 2), (1, 2, 0), (1, 0, 2)), (0, 2, 1)),
      "index 0 does not act as identity on 2"),
     (FiniteGroup(3, _Z3, (0, 2)), "inverse array has wrong length"),
@@ -216,13 +218,40 @@ def test_parse_group_spec_label_round_trip():
         assert parse_group_spec(spec.label()).build().order == spec.build().order
 
 
-def test_parse_group_spec_errors():
-    with pytest.raises(SpecParseError):
-        parse_group_spec("nonsense:9")
-    with pytest.raises(SpecParseError):
-        parse_group_spec("cyclic:many")
-    with pytest.raises(SpecParseError):
-        parse_group_spec("justaword")
+# Every spec error a user can type, as (--group, --gens, exact message).
+# `table:big.txt` names a file, written by the test, whose order is over
+# the element cap.
+SPEC_ERRORS = [
+    ("nonsense:9", "auto", "unknown group family 'nonsense'"),
+    ("justaword", "auto", "group spec needs 'family:params': 'justaword'"),
+    ("cyclic:many", "auto", "cyclic parameter must be an integer: 'many'"),
+    ("cyclic:1", "auto", "the trivial group has no generating set"),
+    ("dihedral:5001", "auto", "element cap exceeded: problem size 10002 > limit 10000"),
+    ("symmetric:0", "auto", "symmetric parameter must be >= 1, got 0"),
+    ("symmetric:1", "auto", "no default generators for symmetric:1"),
+    ("symmetric:3", "(0 5)", "cycle uses point 5 but the group acts on 0..2"),
+    ("product:cyclic:2", "auto", "product needs at least two factors: 'product:cyclic:2'"),
+    ("product:cyclic:2xflorble:3", "auto",
+     "cannot parse product factors in 'product:cyclic:2xflorble:3'"),
+    ("perm:;", "auto", "perm spec needs at least one permutation: 'perm:;'"),
+    ("perm:e", "auto", "identity permutation needs an explicit degree"),
+    ("perm:(0 1) 2", "auto", "bad cycle notation: '(0 1) 2'"),
+    ("perm:(5)", "auto", "cycle needs at least two points: (5)"),
+    ("perm:(0 0 1)", "auto", "repeated point inside a cycle: (0 0 1)"),
+    ("perm:(-1 2)", "auto", "negative point in cycle: (-1 2)"),
+    ("perm:(0 1)", "auto", "gens=auto is not defined for family 'permutation'"),
+    ("table:", "auto", "table spec needs a file path"),
+    ("table:big.txt", "1", "element cap exceeded: problem size 10001 > limit 10000"),
+]
+
+
+def test_parse_group_spec_errors(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.txt").write_text("10001\n", encoding="utf-8")
+    for group, gens, message in SPEC_ERRORS:
+        with pytest.raises(CayleyGapError) as exc:
+            build_graph(group, gens)
+        assert str(exc.value) == message, (group, gens)
 
 
 def test_expand_group_specs_range():

@@ -9,12 +9,16 @@ one machine-parsable line to stderr.
 Each subcommand registers only the flags it reads (see COMMANDS). Its
 handler returns (exit code, JSON payload, CSV lines, text lines), and main
 alone writes the format that --format chose.
+
+main(argv) can be called repeatedly in-process: it returns the exit code
+instead of exiting, and builds its parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -311,7 +315,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every main call in
+    the process. Nothing may mutate it; a caller that needs a fresh parser
+    calls _build_parser.__wrapped__()."""
     parser = argparse.ArgumentParser(
         prog="cayleygap",
         description="Cayley graphs of finite groups: exact Cheeger constants, "

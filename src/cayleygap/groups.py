@@ -419,6 +419,9 @@ class GroupSpec:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# A point is written as cycle_string writes it: ASCII digits. The sign is
+# allowed only so that a negative point gets its own message.
+_POINT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_permutation(text: str, degree: int | None = None) -> tuple[int, ...]:
@@ -437,7 +440,10 @@ def parse_permutation(text: str, degree: int | None = None) -> tuple[int, ...]:
         raise SpecParseError(f"bad cycle notation: {text!r}")
     cycles = []
     for chunk in chunks:
-        pts = [int(t) for t in re.split(r"[,\s]+", chunk.strip()) if t]
+        tokens = [t for t in re.split(r"[,\s]+", chunk.strip()) if t]
+        if not all(_POINT_RE.fullmatch(t) for t in tokens):
+            raise SpecParseError(f"non-integer point in cycle: ({chunk})")
+        pts = list(map(int, tokens))
         if len(pts) < 2:
             raise SpecParseError(f"cycle needs at least two points: ({chunk})")
         if len(set(pts)) != len(pts):

@@ -367,6 +367,8 @@ def test_unknown_command(capsys):
     ("symmetric:3", "(0 5)", "cycle uses point 5 but the group acts on 0..2"),
     ("product:cyclic:2", "auto", "product needs at least two factors: 'product:cyclic:2'"),
     ("perm:(0 0 1)", "1", "repeated point inside a cycle: (0 0 1)"),
+    ("perm:(0 a)", "1", "non-integer point in cycle: (0 a)"),
+    ("symmetric:3", "(0 x)", "non-integer point in cycle: (0 x)"),
     ("table:", "1", "table spec needs a file path"),
 ])
 def test_spec_error_is_one_error_line(capsys, group, gens, message):
@@ -606,3 +608,59 @@ def test_sweep_element_cap_is_one_error_item(capsys):
     out = capsys.readouterr()
     assert code == 2
     assert out.err == f"error: cyclic:10001: {ELEMENT_CAP_LINE.format(10001)}\n"
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _fresh_parser_per_call(monkeypatch):
+    monkeypatch.setattr(cayleygap.cli, "_build_parser",
+                        cayleygap.cli._build_parser.__wrapped__)
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cayleygap.cli._build_parser.cache_clear()
+    for argv in (
+        ["verify", "--group", "cyclic:5", "--gens", "±1"],
+        ["verify", "--group", "cyclic:5", "--max-exact", "0"],
+        ["spectrum", "--group", "cyclic:4", "--format", "csv"],
+        ["subgroups", "--group", "dihedral:3"],
+        ["cheeger", "--group", "cyclic:4", "--format", "json"],
+    ):
+        main(argv)
+    capsys.readouterr()
+    assert cayleygap.cli._build_parser.cache_info().misses == 1
+
+
+def test_usage_errors_leave_the_shared_parser_as_a_fresh_one(capsys, monkeypatch):
+    # The unread --tol fails after --max-exact 3 was parsed; a value leaking
+    # into the shared parser would skip rows of the default-cap run.
+    runs = (
+        ["verify", "--group", "cyclic:6", "--max-exact", "0"],
+        ["verify", "--group", "cyclic:6", "--max-exact", "3", "--tol", "1"],
+        ["verify", "--gens", "±1"],
+        ["verify", "--help"],
+        ["verify", "--group", "cyclic:6", "--gens", "±1", "--format", "json"],
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = [_run(capsys, argv) for argv in runs]
+    assert [code for code, _, _ in shared] == [2, 2, 2, 0, 0]
+    _fresh_parser_per_call(monkeypatch)
+    assert [_run(capsys, argv) for argv in runs] == shared
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in cayleygap.cli.COMMANDS)],
+                         ids=["top", *cayleygap.cli.COMMANDS])
+def test_help_of_the_shared_parser_matches_a_fresh_one(capsys, monkeypatch, command):
+    # Help is laid out for the width at the time it is printed, not at the
+    # time the shared parser was built.
+    monkeypatch.setenv("COLUMNS", "200")
+    cayleygap.cli._build_parser.cache_clear()
+    cayleygap.cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "60")
+    shared = _run(capsys, [*command, "--help"])
+    _fresh_parser_per_call(monkeypatch)
+    assert _run(capsys, [*command, "--help"]) == shared

@@ -239,6 +239,11 @@ SPEC_ERRORS = [
     ("perm:(5)", "auto", "cycle needs at least two points: (5)"),
     ("perm:(0 0 1)", "auto", "repeated point inside a cycle: (0 0 1)"),
     ("perm:(-1 2)", "auto", "negative point in cycle: (-1 2)"),
+    ("perm:(0 a)", "auto", "non-integer point in cycle: (0 a)"),
+    ("perm:(0 ²)", "auto", "non-integer point in cycle: (0 ²)"),
+    ("perm:(0 1_0)", "auto", "non-integer point in cycle: (0 1_0)"),
+    ("perm:(0 +1)", "auto", "non-integer point in cycle: (0 +1)"),
+    ("symmetric:3", "(0 x)", "non-integer point in cycle: (0 x)"),
     ("perm:(0 1)", "auto", "gens=auto is not defined for family 'permutation'"),
     ("table:", "auto", "table spec needs a file path"),
     ("table:big.txt", "1", "element cap exceeded: problem size 10001 > limit 10000"),

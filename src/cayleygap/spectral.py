@@ -23,11 +23,12 @@ batch. The solver's cost at these sizes is its Python steps, one per row
 per stage, so a batch of blocks takes about the steps of one block, where
 the blocks one by one take about those of the n x n matrix.
 
-The same solver on the dense T, ``eigenvalues_symmetric(normalized_adjacency
-(graph))``, stays the tests' oracle for both paths; ``spectrum`` never
-builds T. A Cayley graph's eigenvalues repeat (each irreducible
-representation rho gives dim rho copies of its own), so the bisection takes
-the Sturm counts once per distinct bracket, not once per eigenvalue. Both
+``spectrum`` never builds T. The tests build it with
+``normalized_adjacency`` and compare both paths with numpy's ``eigvalsh``
+on it, an oracle that shares no code with this module. A Cayley graph's
+eigenvalues repeat (each irreducible representation rho gives dim rho
+copies of its own), so the bisection takes the Sturm counts once per
+distinct bracket, not once per eigenvalue. Both
 paths use only numpy elementwise arithmetic, ``np.sum`` and ``sqrt``; no
 BLAS, LAPACK or libm transcendental is called (the cosines are Taylor
 series on an angle reduced exactly in integers), so results are bitwise
@@ -54,10 +55,8 @@ MAX_SPECTRUM = 2048
 # n = MAX_SPECTRUM and 2.5e-9 at groups.ELEMENT_CAP, above TOL, while the
 # solvers' error is about n eps.
 TOL = 1e-9
-_SYMMETRY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
-_SAFE_EXPONENT = 400    # |log2 max|A_ij|| beyond which the input is rescaled
 _MULTISECTION = 16      # each bisection round splits a bracket into 16
 _MAX_ROUNDS = 64
 # Taylor coefficients of cos and sin on [0, pi/4], where the 11th term of
@@ -68,7 +67,8 @@ _SIN_TERMS = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(11))
 
 def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
     """Dense T = A/d as a float64 array. Counts are checked exactly before
-    dividing."""
+    dividing. spectrum does not use it; the tests and the benchmark's error
+    metric build T with it."""
     n, d = graph.n, graph.d
     counts = np.zeros((n, n), dtype=np.int64)
     np.add.at(counts, (np.arange(n).repeat(d), np.ravel(graph.neighbors)), 1)
@@ -77,41 +77,6 @@ def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
     if not np.array_equal(counts, counts.T):
         raise AssertionError("adjacency counts not symmetric")
     return counts / d
-
-
-def eigenvalues_symmetric(matrix) -> list[float]:
-    """Eigenvalues of a real symmetric matrix, ascending, as Python floats.
-
-    Two stages, both in numpy elementwise arithmetic and ``np.sum`` (no BLAS
-    or LAPACK), so the result is the same bit for bit on every call:
-
-    1. Householder reduction to a tridiagonal (d, e), O(n^3) once.
-    2. Sturm-count multisection on (d, e), split at exactly-zero couplings.
-
-    Each eigenvalue is returned within about eps * ||A|| of the exact one;
-    an eigenvalue of a 1x1 block (a row whose coupling is exactly zero on
-    both sides, e.g. every entry of a diagonal matrix) is returned exactly.
-    Raises ValueError on a non-square, non-finite or asymmetric input.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    if a.size == 0:
-        return []
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix is not square")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    sym_gap = float(np.max(np.abs(a - a.T)))
-    if sym_gap > _SYMMETRY_TOL:
-        raise ValueError(f"matrix not symmetric: max |M - M^T| = {sym_gap:.3e}")
-    # Rescale by a power of two (exact) when squares of the entries would
-    # overflow or underflow; eigenvalues are scaled back by the same power.
-    exponent = math.frexp(float(np.max(np.abs(a))))[1]
-    if abs(exponent) < _SAFE_EXPONENT:
-        exponent = 0
-    np.ldexp(a, -exponent, out=a)
-    d, e = _tridiagonalize(a[None])
-    t = np.ldexp(_tridiagonal_eigenvalues(d[0], e[0]), exponent)
-    return sorted(t.tolist())
 
 
 def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,21 +121,6 @@ def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n > 1:
         e[:, n - 2] = a[:, n - 1, n - 2]
     return np.diagonal(a, axis1=1, axis2=2).copy(), e
-
-
-def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the symmetric tridiagonal (diagonal d, off-diagonal e).
-
-    The matrix splits into independent blocks at exactly-zero couplings; a
-    1x1 block's eigenvalue is its diagonal entry, and larger blocks go to
-    _bisect_block. Returned in block order, not sorted.
-    """
-    cuts = (np.flatnonzero(e == 0.0) + 1).tolist()
-    t = d.copy()
-    for first, stop in zip([0, *cuts], [*cuts, d.size]):
-        if stop - first > 1:
-            t[first:stop] = _bisect_block(d[None, first:stop], e[None, first:stop - 1])[0]
-    return t
 
 
 def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from cayleygap import (
     CheegerCertificate,
     FiniteGroup,
     closure,
-    eigenvalues_symmetric,
     index2_subgroups,
     set_image,
     spectrum,
@@ -481,7 +480,7 @@ def square_normalized_adjacency(graph: CayleyGraph) -> list[list[float]]:
 
 def square_spectrum_consistency(graph: CayleyGraph, tol: float = 1e-9) -> bool:
     """True iff spec of the S·S operator equals {t_i^2} elementwise (sorted)."""
-    direct = eigenvalues_symmetric(square_normalized_adjacency(graph))
+    direct = numpy_eigs(square_normalized_adjacency(graph))
     squared = sorted(t * t for t in spectrum(graph).t)
     if len(direct) != len(squared):
         return False

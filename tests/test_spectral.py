@@ -12,7 +12,6 @@ from cayleygap import (
     GeneratingSet,
     build,
     build_graph,
-    eigenvalues_symmetric,
     from_cyclic,
     from_dihedral,
     from_direct_product,
@@ -20,11 +19,10 @@ from cayleygap import (
     from_table,
     is_bipartite_spectral,
     is_connected,
-    normalized_adjacency,
     spectrum,
 )
 from cayleygap.groups import ELEMENT_CAP, parse_group_spec
-from cayleygap.spectral import TOL, _cos_table
+from cayleygap.spectral import TOL, _cos_table, normalized_adjacency
 
 import families
 import oracles
@@ -61,10 +59,18 @@ def test_normalized_adjacency_matches_list_oracle(member):
     assert t.tolist() == oracles.normalized_adjacency_lists(graph)
 
 
+def _solve(matrix) -> list[float]:
+    """The in-repo solver on one dense symmetric matrix, as spectrum runs it
+    on its blocks: Householder, then Sturm bisection, sorted."""
+    a = np.array(matrix, dtype=np.float64)
+    d, e = cayleygap.spectral._tridiagonalize(a[None])
+    return np.sort(cayleygap.spectral._bisect_block(d, e)[0]).tolist()
+
+
 @pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)
 def test_eigenvalues_match_numpy_on_graphs(member):
     graph = families.graph_of(member)
-    ours = eigenvalues_symmetric(normalized_adjacency(graph))
+    ours = _solve(normalized_adjacency(graph))
     ref = oracles.numpy_eigs(normalized_adjacency(graph))
     assert max(abs(a - b) for a, b in zip(ours, ref)) < 1e-10
 
@@ -74,15 +80,9 @@ def test_eigenvalues_match_numpy_random(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     sym = (a + a.T) / 2.0
-    ours = eigenvalues_symmetric(sym)
+    ours = _solve(sym)
     ref = oracles.numpy_eigs(sym)
     assert max(abs(x - y) for x, y in zip(ours, ref)) < 1e-9
-
-
-@given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=16))
-def test_eigenvalues_of_diagonal(values):
-    mat = np.diag(values)
-    assert eigenvalues_symmetric(mat) == sorted(values)
 
 
 def _oracle_tol(matrix) -> float:
@@ -100,7 +100,7 @@ def test_eigenvalues_oracle_random(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     sym = (a + a.T) / 2.0
-    assert _max_gap(eigenvalues_symmetric(sym), oracles.numpy_eigs(sym)) <= _oracle_tol(sym)
+    assert _max_gap(_solve(sym), oracles.numpy_eigs(sym)) <= _oracle_tol(sym)
 
 
 @given(
@@ -108,7 +108,8 @@ def test_eigenvalues_oracle_random(n, seed):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_eigenvalues_oracle_block_diagonal(sizes, seed):
-    # Off-diagonal blocks are exactly zero, so the tridiagonal splits.
+    # Off-diagonal blocks are exactly zero, so some couplings of the
+    # tridiagonal are exactly zero too.
     rng = np.random.default_rng(seed)
     n = sum(sizes)
     mat = np.zeros((n, n))
@@ -117,13 +118,13 @@ def test_eigenvalues_oracle_block_diagonal(sizes, seed):
         block = rng.uniform(-3.0, 3.0, size=(size, size))
         mat[start:start + size, start:start + size] = block + block.T
         start += size
-    assert _max_gap(eigenvalues_symmetric(mat), oracles.numpy_eigs(mat)) <= _oracle_tol(mat)
+    assert _max_gap(_solve(mat), oracles.numpy_eigs(mat)) <= _oracle_tol(mat)
 
 
 @pytest.mark.parametrize("gens,multiplicity", [("auto", 9), ("(0 1);(1 2);(2 3)", 3)])
 def test_eigenvalues_oracle_high_multiplicity(gens, multiplicity):
     t = normalized_adjacency(build_graph("symmetric:4", gens))
-    ours = eigenvalues_symmetric(t)
+    ours = _solve(t)
     ref = oracles.numpy_eigs(t)
     assert max(sum(abs(x - y) < 1e-9 for y in ref) for x in ref) == multiplicity
     assert _max_gap(ours, ref) <= _oracle_tol(t)
@@ -131,26 +132,16 @@ def test_eigenvalues_oracle_high_multiplicity(gens, multiplicity):
 
 def test_eigenvalues_oracle_cyclic_256():
     graph = build_graph("cyclic:256", "±1,±2")
-    ours = eigenvalues_symmetric(normalized_adjacency(graph))
+    ours = _solve(normalized_adjacency(graph))
     assert _max_gap(ours, oracles.circulant_t(graph.n, graph.gens.elements)) <= 1e-12
-
-
-@pytest.mark.parametrize("exponent", [-700, 700])
-def test_eigenvalues_rescaled_input(exponent):
-    rng = np.random.default_rng(7)
-    a = rng.uniform(-1.0, 1.0, size=(12, 12))
-    sym = a + a.T
-    scaled = np.ldexp(sym, exponent)
-    ours = [math.ldexp(x, -exponent) for x in eigenvalues_symmetric(scaled)]
-    assert _max_gap(ours, oracles.numpy_eigs(sym)) <= _oracle_tol(sym)
 
 
 def test_eigenvalues_bitwise_reproducible():
     rng = np.random.default_rng(3)
     a = rng.uniform(-1.0, 1.0, size=(40, 40))
     sym = (a + a.T) / 2.0
-    first = eigenvalues_symmetric(sym)
-    second = eigenvalues_symmetric(sym.copy())
+    first = _solve(sym)
+    second = _solve(sym.copy())
     assert [x.hex() for x in first] == [x.hex() for x in second]
 
 
@@ -166,7 +157,7 @@ def _assert_bisection_matches_oracle(d, e) -> None:
 
 
 def _assert_blocks_match_oracle(matrix) -> int:
-    """Tridiagonalise as eigenvalues_symmetric does and check every block
+    """Tridiagonalise, split at exactly-zero couplings and check every block
     of two or more rows; returns the number of rows so checked."""
     d, e = cayleygap.spectral._tridiagonalize(np.array(matrix, dtype=np.float64)[None])
     d, e = d[0], e[0]
@@ -235,9 +226,9 @@ def test_bisection_matches_oracle_on_crafted_pivots(first):
 
 
 def test_symmetric_5_dense_bits_are_pinned():
-    # The dense oracle's last bits at n = 120, where the golden files only
-    # reach it through tests.
-    t = eigenvalues_symmetric(normalized_adjacency(build_graph("symmetric:5", "auto")))
+    # The solver's last bits on one unbatched 120 x 120 matrix, which
+    # spectrum itself never solves.
+    t = _solve(normalized_adjacency(build_graph("symmetric:5", "auto")))
     digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
     assert digest == "d582ad2cff1f41327c0122e01feed3c9858d07ffa7ad07133f26c994264760a8"
 
@@ -248,29 +239,6 @@ def test_symmetric_5_spectrum_bits_are_pinned():
     t = spectrum(build_graph("symmetric:5", "auto")).t
     digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
     assert digest == "e1343acb4edb7c6c3cad163190acf90bf3c216961fcdffed9288f223f37d2af2"
-
-
-@pytest.mark.parametrize("bad",[float("nan"), float("inf"), float("-inf")])
-def test_eigenvalues_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match="non-finite"):
-        eigenvalues_symmetric([[1.0, bad], [bad, 0.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        eigenvalues_symmetric([[bad]])
-
-
-def test_eigenvalues_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        eigenvalues_symmetric([[1.0, 2.0]])
-
-
-def test_eigenvalues_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        eigenvalues_symmetric([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_eigenvalues_trivial_sizes():
-    assert eigenvalues_symmetric(np.zeros((0, 0))) == []
-    assert eigenvalues_symmetric([[3.5]]) == [3.5]
 
 
 @pytest.mark.parametrize(
@@ -348,10 +316,7 @@ def test_square_spectrum_consistency(member):
 
 
 def _assert_matches_dense(graph) -> None:
-    t = spectrum(graph).t
-    dense = normalized_adjacency(graph)
-    assert _max_gap(t, eigenvalues_symmetric(dense)) <= 1e-12
-    assert _max_gap(t, oracles.numpy_eigs(dense)) <= 1e-12
+    assert _max_gap(spectrum(graph).t, oracles.numpy_eigs(normalized_adjacency(graph))) <= 1e-12
 
 
 _RADICES = st.lists(st.integers(min_value=1, max_value=16), min_size=1,
@@ -391,9 +356,7 @@ def test_dihedral_times_abelian_spectrum_matches_dense(m, radices, data):
     assert group.abelian == (m, *radices)
     draw = data.draw(st.sets(st.integers(0, group.order - 1), max_size=6))
     loop = data.draw(st.booleans())
-    graph = build(group, families.random_generators(group, draw, loop))
-    dense = eigenvalues_symmetric(normalized_adjacency(graph))
-    assert _max_gap(spectrum(graph).t, dense) <= 1e-12
+    _assert_matches_dense(build(group, families.random_generators(group, draw, loop)))
 
 
 @pytest.mark.parametrize("group,gens,digest", [
@@ -461,17 +424,16 @@ def test_cos_table_exact_and_accurate():
 
 
 def _forbid_dense(monkeypatch) -> None:
-    """Make building T or running the dense solver fail inside spectrum."""
+    """Make building T or solving it with numpy fail inside spectrum."""
     def refuse(*args):
         raise AssertionError("dense path taken")
     monkeypatch.setattr(cayleygap.spectral, "normalized_adjacency", refuse)
-    monkeypatch.setattr(cayleygap.spectral, "eigenvalues_symmetric", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
 
 def _assert_blocks_match_dense(graph) -> None:
     assert graph.group.abelian == ()
-    dense = eigenvalues_symmetric(normalized_adjacency(graph))
-    assert _max_gap(spectrum(graph).t, dense) <= 1e-12
+    _assert_matches_dense(graph)
 
 
 @pytest.mark.parametrize("spec", [

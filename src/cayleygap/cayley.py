@@ -209,6 +209,12 @@ def parse_generators(group: FiniteGroup, text: str) -> GeneratingSet:
     (element and inverse) or -k (inverse only), or semicolon-separated cycle
     notation for permutation groups.
     """
+    return generating_set(group, _generator_elements(group, text))
+
+
+def _generator_elements(group: FiniteGroup, text: str) -> list[int]:
+    """The elements a generator spec names, not yet validated as a set:
+    parse_generators validates them, and build validates what it is given."""
     body = text.strip()
     if not body:
         raise GeneratingSetError("empty generator spec")
@@ -228,7 +234,7 @@ def parse_generators(group: FiniteGroup, text: str) -> GeneratingSet:
             if perm not in index:
                 raise GeneratingSetError(f"permutation {piece} is not a group element")
             out.append(index[perm])
-        return generating_set(group, out)
+        return out
     out = []
     for token in body.split(","):
         token = token.strip()
@@ -247,4 +253,4 @@ def parse_generators(group: FiniteGroup, text: str) -> GeneratingSet:
             out.append(group.inv[digits])
         else:
             out.append(digits)
-    return generating_set(group, out)
+    return out

@@ -719,7 +719,9 @@ def _spectral_floor(graph: CayleyGraph, lambda2: float) -> list[int]:
     the second-smallest eigenvalue of I - T."""
     n, d = graph.n, graph.d
     lam = Fraction(lambda2) - Fraction(TOL)
-    return [math.ceil(lam * d * k * (n - k) / n) for k in range(n // 2 + 1)]
+    # ceil(a/b) = -(-a // b) in integers, for b > 0.
+    num, den = lam.numerator * d, lam.denominator * n
+    return [-(-num * k * (n - k) // den) for k in range(n // 2 + 1)]
 
 
 def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> CheegerCertificate:

@@ -16,12 +16,12 @@ dihedral group with cyclic factors after it.
 Every other group (symmetric, ``perm:`` and ``table:`` groups, and products
 that record no abelian subgroup) takes them from the cyclic subgroup
 A = <g> of an element g of largest order L: each character of A gives a
-k x k Hermitian block, k = n/L, embedded as a real symmetric 2k x 2k
-matrix (_coset_eigenvalues). The floor(L/2) + 1 blocks go to the in-repo
-solver (Householder tridiagonalisation, then Sturm-count bisection) in one
-batch. The solver's cost at these sizes is its Python steps, one per row
-per stage, so a batch of blocks takes about the steps of one block, where
-the blocks one by one take about those of the n x n matrix.
+k x k Hermitian block, k = n/L (_coset_eigenvalues). The floor(L/2) + 1
+blocks go to the in-repo solver (Householder tridiagonalisation of the
+Hermitian blocks themselves, then Sturm-count bisection) in one batch. The
+solver's cost at these sizes is its Python steps, one per row per stage,
+so a batch of blocks takes about the steps of one block, where the blocks
+one by one take about those of the n x n matrix.
 
 ``spectrum`` never builds T. The tests build it with
 ``normalized_adjacency`` and compare both paths with numpy's ``eigvalsh``
@@ -29,7 +29,8 @@ on it, an oracle that shares no code with this module. A Cayley graph's
 eigenvalues repeat (each irreducible representation rho gives dim rho
 copies of its own), so the bisection takes the Sturm counts once per
 distinct bracket, not once per eigenvalue. Both
-paths use only numpy elementwise arithmetic, ``np.sum`` and ``sqrt``; no
+paths use only numpy elementwise arithmetic on float64 (a complex number
+is a pair of real arrays), sums along the last axis and ``sqrt``; no
 BLAS, LAPACK or libm transcendental is called (the cosines are Taylor
 series on an angle reduced exactly in integers), so results are bitwise
 reproducible, and no external solver is consulted outside the test suite.
@@ -37,6 +38,7 @@ reproducible, and no external solver is consulted outside the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +59,9 @@ MAX_SPECTRUM = 2048
 TOL = 1e-9
 _EPS = float(np.finfo(np.float64).eps)
 _SAFE_MIN = float(np.finfo(np.float64).tiny)
+# sqrt(_SAFE_MIN): below it, a modulus may come from an underflowed square.
+_ROOT_SAFE_MIN = 2.0 ** -511
+_CONJUGATE = np.array([1.0, -1.0])[:, None]     # (Re z, Im z) -> (Re z, -Im z)
 _MULTISECTION = 16      # each bisection round splits a bracket into 16
 _MAX_ROUNDS = 64
 # Taylor coefficients of cos and sin on [0, pi/4], where the 11th term of
@@ -79,48 +84,97 @@ def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
     return counts / d
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of each symmetric a[b] (a is overwritten) to
-    its tridiagonal (d[b], e[b]).
+def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|z| and z/|z| for complex numbers given as real pairs z[..., 0] +
+    i z[..., 1]; the phase of 0 is copysign(1, Re z).
 
-    Step k reflects rows/columns k+1.. so that column k vanishes below its
-    subdiagonal, then updates the trailing block by the symmetric rank-2
-    form sub -= 2 (v w^T + w v^T), which keeps it exactly symmetric. A
-    matrix whose column k is already zero there is left as it is. Every
-    operation is elementwise or a sum along the last axis, so each matrix
-    gets the bits it would get alone.
+    z is first divided by max(|Re z|, |Im z|), so no square underflows, and
+    a real z gets |z| = abs(z) and phase +-1 + 0i exactly.
     """
-    batch, n = a.shape[0], a.shape[1]
-    e = np.zeros((batch, n - 1))
+    big = np.abs(z).max(axis=-1)
+    zero = big == 0.0
+    unit = z / np.where(zero, 1.0, big)[..., None]
+    if zero.any():
+        unit[zero, 0] = np.copysign(1.0, unit[zero, 0])
+    r = np.sqrt(unit[..., 0] * unit[..., 0] + unit[..., 1] * unit[..., 1])
+    return big * r, unit / r[..., None]
+
+
+def _tridiagonalize(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder reduction of each Hermitian re[b] + i im[b] to a real
+    tridiagonal with the same eigenvalues: its diagonal d[b] and the moduli
+    |e[b]| of its off-diagonal, which is all that _bisect_block reads. re
+    and im are left as they are.
+
+    Step k reflects rows/columns k+1.. by H = I - 2 u u^H so that column k
+    vanishes below its subdiagonal (zhetrd; Golub and Van Loan, "Matrix
+    Computations", section 8.3). With x that column, u is x + alpha e_0
+    normalised, alpha = phase(x_0) ||x||, and the phase of x_0 = 0 is
+    copysign(1, Re x_0). The trailing block is updated by the Hermitian
+    rank-2 form sub -= 2 (u w^H + w u^H), w = p - (u^H p) u and p = sub u,
+    formed as vw + vw^H with vw = u (2w)^H: doubling is exact, so Re stays
+    exactly symmetric and Im exactly antisymmetric. A matrix whose column k
+    is already zero there is left as it is. Re and Im are stacked in one
+    array, so p takes one product and one sum. Every operation is
+    elementwise or a sum along the last axis, so each matrix gets the bits
+    it would get alone.
+
+    Real input (im all +0.0) gives the d and |e| of the real reduction bit
+    for bit: Im, Im u, -Im p and -Im w stay +0.0, so every imaginary term
+    that meets a real one is a +0.0 subtracted from a product or added to a
+    square, an exact identity.
+    """
+    batch, n = re.shape[0], re.shape[1]
+    a = np.stack((re, im), axis=1)      # a[b, 0] = Re, a[b, 1] = Im
+    abs_e = np.zeros((batch, n - 1))
     for k in range(n - 2):
-        x = a[:, k + 1:, k]
-        e[:, k] = x[:, 0]           # kept by a matrix that is not reflected
-        reflect = np.any(x[:, 1:], axis=1)
+        x = a[:, :, k + 1:, k]
+        reflect = x[:, :, 1:].any(axis=(1, 2))
         if reflect.all():
             rows = slice(None)      # a view: sub is updated in place
-        elif reflect.any():
-            rows = np.flatnonzero(reflect)
         else:
-            continue
+            kept = np.flatnonzero(~reflect)
+            abs_e[kept, k] = _polar(x[kept, :, 0])[0]
+            if not reflect.any():
+                continue
+            rows = np.flatnonzero(reflect)
         x = x[rows]
-        x_max = np.max(np.abs(x), axis=1)
-        v = x / x_max[:, None]
-        alpha = np.copysign(np.sqrt(np.sum(v * v, axis=1)), v[:, 0])
-        v[:, 0] += alpha
-        v /= np.sqrt(np.sum(v * v, axis=1))[:, None]
-        sub = a[rows, k + 1:, k + 1:]
-        p = np.sum(sub * v[:, None, :], axis=2)
-        w = p - np.sum(v * p, axis=1)[:, None] * v
-        # 2 (v w^T + w v^T), formed as vw + vw^T with vw = v (2w)^T: doubling
-        # is exact, and the sum is exactly symmetric.
-        vw = v[:, :, None] * (2.0 * w)[:, None, :]
-        sub -= vw + vw.transpose(0, 2, 1)
+        x_max = np.abs(x).max(axis=(1, 2))
+        v = x / x_max[:, None, None]
+        square = v * v
+        norm = np.sqrt((square[:, 0] + square[:, 1]).sum(axis=1))
+        # phase(v_0) = v_0/|v_0|, unless |v_0|^2 may have underflowed.
+        modulus = np.sqrt(square[:, 0, 0] + square[:, 1, 0])
+        small = modulus < _ROOT_SAFE_MIN
+        phase = v[:, :, 0] / np.maximum(modulus, _ROOT_SAFE_MIN)[:, None]
+        if small.any():
+            phase[small] = _polar(v[small, :, 0])[1]
+        v[:, :, 0] += phase * norm[:, None]
+        square = v * v
+        v /= np.sqrt((square[:, 0] + square[:, 1]).sum(axis=1))[:, None, None]
+        sub = a[rows, :, k + 1:, k + 1:]
+        # prod[b, i, j] = sub_i v_j for i, j in (Re, Im).
+        prod = (sub[:, :, None] * v[:, None, :, None, :]).sum(axis=4)
+        pq = np.empty_like(v)                               # (Re p, -Im p)
+        np.subtract(prod[:, 0, 0], prod[:, 1, 1], out=pq[:, 0])
+        # 0.0 - x is +0.0 for x = +-0.0, so -Im p is +0.0 on real input.
+        np.subtract(0.0, prod[:, 0, 1], out=pq[:, 1])
+        pq[:, 1] -= prod[:, 1, 0]
+        vpq = v * pq
+        c = (vpq[:, 0] - vpq[:, 1]).sum(axis=1)            # u^H p, real
+        w2 = pq - c[:, None, None] * (v * _CONJUGATE)       # (Re w, -Im w)
+        w2 *= 2.0
+        outer = v[:, :, None, :, None] * w2[:, None, :, None, :]
+        vw_re = outer[:, 0, 0] - outer[:, 1, 1]
+        vw_im = outer[:, 1, 0] + outer[:, 0, 1]
+        sub[:, 0] -= vw_re + vw_re.transpose(0, 2, 1)
+        sub[:, 1] -= vw_im - vw_im.transpose(0, 2, 1)
         if not isinstance(rows, slice):
-            a[rows, k + 1:, k + 1:] = sub
-        e[rows, k] = -alpha * x_max
+            a[rows, :, k + 1:, k + 1:] = sub
+        abs_e[rows, k] = norm * x_max
     if n > 1:
-        e[:, n - 2] = a[:, n - 1, n - 2]
-    return np.diagonal(a, axis1=1, axis2=2).copy(), e
+        abs_e[:, n - 2] = _polar(a[:, :, n - 1, n - 2])[0]
+    return np.diagonal(a[:, 0], axis1=1, axis2=2).copy(), abs_e
 
 
 def _bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -263,8 +317,11 @@ def _summary(graph: CayleyGraph) -> SpectralSummary:
     return SpectralSummary(tuple(t), lam)
 
 
+@functools.cache
 def _cos_table(q: int) -> np.ndarray:
     """cos(2 pi p / q) for p = 0..q-1, from + - * / on exactly reduced angles.
+    Each table is computed once per process and is read-only, since every
+    caller shares it.
 
     4p = quadrant q + r with 0 <= r < q, so the angle is quadrant pi/2 + phi
     with phi = (pi/2) r/q; reflecting r to q - r when 2r > q swaps cos and
@@ -286,7 +343,9 @@ def _cos_table(q: int) -> np.ndarray:
     # cos(quadrant pi/2 + phi) is cos, -sin, -cos, sin of phi by quadrant.
     value = np.where((quadrant % 2 == 1) != flip, sin, cos)
     # 0.0 - 0.0 is +0.0, so the zeros at 90 and 270 degrees are not -0.0.
-    return np.where((quadrant == 1) | (quadrant == 2), 0.0 - value, value)
+    table = np.where((quadrant == 1) | (quadrant == 2), 0.0 - value, value)
+    table.flags.writeable = False
+    return table
 
 
 def _column_sums(values: np.ndarray) -> np.ndarray:
@@ -367,14 +426,12 @@ def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:
     M_j[i][l] = (1/d) sum of w^(je) over {s : s r_i in r_l A}.
 
     Each entry adds its terms in generator order, and M_j is averaged with
-    its conjugate transpose, which makes it exactly Hermitian. The block of
-    j = 0..floor(L/2) is embedded as the real symmetric [[Re, -Im], [Im,
-    Re]], whose eigenvalues are those of M_j and of M_(L-j), its conjugate.
-    A real character (2j = 0 mod L) has M_j = M_(L-j), so every second of
-    its sorted values is kept. All blocks are 2k x 2k and solved in one
-    batch, except when L <= 2: then every character is real and the
-    blocks are the k x k M_j themselves. The phases come from
-    _cos_table(4L) as in _character_eigenvalues.
+    its conjugate transpose, which makes it exactly Hermitian. The blocks of
+    j = 0..floor(L/2), k x k each, are solved in one batch. M_(L-j) is the
+    conjugate of M_j and has its eigenvalues, so a complex character (2j !=
+    0 mod L) counts its values twice, once for j and once for L - j, and a
+    real one counts them once. The phases come from _cos_table(4L) as in
+    _character_eigenvalues.
     """
     group, n, d = graph.group, graph.n, graph.d
     table = np.array(group.mult, dtype=np.intp)
@@ -413,14 +470,10 @@ def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:
         im[:, rows, column[s]] += sin[:, s]
     # Exactly Hermitian: x + y = y + x and x - y = -(y - x) in floating point.
     re = (re + re.transpose(0, 2, 1)) / (2 * d)
-    if size <= 2:
-        # Every character is real (im = 0), so the blocks are the k x k M_j.
-        return sorted(_bisect_block(*_tridiagonalize(re)).ravel().tolist())
     im = (im - im.transpose(0, 2, 1)) / (2 * d)
-    block = np.block([[re, -im], [im, re]])
-    values = np.sort(_bisect_block(*_tridiagonalize(block)), axis=1)
-    real = 2 * chars % size == 0
-    return sorted(np.concatenate((values[real, ::2].ravel(), values[~real].ravel())).tolist())
+    values = _bisect_block(*_tridiagonalize(re, im))
+    counts = np.where(2 * chars % size == 0, 1, 2)
+    return sorted(np.repeat(values, counts, axis=0).ravel().tolist())
 
 
 def is_connected(summary: SpectralSummary) -> bool:

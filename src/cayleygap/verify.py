@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cayley import CayleyGraph, build, generating_set, parse_generators
+from .cayley import CayleyGraph, _generator_elements, build
 from .cheeger import (
     MAX_DUAL_DEFAULT,
     MAX_EXACT_DEFAULT,
@@ -453,10 +453,11 @@ def parse_sweep_spec(spec: str) -> tuple[str, str | None]:
 def build_graph(group_spec: str, gens_spec: str | None) -> CayleyGraph:
     spec = parse_group_spec(group_spec)
     group = spec.build()
+    # build validates the set, so it is validated once per graph.
     if gens_spec is None or gens_spec == "auto":
-        gens = generating_set(group, default_generators(spec, group))
+        gens = default_generators(spec, group)
     else:
-        gens = parse_generators(group, gens_spec)
+        gens = _generator_elements(group, gens_spec)
     return build(group, gens)
 
 

@@ -611,3 +611,39 @@ def frozen_bisect_block(d: np.ndarray, e: np.ndarray) -> np.ndarray:
         j = np.argmax(above, axis=1)
         lo, hi = points[rows, j], points[rows, j + 1]
     raise RuntimeError("Sturm bisection did not converge")
+
+
+def frozen_tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """spectral._tridiagonalize as it was when it took real symmetric
+    matrices only: Householder reduction of each a[b] (a is overwritten) to
+    its tridiagonal (d[b], e[b]). On real input (imaginary part +0.0) the
+    Hermitian routine must give this d and this |e| bit for bit."""
+    batch, n = a.shape[0], a.shape[1]
+    e = np.zeros((batch, n - 1))
+    for k in range(n - 2):
+        x = a[:, k + 1:, k]
+        e[:, k] = x[:, 0]
+        reflect = np.any(x[:, 1:], axis=1)
+        if reflect.all():
+            rows = slice(None)
+        elif reflect.any():
+            rows = np.flatnonzero(reflect)
+        else:
+            continue
+        x = x[rows]
+        x_max = np.max(np.abs(x), axis=1)
+        v = x / x_max[:, None]
+        alpha = np.copysign(np.sqrt(np.sum(v * v, axis=1)), v[:, 0])
+        v[:, 0] += alpha
+        v /= np.sqrt(np.sum(v * v, axis=1))[:, None]
+        sub = a[rows, k + 1:, k + 1:]
+        p = np.sum(sub * v[:, None, :], axis=2)
+        w = p - np.sum(v * p, axis=1)[:, None] * v
+        vw = v[:, :, None] * (2.0 * w)[:, None, :]
+        sub -= vw + vw.transpose(0, 2, 1)
+        if not isinstance(rows, slice):
+            a[rows, k + 1:, k + 1:] = sub
+        e[rows, k] = -alpha * x_max
+    if n > 1:
+        e[:, n - 2] = a[:, n - 1, n - 2]
+    return np.diagonal(a, axis1=1, axis2=2).copy(), e

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import cayleygap.cayley
 from cayleygap import (
+    GeneratingSet,
     GeneratingSetError,
     SpecParseError,
     build,
@@ -67,6 +69,27 @@ def test_generating_set_rejects_non_generating():
     # {2, 4} only reaches the even residues of Z/6
     with pytest.raises(GeneratingSetError, match="unreachable"):
         generating_set(from_cyclic(6), [2, 4])
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("cyclic:8", "±1,±2"),
+    ("dihedral:4", "auto"),
+    ("symmetric:3", "(0 1);(1 2)"),
+])
+def test_build_graph_validates_the_set_once(spec, gens, monkeypatch):
+    calls = []
+    closure = cayleygap.cayley.closure
+    monkeypatch.setattr(cayleygap.cayley, "closure",
+                        lambda *args: calls.append(1) or closure(*args))
+    build_graph(spec, gens)
+    assert calls == [1]
+
+
+def test_build_rejects_a_hand_made_generating_set():
+    with pytest.raises(GeneratingSetError, match="unreachable"):
+        build(from_cyclic(6), GeneratingSet((2, 4)))
+    with pytest.raises(GeneratingSetError, match="not symmetric"):
+        build(from_cyclic(5), GeneratingSet((1,)))
 
 
 @pytest.mark.parametrize("member", families.small(16), ids=lambda m: m.name)

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,6 +35,7 @@ from cayleygap.cheeger import (
     _spectral_floor,
     _vertex_search,
 )
+from cayleygap.spectral import TOL
 
 import families
 import oracles
@@ -633,6 +636,25 @@ def test_spectral_floor_holds_on_random_graphs(group, seed, loop):
     mult, unit = graph.group.mult, _unit_counts(graph)
     floored, plain = _crossing_search(mult, unit, floor), _crossing_search(mult, unit)
     assert floored[:3] == plain[:3] and floored[3] <= plain[3]
+
+
+def _fraction_floor(n: int, d: int, lambda2: float) -> list[int]:
+    lam = Fraction(lambda2) - Fraction(TOL)
+    return [math.ceil(lam * d * k * (n - k) / n) for k in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
+def test_spectral_floor_is_the_fraction_formula(member):
+    graph = families.graph_of(member)
+    lambda2 = spectrum(graph).lambda2
+    assert _spectral_floor(graph, lambda2) == _fraction_floor(graph.n, graph.d, lambda2)
+
+
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40),
+       st.floats(min_value=-1.0, max_value=2.0))
+def test_spectral_floor_is_the_fraction_formula_on_drawn_values(n, d, lambda2):
+    graph = SimpleNamespace(n=n, d=d)
+    assert _spectral_floor(graph, lambda2) == _fraction_floor(n, d, lambda2)
 
 
 def test_certification_rule():

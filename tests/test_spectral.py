@@ -62,8 +62,8 @@ def test_normalized_adjacency_matches_list_oracle(member):
 def _solve(matrix) -> list[float]:
     """The in-repo solver on one dense symmetric matrix, as spectrum runs it
     on its blocks: Householder, then Sturm bisection, sorted."""
-    a = np.array(matrix, dtype=np.float64)
-    d, e = cayleygap.spectral._tridiagonalize(a[None])
+    a = np.array(matrix, dtype=np.float64)[None]
+    d, e = cayleygap.spectral._tridiagonalize(a, np.zeros_like(a))
     return np.sort(cayleygap.spectral._bisect_block(d, e)[0]).tolist()
 
 
@@ -159,7 +159,8 @@ def _assert_bisection_matches_oracle(d, e) -> None:
 def _assert_blocks_match_oracle(matrix) -> int:
     """Tridiagonalise, split at exactly-zero couplings and check every block
     of two or more rows; returns the number of rows so checked."""
-    d, e = cayleygap.spectral._tridiagonalize(np.array(matrix, dtype=np.float64)[None])
+    a = np.array(matrix, dtype=np.float64)[None]
+    d, e = cayleygap.spectral._tridiagonalize(a, np.zeros_like(a))
     d, e = d[0], e[0]
     cuts = (np.flatnonzero(e == 0.0) + 1).tolist()
     checked = 0
@@ -234,11 +235,11 @@ def test_symmetric_5_dense_bits_are_pinned():
 
 
 def test_symmetric_5_spectrum_bits_are_pinned():
-    # The cyclic-subgroup blocks (L = 6, k = 20: four 40 x 40 blocks, two
-    # of them complex) in one batch.
+    # The cyclic-subgroup blocks (L = 6, k = 20: four 20 x 20 Hermitian
+    # blocks, two of them complex) in one batch.
     t = spectrum(build_graph("symmetric:5", "auto")).t
     digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
-    assert digest == "e1343acb4edb7c6c3cad163190acf90bf3c216961fcdffed9288f223f37d2af2"
+    assert digest == "e2704eebfb2ff991215137a03dac06a1c18a95dc9b6477cde2e4bce54bbee307"
 
 
 @pytest.mark.parametrize(
@@ -419,6 +420,16 @@ def test_cos_table_exact_and_accurate():
     assert _cos_table(4 * 7)[::4].tolist() == _cos_table(7).tolist()
 
 
+def test_cos_table_is_cached_and_read_only():
+    for q in range(1, 257):
+        table = _cos_table(q)
+        assert table is _cos_table(q)
+        assert not table.flags.writeable
+        assert table.tobytes() == _cos_table.__wrapped__(q).tobytes()
+    with pytest.raises(ValueError):
+        _cos_table(8)[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # Spectra from a cyclic subgroup (every group without a recorded A)
 
@@ -526,12 +537,26 @@ def test_lambda_1_is_exactly_zero(spec, gens):
     assert s.t[-1] == 1.0 and s.lam[0] == 0.0
 
 
-def _solve_alone(matrices) -> list[np.ndarray]:
+def _solve_alone(re, im) -> list[np.ndarray]:
     out = []
-    for m in matrices:
-        d, e = cayleygap.spectral._tridiagonalize(m[None].copy())
+    for b in range(re.shape[0]):
+        d, e = cayleygap.spectral._tridiagonalize(re[b:b + 1], im[b:b + 1])
         out.append(cayleygap.spectral._bisect_block(d, e)[0])
     return out
+
+
+def _assert_batch_equals_each_alone(re, im) -> None:
+    d, e = cayleygap.spectral._tridiagonalize(re, im)
+    together = cayleygap.spectral._bisect_block(d, e)
+    for ours, alone in zip(together, _solve_alone(re, im)):
+        assert [x.hex() for x in ours] == [x.hex() for x in alone]
+
+
+def _random_part(rng, n) -> np.ndarray:
+    """Small integers times uniform reals, with a random share of exact zeros
+    (none, most or all), so columns are dense, sparse or zero."""
+    a = rng.integers(-3, 4, size=(n, n)) * rng.uniform(0.0, 1.0, size=(n, n))
+    return a * (rng.random((n, n)) < rng.choice([0.0, 0.3, 1.0]))
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=5),
@@ -543,14 +568,67 @@ def test_batched_solver_equals_each_matrix_alone(n, batch, seed):
     rng = np.random.default_rng(seed)
     matrices = []
     for b in range(batch):
-        a = rng.integers(-3, 4, size=(n, n)) * rng.uniform(0.0, 1.0, size=(n, n))
-        a *= rng.random((n, n)) < rng.choice([0.0, 0.3, 1.0])
+        a = _random_part(rng, n)
         matrices.append((a + a.T) * 10.0 ** rng.integers(-3, 4))
     stack = np.array(matrices)
-    d, e = cayleygap.spectral._tridiagonalize(stack.copy())
-    together = cayleygap.spectral._bisect_block(d, e)
-    for ours, alone in zip(together, _solve_alone(matrices)):
-        assert [x.hex() for x in ours] == [x.hex() for x in alone]
+    _assert_batch_equals_each_alone(stack, np.zeros_like(stack))
+
+
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_hermitian_solver_equals_each_matrix_alone(n, batch, seed):
+    # Hermitian matrices with complex, real, zero and sparse columns, and
+    # one whose first column is a complex x_0 above an exactly zero tail,
+    # so the skip branch takes |x_0| of a complex entry.
+    rng = np.random.default_rng(seed)
+    re, im = np.zeros((2, batch, n, n))
+    for b in range(batch):
+        scale = 10.0 ** rng.integers(-3, 4)
+        x, y = _random_part(rng, n), _random_part(rng, n)
+        re[b], im[b] = (x + x.T) * scale, (y - y.T) * scale
+    re[0, 2:, 0] = re[0, 0, 2:] = im[0, 2:, 0] = im[0, 0, 2:] = 0.0
+    re[0, 1, 0] = re[0, 0, 1] = 3.0
+    im[0, 1, 0], im[0, 0, 1] = -4.0, 4.0
+    _assert_batch_equals_each_alone(re, im)
+    d, e = cayleygap.spectral._tridiagonalize(re, im)
+    assert e[0, 0] == 5.0
+    for b in range(batch):
+        ours = cayleygap.spectral._bisect_block(d[b:b + 1], e[b:b + 1])[0]
+        ref = np.linalg.eigvalsh(re[b] + 1j * im[b])
+        assert np.max(np.abs(np.sort(ours) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _assert_real_reduction_is_frozen(stack) -> None:
+    """With im = +0.0 the Hermitian reduction is the real one it replaced,
+    bit for bit in d and |e|."""
+    d, e = cayleygap.spectral._tridiagonalize(stack, np.zeros_like(stack))
+    frozen_d, frozen_e = oracles.frozen_tridiagonalize(stack.copy())
+    assert [x.hex() for x in d.ravel()] == [x.hex() for x in frozen_d.ravel()]
+    assert [x.hex() for x in e.ravel()] == [x.hex() for x in np.abs(frozen_e).ravel()]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0, 2e-160, -2e-160, 1e-170, 1e-300, 0.5])
+def test_real_input_gives_the_frozen_real_reduction_on_crafted_columns(first):
+    # x_0 = +-0.0 takes its sign from copysign, and |x_0|^2 underflows for
+    # x_0 below about 1e-154 times the column's largest entry (2 here): to
+    # a subnormal at 2e-160, to zero at 1e-170. Each must give the real
+    # reduction's reflector.
+    _assert_real_reduction_is_frozen(np.array([[[1.0, first, 2.0, -1.0],
+                                                [first, 0.0, 1.0, 0.5],
+                                                [2.0, 1.0, -1.0, 0.0],
+                                                [-1.0, 0.5, 0.0, 3.0]]]))
+
+
+@given(st.integers(min_value=2, max_value=14), st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_real_input_gives_the_frozen_real_reduction(n, batch, seed):
+    # Dense, sparse and zero matrices of different scales.
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for b in range(batch):
+        a = _random_part(rng, n)
+        matrices.append((a + a.T) * 10.0 ** rng.integers(-3, 4))
+    _assert_real_reduction_is_frozen(np.array(matrices))
 
 
 # ---------------------------------------------------------------------------

@@ -392,9 +392,10 @@ def test_sweep_empty():
 
 
 def _same_but_floats(ours, ref, path: str = "report") -> None:
-    """Equal structure, strings, ints, bools and None; floats within 1e-12."""
+    """Equal structure, strings, ints, bools and None; floats within
+    1e-12 max(1, |ref|), the benchmark's rule."""
     if isinstance(ours, float) or isinstance(ref, float):
-        assert abs(ours - ref) <= 1e-12, path
+        assert abs(ours - ref) <= 1e-12 * max(1.0, abs(ref)), path
     elif isinstance(ours, dict):
         assert ours.keys() == ref.keys(), path
         for key in ours:
@@ -409,12 +410,14 @@ def _same_but_floats(ours, ref, path: str = "report") -> None:
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
 def test_family_report_is_the_dense_report(member, monkeypatch):
-    # Each family report read from the cyclic-subgroup blocks has every row
-    # status, reason and exact field of the report read from numpy's
-    # eigenvalues of the dense T, which share no code with the blocks.
+    # Each family report read from the characters or the cyclic-subgroup
+    # blocks has every row status, reason and exact field of the report read
+    # from numpy's eigenvalues of the dense T, which share no code with
+    # either path.
     ours = report_json_dict(families.report_of(member))
-    monkeypatch.setattr(
-        cayleygap.spectral, "_coset_eigenvalues",
-        lambda graph: oracles.numpy_eigs(normalized_adjacency(graph)))
+    for path in ("_character_eigenvalues", "_coset_eigenvalues"):
+        monkeypatch.setattr(
+            cayleygap.spectral, path,
+            lambda graph: oracles.numpy_eigs(normalized_adjacency(graph)))
     dense = full_report(build_graph(member.group_spec, member.gens_spec))
     _same_but_floats(ours, report_json_dict(dense))

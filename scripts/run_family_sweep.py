@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from cayleygap import sweep, sweep_to_csv, sweep_to_json, sweep_to_text
-from cayleygap.cli import write_output
+from cayleygap.cli import _positive_int, write_output
 
 FAMILY_SPECS = [
     "cyclic:3..16 gens=±1",
@@ -32,12 +32,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("extra", nargs="*", help="additional sweep items")
     parser.add_argument("--format", choices=sorted(RENDERERS), default="text")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="parallel workers, at least 1 (default: 1)")
     parser.add_argument("--out", help="write here instead of stdout")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"argument --workers: must be an integer >= 1, got {args.workers}")
 
     # Create --out before the sweep, so an unwritable path fails at once.
     if args.out and not write_output(args.out, ""):

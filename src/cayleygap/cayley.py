@@ -3,6 +3,9 @@
 Vertices are group elements; x and y are adjacent when some generator s has
 s*x = y (left multiplication throughout). Vertex sets are plain ints used as
 bitmasks, which gives O(1) union/intersection/complement at any order.
+
+A graph stores S once, as its sorted tuple of element indices, and its
+adjacency once, as a neighbour mask per vertex (s*x is group.mult[s][x]).
 """
 
 from __future__ import annotations
@@ -33,19 +36,8 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Symmetric generating set, stored as sorted element indices."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def generating_set(group: FiniteGroup, elements: Iterable[int]) -> GeneratingSet:
-    """Validate symmetry and generation; report the obstruction otherwise."""
+def generating_set(group: FiniteGroup, elements: Iterable[int]) -> tuple[int, ...]:
+    """S as a sorted tuple once it is validated as symmetric and generating."""
     elems = sorted({int(x) for x in elements})
     if not elems:
         raise GeneratingSetError("generating set is empty")
@@ -65,7 +57,7 @@ def generating_set(group: FiniteGroup, elements: Iterable[int]) -> GeneratingSet
         raise GeneratingSetError(
             f"not generating: element {v} is unreachable from the identity"
         )
-    return GeneratingSet(tuple(elems))
+    return tuple(elems)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +74,7 @@ class CayleyGraph:
     """
 
     group: FiniteGroup
-    gens: GeneratingSet
-    neighbors: tuple[tuple[int, ...], ...]
+    gens: tuple[int, ...]
     nbr_masks: tuple[int, ...]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -103,33 +94,28 @@ class CayleyGraph:
 
     @property
     def d(self) -> int:
-        return self.gens.size
+        return len(self.gens)
 
     @property
     def full_mask(self) -> int:
         return (1 << self.group.order) - 1
 
 
-def build(group: FiniteGroup, gens: GeneratingSet | Iterable[int]) -> CayleyGraph:
+def build(group: FiniteGroup, gens: Iterable[int]) -> CayleyGraph:
     """Construct the Cayley graph; validates the generating set."""
-    if isinstance(gens, GeneratingSet):
-        gens = generating_set(group, gens.elements)
-    else:
-        gens = generating_set(group, gens)
+    gens = generating_set(group, gens)
     mult = group.mult
-    neighbors = tuple(
-        tuple(mult[s][x] for s in gens.elements) for x in range(group.order)
-    )
-    nbr_masks = tuple(mask_of(row) for row in neighbors)
+    rows = [[mult[s][x] for s in gens] for x in range(group.order)]
+    nbr_masks = tuple(mask_of(row) for row in rows)
     # Distinct generators give distinct neighbors (s*x = s'*x forces s = s'),
     # and symmetry of S makes adjacency symmetric; verify both cheaply.
-    for x, row in enumerate(neighbors):
+    for x, row in enumerate(rows):
         if len(set(row)) != len(row):
             raise GeneratingSetError(f"repeated neighbor at vertex {x}")
         for y in row:
             if not (nbr_masks[y] >> x) & 1:
                 raise GeneratingSetError(f"asymmetric edge {x} -> {y}")
-    return CayleyGraph(group, gens, neighbors, nbr_masks)
+    return CayleyGraph(group, gens, nbr_masks)
 
 
 def set_image(graph: CayleyGraph, a_mask: int) -> int:
@@ -160,14 +146,14 @@ def right_translate(group: FiniteGroup, a_mask: int, g: int) -> int:
     return acc
 
 
-def square_multiset(gens: GeneratingSet, group: FiniteGroup) -> dict[int, int]:
+def square_multiset(gens: tuple[int, ...], group: FiniteGroup) -> dict[int, int]:
     """The multiset S·S of two-step products s*t, as {element: count}; the
     counts sum to d^2, and the multiset is symmetric because S is."""
     counts: dict[int, int] = {}
     mult = group.mult
-    for s in gens.elements:
+    for s in gens:
         row = mult[s]
-        for t in gens.elements:
+        for t in gens:
             g = row[t]
             counts[g] = counts.get(g, 0) + 1
     for g, c in counts.items():
@@ -204,7 +190,7 @@ def multiset_image_excess(group: FiniteGroup, counts: dict[int, int], a_mask: in
 _GEN_TOKEN_RE = re.compile(r"^(±|\+-|-)?(\d+)$")
 
 
-def parse_generators(group: FiniteGroup, text: str) -> GeneratingSet:
+def parse_generators(group: FiniteGroup, text: str) -> tuple[int, ...]:
     """Parse a generator spec: comma-separated indices with optional ±k / +-k
     (element and inverse) or -k (inverse only), or semicolon-separated cycle
     notation for permutation groups.

@@ -67,6 +67,7 @@ import numpy as np
 from .cayley import CayleyGraph, mask_members
 from .errors import CapExceededError
 from .spectral import TOL, SpectralSummary
+from .subgroups import _parity_pair
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -709,7 +710,7 @@ def edge_cheeger(
 def _edge_certificate(graph: CayleyGraph, summary: SpectralSummary | None) -> CheegerCertificate:
     floor = None if summary is None else _spectral_floor(graph, summary.lambda2)
     num, size, mask, _ = _crossing_search(
-        graph.group.mult, dict.fromkeys(graph.gens.elements, 1), floor)
+        graph.group.mult, dict.fromkeys(graph.gens, 1), floor)
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 
 
@@ -744,30 +745,6 @@ def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
 
 
-def _dual_seed(masks: Sequence[int]) -> tuple[int, int, int]:
-    """The BFS-parity pair (V1, V2) as (cross, m1, m2), with cross = e(V1, V2)
-    the crossing edges (a loop never crosses).
-
-    V1 and V2 are the vertices at even and odd BFS distance from 0, so 0 is
-    in V1, and the graph is connected, so V1 ∪ V2 holds all n vertices.
-    Loops are never followed, since a vertex is marked when it is first
-    reached.
-    """
-    sides = [1, 0]
-    seen = level = 1
-    parity = 0
-    while level:
-        reached = 0
-        for v in mask_members(level):
-            reached |= masks[v]
-        level = reached & ~seen
-        seen |= level
-        parity ^= 1
-        sides[parity] |= level
-    m1, m2 = sides
-    return sum((masks[v] & m2).bit_count() for v in mask_members(m1)), m1, m2
-
-
 def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]:
     """(cross, m, m1, m2, nodes): the first maximiser of cross/m over the
     pairs (V1, V2) with 0 in V1, in the order that assigns 0, 1, ..., n-1 to
@@ -777,10 +754,10 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     unassigned vertex w adds at most low[w] = |N(w) ∩ {0..w-1}| crossings,
     and adds 1 to m = |V1| + |V2| if it joins V1 or V2.
 
-    Floor. The seed (_dual_seed) is a real pair on all n vertices, so its
-    p/q = cross/n is at most the optimum r* from the first node on. A
-    completion of a node at vertex v (cross crossings so far) reaches p/q
-    only if
+    Floor. The seed is the BFS-parity pair (subgroups._parity_pair), a
+    real pair on all n vertices, so its p/q = cross/n is at most the
+    optimum r* from the first node on. A completion of a node at vertex v
+    (cross crossings so far) reaches p/q only if
         cross·q - p·m + G[v] >= 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
     (Dinkelbach's test for a ratio). Until the first leaf is accepted, a node
     is pruned only when this fails, so every pair that reaches the floor, and
@@ -795,7 +772,8 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     skipped (nodes = 0). Any pair of ratio 1 has the same property on its
     own vertices, so it holds every neighbour of each; in the connected
     graph that is every vertex, and 0 in V1 fixes the 2-colouring. The seed
-    is therefore the only maximiser with 0 in V1.
+    is therefore the only maximiser with 0 in V1: (K, G ∖ K), K the
+    certificate that is_bipartite_structural reads off the same pair.
 
     Local optimality. Let (V1, V2) be any maximiser, m = |V1| + |V2|, and for
     u in V1 ∪ V2 let c_u count u's neighbours on the other side and s_u those
@@ -815,7 +793,7 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     leaves that would have raised it early, and the search grows.)
     """
     d = masks[0].bit_count()
-    p, best1, best2 = _dual_seed(masks)
+    p, best1, best2 = _parity_pair(masks)
     q = n
     if 2 * p == d * n:
         return p, q, best1, best2, 0

@@ -89,7 +89,7 @@ def _cmd_spectrum(graph: CayleyGraph, args: argparse.Namespace) -> Output:
     summary = spectrum(graph)
     connected = is_connected(summary)
     bipartite = is_bipartite_spectral(summary)
-    name, gens = graph.group.name, graph.gens.elements
+    name, gens = graph.group.name, graph.gens
     payload = graph_dict(name, gens, graph.n, graph.d) | {
         "spectrum": {"t": list(summary.t), "lambda": list(summary.lam)},
         "connected": connected,
@@ -109,7 +109,7 @@ def _cmd_spectrum(graph: CayleyGraph, args: argparse.Namespace) -> Output:
 
 
 def _cmd_cheeger(graph: CayleyGraph, args: argparse.Namespace) -> Output:
-    name, gens = graph.group.name, graph.gens.elements
+    name, gens = graph.group.name, graph.gens
     payload = graph_dict(name, gens, graph.n, graph.d)
     csv_lines = ["quantity,value,witness"]
     text_lines = [f"graph: {graph_label(name, gens)}", f"n = {graph.n}, d = {graph.d}"]
@@ -120,11 +120,13 @@ def _cmd_cheeger(graph: CayleyGraph, args: argparse.Namespace) -> Output:
     ):
         try:
             cert = fn(graph, **kwargs)
-        except CapExceededError as exc:
+        except (CapExceededError, ValueError) as exc:
+            # Over a cap, or n < 2: skipped with full_report's reason.
+            reason = exc.reason if isinstance(exc, CapExceededError) else str(exc)
             payload[key] = None
-            payload[f"{key}_reason"] = exc.reason
-            csv_lines.append(f"{key},,{exc.reason}")
-            text_lines.append(f"{key} skipped ({exc.reason})")
+            payload[f"{key}_reason"] = reason
+            csv_lines.append(f"{key},,{reason}")
+            text_lines.append(f"{key} skipped ({reason})")
             continue
         # The dual witness is the pair (V1, V2); the others are one set.
         witness = cert.witness_pair or cert.witness
@@ -138,10 +140,9 @@ def _cmd_cheeger(graph: CayleyGraph, args: argparse.Namespace) -> Output:
 
 
 def _cmd_subgroups(graph: CayleyGraph, args: argparse.Namespace) -> Output:
-    gen_set = set(graph.gens.elements)
-    rows = [(c.elements, gen_set.isdisjoint(c.elements)) for c in index2_subgroups(graph.group)]
+    name, gens = graph.group.name, graph.gens
+    rows = [(c, set(gens).isdisjoint(c)) for c in index2_subgroups(graph.group)]
     bipartite = any(disjoint for _, disjoint in rows)
-    name, gens = graph.group.name, graph.gens.elements
     payload = graph_dict(name, gens, graph.n, graph.d) | {
         "index2_subgroups": [
             {"elements": list(elems), "disjoint_from_s": disjoint}
@@ -230,7 +231,7 @@ def _cmd_proof(graph: CayleyGraph, args: argparse.Namespace) -> Output:
     trace = run_pipeline(graph, zeta, max_exact=args.max_exact)
     code = int(trace.hypothesis_met and not trace.succeeded and not trace.out_of_regime)
     t = trace_json_dict(trace)
-    name, gens = graph.group.name, graph.gens.elements
+    name, gens = graph.group.name, graph.gens
     payload = graph_dict(name, gens, graph.n, graph.d) | {"proof_trace": t}
     # Each stage's verdict, or None when the pipeline stopped before it.
     stages = {

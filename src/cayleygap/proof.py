@@ -166,7 +166,7 @@ def find_candidate_set(
     counts = square_multiset(graph.gens, graph.group)
     cert = is_bipartite_structural(graph)
     if cert is not None:
-        h_mask = mask_of(cert.elements)
+        h_mask = mask_of(cert)
         a_mask = min(h_mask, graph.full_mask ^ h_mask)
         size = n // 2
     else:
@@ -224,7 +224,7 @@ def set_property_check(
         translate_ok=all(
             (left_translate(group, a_mask, s) ^ (~a_mask & full)).bit_count()
             <= translate_threshold
-            for s in graph.gens.elements
+            for s in graph.gens
         ),
     )
 
@@ -414,14 +414,13 @@ def disjointness_check(
     group = graph.group
     eps_f = float(params.eps)
     size = a_mask.bit_count()
-    s_cap_h = tuple(s for s in graph.gens.elements if (h_mask >> s) & 1)
+    s_cap_h = tuple(s for s in graph.gens if (h_mask >> s) & 1)
     disjoint = not s_cap_h
     structural_match: bool | None = None
     if disjoint:
         h_set = mask_members(h_mask)
         structural_match = any(
-            cert.elements == h_set
-            and not set(graph.gens.elements).intersection(cert.elements)
+            cert == h_set and not set(graph.gens).intersection(cert)
             for cert in index2_subgroups(group)
         )
     conflicts = []
@@ -507,7 +506,7 @@ def large_set_expansion_check(
     p, q = eps.numerator, eps.denominator
 
     sets = _candidate_sets(n)
-    steps = np.array(graph.neighbors, dtype=np.intp).T
+    steps = np.array([graph.group.mult[s] for s in graph.gens], dtype=np.intp)
 
     def over_neighbors(op) -> np.ndarray:
         """op folded over the rows s v, s in S, for every vertex v."""

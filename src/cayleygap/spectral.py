@@ -76,7 +76,8 @@ def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
     metric build T with it."""
     n, d = graph.n, graph.d
     counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (np.arange(n).repeat(d), np.ravel(graph.neighbors)), 1)
+    steps = [graph.group.mult[s] for s in graph.gens]   # steps[i][x] = s_i x
+    np.add.at(counts, (np.tile(np.arange(n), d), np.ravel(steps)), 1)
     if np.any(counts.sum(axis=1) != d):
         raise AssertionError("row sum mismatch in adjacency counts")
     if not np.array_equal(counts, counts.T):
@@ -374,7 +375,7 @@ def _character_eigenvalues(graph: CayleyGraph) -> list[float]:
     integers. In one table of cos(2 pi p / 4L), entry 4p is cos(2 pi p / L),
     the bits of _cos_table(L)[p], and entry 4p - L is sin(2 pi p / L).
     """
-    group, gens, d = graph.group, graph.gens.elements, graph.d
+    group, gens, d = graph.group, graph.gens, graph.d
     moduli = group.abelian
     size, lcm = math.prod(moduli), math.lcm(*moduli)
     strides = [math.prod(moduli[j + 1:]) for j in range(len(moduli))]
@@ -457,7 +458,7 @@ def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:
     number = np.zeros(n, dtype=np.intp)
     number[reps] = np.arange(k)
     # s r_i = r_l g^e: l and e for each generator s and each i.
-    image = table[np.array(graph.gens.elements)[:, None], reps]
+    image = table[np.array(graph.gens)[:, None], reps]
     column, shift = number[rep[image]], exponent[image]
     chars = np.arange(size // 2 + 1)
     phase = 4 * (chars[:, None, None] * shift % size)

@@ -1,4 +1,4 @@
-"""Index-2 subgroups and the structural bipartiteness criterion.
+"""Index-2 subgroups, each a sorted element tuple, and structural bipartiteness.
 
 A connected Cayley graph C(G, S) is bipartite exactly when G has an index-2
 subgroup H with H cap S empty; the parts are then H and its complement.
@@ -7,7 +7,10 @@ K = <S·S>, the elements that are words of even length in S. Since S
 generates G and is symmetric, G = K cup sK for any s in S: K is normal of
 index 1 or 2, and K is the only candidate for H. The graph is therefore
 bipartite exactly when K has index 2, and then K misses S (s in K would give
-K = G). One subgroup closure decides bipartiteness and gives the certificate.
+K = G). K holds every vertex at even distance from the identity, and none at
+odd distance when it has index 2. So one breadth-first pass decides
+bipartiteness and gives the certificate: every edge joins its even and odd
+sides exactly when the graph is bipartite, and the even side is then K.
 
 index2_subgroups lists every index-2 subgroup, for the `subgroups` command
 and the proof's independent cross-check. Every index-2 subgroup contains all
@@ -19,19 +22,13 @@ new element at a time, with no table of cosets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
-from .cayley import CayleyGraph
+from .cayley import CayleyGraph, mask_members
 from .groups import FiniteGroup, closure
 
 
-@dataclass(frozen=True)
-class SubgroupCertificate:
-    elements: tuple[int, ...]
-    index: int
-
-
-def squares_commutators_subgroup(group: FiniteGroup) -> SubgroupCertificate:
+def squares_commutators_subgroup(group: FiniteGroup) -> tuple[int, ...]:
     """Subgroup N generated by all squares and commutators.
 
     G/N is an elementary abelian 2-group: every element squares into N, and
@@ -43,10 +40,10 @@ def squares_commutators_subgroup(group: FiniteGroup) -> SubgroupCertificate:
     members = closure(group, {mult[g][g] for g in range(n)})
     if n % len(members):
         raise AssertionError("subgroup order does not divide the group order")
-    return SubgroupCertificate(members, n // len(members))
+    return members
 
 
-def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
+def index2_subgroups(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All index-2 subgroups, sorted by element tuple.
 
     They are the preimages of the 2^k - 1 hyperplanes of G/N = (Z/2)^k, N
@@ -61,7 +58,7 @@ def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
     n = group.order
     mult = group.mult
     vec = [-1] * n
-    assigned = list(squares_commutators_subgroup(group).elements)
+    assigned = list(squares_commutators_subgroup(group))
     for x in assigned:
         vec[x] = 0
     reps = [0]
@@ -87,26 +84,45 @@ def index2_subgroups(group: FiniteGroup) -> tuple[SubgroupCertificate, ...]:
         members = tuple(g for g in range(n) if (vec[g] & f).bit_count() % 2 == 0)
         if 2 * len(members) != n:
             raise AssertionError("hyperplane preimage has the wrong size")
-        out.append(SubgroupCertificate(members, 2))
-    out.sort(key=lambda cert: cert.elements)
+        out.append(members)
+    out.sort()
     return tuple(out)
 
 
-def is_bipartite_structural(graph: CayleyGraph) -> SubgroupCertificate | None:
+def is_bipartite_structural(graph: CayleyGraph) -> tuple[int, ...] | None:
     """The index-2 subgroup disjoint from S, or None when there is none.
 
-    It can only be K = <S·S>, the words of even length (see the module
-    docstring), so it exists exactly when |K| = n/2. Being the only one, it
-    is also the first disjoint subgroup in element-tuple order.
+    It can only be K = <S·S> (see the module docstring), and it exists
+    exactly when every edge joins the two parity sides, 2·cross = d·n; K is
+    then the even side. Being the only one, it is also the first disjoint
+    subgroup in element-tuple order.
     """
-    return graph.memo("bipartite_structural", lambda: _even_subgroup(graph))
+    def even_side() -> tuple[int, ...] | None:
+        cross, even, _ = _parity_pair(graph.nbr_masks)
+        return mask_members(even) if 2 * cross == graph.d * graph.n else None
+
+    return graph.memo("bipartite_structural", even_side)
 
 
-def _even_subgroup(graph: CayleyGraph) -> SubgroupCertificate | None:
-    """K = <S·S> as the certificate when it has index 2, else None."""
-    mult = graph.group.mult
-    gens = graph.gens.elements
-    k = closure(graph.group, {mult[s][t] for s in gens for t in gens})
-    if 2 * len(k) != graph.n:
-        return None
-    return SubgroupCertificate(k, 2)
+def _parity_pair(masks: Sequence[int]) -> tuple[int, int, int]:
+    """The BFS-parity pair (V1, V2) as (cross, m1, m2), with cross = e(V1, V2)
+    the crossing edges (a loop never crosses).
+
+    V1 and V2 are the vertices at even and odd BFS distance from 0, so 0 is
+    in V1, and the graph is connected, so V1 ∪ V2 holds all n vertices.
+    Loops are never followed, since a vertex is marked when it is first
+    reached.
+    """
+    sides = [1, 0]
+    seen = level = 1
+    parity = 0
+    while level:
+        reached = 0
+        for v in mask_members(level):
+            reached |= masks[v]
+        level = reached & ~seen
+        seen |= level
+        parity ^= 1
+        sides[parity] |= level
+    m1, m2 = sides
+    return sum((masks[v] & m2).bit_count() for v in mask_members(m1)), m1, m2

@@ -237,7 +237,7 @@ def full_report(
     )
     return VerificationReport(
         group_label=group.name,
-        gens=graph.gens.elements,
+        gens=graph.gens,
         n=n,
         d=graph.d,
         h=h,

@@ -45,6 +45,13 @@ def _better(num: int, size: int, mask: int,
     return mask < bm
 
 
+def neighbor_rows(graph: CayleyGraph) -> list[list[int]]:
+    """The neighbours s x, s in S, of every vertex x, read off the group
+    table rather than the graph's neighbour masks."""
+    mult = graph.group.mult
+    return [[mult[s][x] for s in graph.gens] for x in range(graph.n)]
+
+
 def naive_vertex_cheeger(nbr_masks, n: int) -> tuple[Fraction, tuple[int, ...]]:
     best = None
     for mask in range(1, 1 << n):
@@ -65,6 +72,7 @@ def naive_vertex_cheeger(nbr_masks, n: int) -> tuple[Fraction, tuple[int, ...]]:
 
 def naive_edge_cheeger(graph: CayleyGraph) -> tuple[Fraction, tuple[int, ...]]:
     n, d = graph.n, graph.d
+    rows = neighbor_rows(graph)
     best = None
     for mask in range(1, 1 << n):
         size = mask.bit_count()
@@ -73,7 +81,7 @@ def naive_edge_cheeger(graph: CayleyGraph) -> tuple[Fraction, tuple[int, ...]]:
         crossing = 0
         for x in range(n):
             if (mask >> x) & 1:
-                for y in graph.neighbors[x]:
+                for y in rows[x]:
                     if not (mask >> y) & 1:
                         crossing += 1
         if _better(crossing, size, mask, best):
@@ -89,6 +97,7 @@ def naive_dual_cheeger(
     """Full base-3 scan (digit 0 -> V1, 1 -> V2, 2 -> V3, vertex 0 most
     significant), first strict maximiser wins."""
     n, d = graph.n, graph.d
+    rows = neighbor_rows(graph)
     best_cross, best_m = -1, 1
     best_pair = ((), ())
     for code in range(3**n):
@@ -107,7 +116,7 @@ def naive_dual_cheeger(
         in2 = [digits[x] == 1 for x in range(n)]
         cross = 0
         for x in v1:
-            for y in graph.neighbors[x]:
+            for y in rows[x]:
                 if in2[y]:
                     cross += 1
         cross *= 2
@@ -195,8 +204,8 @@ def support_pairs(graph: CayleyGraph) -> list[tuple[tuple[int, int], ...]]:
     out = []
     for x in range(graph.n):
         counts: dict[int, int] = {}
-        for s in graph.gens.elements:
-            for t in graph.gens.elements:
+        for s in graph.gens:
+            for t in graph.gens:
                 y = mult[mult[s][t]][x]
                 if y != x:
                     counts[y] = counts.get(y, 0) + 1
@@ -351,9 +360,9 @@ def validate_subgroup(group: FiniteGroup, elements: tuple[int, ...]) -> None:
 def enumerated_bipartite_certificate(graph: CayleyGraph):
     """The first index-2 subgroup disjoint from S in element-tuple order,
     from the full list of index-2 subgroups, or None."""
-    s_set = set(graph.gens.elements)
+    s_set = set(graph.gens)
     for cert in index2_subgroups(graph.group):
-        if not s_set.intersection(cert.elements):
+        if not s_set.intersection(cert):
             return cert
     return None
 
@@ -390,9 +399,9 @@ def normalized_adjacency_lists(graph: CayleyGraph) -> list[list[float]]:
     """Dense T = A/d as lists of Python floats, counts checked exactly."""
     n, d = graph.n, graph.d
     count_rows = []
-    for x in range(n):
+    for row in neighbor_rows(graph):
         counts = [0] * n
-        for y in graph.neighbors[x]:
+        for y in row:
             counts[y] += 1
         if sum(counts) != d:
             raise AssertionError("row sum mismatch in adjacency counts")
@@ -421,7 +430,7 @@ def translate_defect(graph: CayleyGraph, a_mask: int) -> int:
     worst = 0
     for g in range(graph.n):
         ag = {mult[a][g] for a in members}
-        for s in graph.gens.elements:
+        for s in graph.gens:
             sag = {mult[s][x] for x in ag}
             worst = max(worst, len(sag ^ (everything - ag)))
     return worst

@@ -9,18 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 from cayleygap import (
     CapExceededError,
     CayleyGraph,
-    GeneratingSet,
     GeneratingSetError,
     build,
     build_graph,
+    closure,
     dual_cheeger,
     edge_cheeger,
     from_cyclic,
     from_dihedral,
     from_direct_product,
     full_report,
+    index2_subgroups,
+    is_bipartite_structural,
     mask_members,
     mask_of,
+    parse_group_spec,
     spectrum,
     square_multiset,
     vertex_cheeger,
@@ -31,11 +34,11 @@ from cayleygap.cheeger import (
     _coset_union,
     _crossing_search,
     _dual_search,
-    _dual_seed,
     _spectral_floor,
     _vertex_search,
 )
 from cayleygap.spectral import TOL
+from cayleygap.subgroups import _parity_pair
 
 import families
 import oracles
@@ -249,7 +252,7 @@ CROSSING_MINIMA = {
 
 def _unit_counts(graph):
     """The generating set as a multiset of unit counts: the edge search's."""
-    return dict.fromkeys(graph.gens.elements, 1)
+    return dict.fromkeys(graph.gens, 1)
 
 
 @pytest.mark.parametrize("key", list(CROSSING_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
@@ -544,23 +547,75 @@ def test_rooted_searches_match_oracles(graph):
 @settings(max_examples=60)
 @given(_small_cayley_graphs())
 def test_dual_seed_is_a_pair_below_the_optimum(graph):
-    cross, m1, m2 = _dual_seed(graph.nbr_masks)
+    cross, m1, m2 = _parity_pair(graph.nbr_masks)
     n = graph.n
     assert m1 & 1 and not m1 & m2
     assert m1 | m2 == (1 << n) - 1
+    rows = oracles.neighbor_rows(graph)
     dist = {0: 0}
     queue = [0]
     for x in queue:
-        for y in graph.neighbors[x]:
+        for y in rows[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     assert set(mask_members(m1)) == {x for x in dist if dist[x] % 2 == 0}
     v2 = set(mask_members(m2))
-    assert cross == sum(y in v2 for x in mask_members(m1) for y in graph.neighbors[x])
+    assert cross == sum(y in v2 for x in mask_members(m1) for y in rows[x])
     ratio = Fraction(2 * cross, graph.d * n)
     assert ratio <= dual_cheeger(graph).value
     assert (ratio == 1) == (oracles.enumerated_bipartite_certificate(graph) is not None)
+
+
+def _assert_dual_witness_is_the_certificate(graph):
+    """A bipartite graph's dual maximiser is (K, G \\ K), K its structural
+    certificate, of ratio 1, found by the seed with no search."""
+    cert = is_bipartite_structural(graph)
+    assert cert is not None
+    rest = tuple(sorted(set(range(graph.n)) - set(cert)))
+    dual = dual_cheeger(graph, max_dual=graph.n)
+    assert dual.value == 1
+    assert dual.witness_pair == (cert, rest)
+    assert _dual_search(graph.nbr_masks, graph.n)[4] == 0
+
+
+@pytest.mark.parametrize("member", [m for m in families.MEMBERS if m.bipartite],
+                         ids=lambda m: m.name)
+def test_bipartite_dual_witness_is_the_certificate_on_family(member):
+    _assert_dual_witness_is_the_certificate(families.graph_of(member))
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("cyclic:24", "±1"), ("dihedral:12", "auto"), ("symmetric:4", "auto"),
+])
+def test_bipartite_dual_witness_is_the_certificate_at_n_24(spec, gens):
+    _assert_dual_witness_is_the_certificate(build_graph(spec, gens))
+
+
+_BIPARTITE_GROUPS = [
+    "cyclic:2", "cyclic:10", "cyclic:16", "dihedral:5", "dihedral:8",
+    "symmetric:3", "symmetric:4", "product:cyclic:2xcyclic:2xcyclic:2",
+    "product:cyclic:4xcyclic:6", "product:dihedral:4xcyclic:2",
+]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bipartite_dual_witness_is_the_certificate_on_random_graphs(seed):
+    # S is drawn outside a random index-2 subgroup H, so the graph is
+    # bipartite and H is its only certificate. The outside generates G,
+    # since it holds s and (G \ H)·s = H.
+    rng = random.Random(seed)
+    group = parse_group_spec(rng.choice(_BIPARTITE_GROUPS)).build()
+    h = rng.choice(index2_subgroups(group))
+    outside = sorted(set(range(group.order)) - set(h))
+    picks = rng.sample(outside, rng.randint(1, min(3, len(outside))))
+    elements = set(picks) | {group.inv[x] for x in picks}
+    while len(reached := closure(group, elements)) < group.order:
+        missing = min(set(outside) - set(reached))
+        elements |= {missing, group.inv[missing]}
+    graph = build(group, elements)
+    assert is_bipartite_structural(graph) == h
+    _assert_dual_witness_is_the_certificate(graph)
 
 
 @st.composite
@@ -808,12 +863,10 @@ def _coset_graph(n, step):
     disjoint edges when step = n/2), never produced by build()."""
     g = from_cyclic(n)
     gens = tuple(sorted({step, n - step}))
-    neighbors = tuple(tuple(g.mult[s][x] for s in gens) for x in range(n))
     return CayleyGraph(
         group=g,
-        gens=GeneratingSet(gens),
-        neighbors=neighbors,
-        nbr_masks=tuple(sum(1 << y for y in row) for row in neighbors),
+        gens=gens,
+        nbr_masks=tuple(sum(1 << g.mult[s][x] for s in gens) for x in range(n)),
     )
 
 

@@ -244,6 +244,43 @@ def test_cheeger_json(capsys):
     assert payload["dual_h_witness"] == [[0, 2, 4], [1, 3, 5]]
 
 
+_ONE_ELEMENT_CHEEGER = {
+    "text": "graph: cyclic:1 gens=0\n"
+            "n = 1, d = 1\n"
+            "h skipped (no admissible sets: need n >= 2)\n"
+            "edge_h skipped (no admissible sets: need n >= 2)\n"
+            "dual_h = 0  witness = ((0,), ())\n",
+    "csv": "quantity,value,witness\n"
+           "h,,no admissible sets: need n >= 2\n"
+           "edge_h,,no admissible sets: need n >= 2\n"
+           "dual_h,0,0 | \n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_cheeger_on_one_element_group_skips_h_and_prints_dual_h(capsys, fmt):
+    # n = 1 has no admissible set for h or edge_h, but V1 = {0} is a pair
+    # for the dual constant: the rows verify gives on the same graph.
+    argv = ["--group", "cyclic:1", "--gens", "0", "--format", fmt]
+    assert main(["cheeger", *argv]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    if fmt != "json":
+        assert out.out == _ONE_ELEMENT_CHEEGER[fmt]
+        return
+    payload = json.loads(out.out)
+    assert payload == {
+        "schema_version": 1, "group": "cyclic:1", "gens": [0], "n": 1, "d": 1,
+        "h": None, "h_reason": "no admissible sets: need n >= 2",
+        "edge_h": None, "edge_h_reason": "no admissible sets: need n >= 2",
+        "dual_h": {"num": 0, "den": 1}, "dual_h_witness": [[0], []],
+    }
+    assert main(["verify", *argv]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dual_h"] == payload["dual_h"]
+    assert report["h"] is None
+
+
 def test_subgroups_dihedral(capsys):
     code = main(["subgroups", "--group", "dihedral:4"])
     out = capsys.readouterr().out

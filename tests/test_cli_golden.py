@@ -120,12 +120,14 @@ def test_script_output_matches_golden(name):
     assert stderr == _read(GOLDEN_DIR / f"{name}.stderr")
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("workers", ["0", "-3", "x"])
 def test_run_family_sweep_rejects_workers_below_one(workers, capsys):
+    """The script checks --workers as the CLI does, so a value that is not
+    an integer of at least 1 ends argument parsing with exit code 2."""
     with pytest.raises(SystemExit) as exc:
         script_main("run_family_sweep")(["--workers", workers])
     assert exc.value.code == 2
-    assert (f"argument --workers: must be an integer >= 1, got {workers}"
+    assert (f"argument --workers: must be an integer >= 1, got {workers!r}"
             in capsys.readouterr().err)
 
 

@@ -88,21 +88,22 @@ def test_cli_cheeger_computes_no_spectrum(engine_runs, capsys):
     assert engine_runs == Counter(_vertex_search=1, _crossing_search=1)
 
 
-def test_cli_verify_takes_the_even_word_closure_once(monkeypatch, capsys):
+def test_cli_verify_takes_the_parity_pass_once(monkeypatch, capsys):
     # Both full_report and the proof's candidate search ask a bipartite
-    # graph for its <S·S> certificate. On Z/8 with S = {1, 7}, S·S = {0, 2, 6}
-    # differs from the squares {0, 2, 4, 6} that seed the index-2 enumeration.
-    seeds = []
-    closure = cayleygap.subgroups.closure
+    # graph for its <S·S> certificate, which one breadth-first pass gives;
+    # the graph's memo keeps it. The dual search takes its seed from the
+    # same routine through cheeger's own binding, which is not counted here.
+    calls = []
+    parity_pair = cayleygap.subgroups._parity_pair
 
-    def counted(group, gens):
-        seeds.append(frozenset(gens))
-        return closure(group, gens)
+    def counted(masks):
+        calls.append(len(masks))
+        return parity_pair(masks)
 
-    monkeypatch.setattr(cayleygap.subgroups, "closure", counted)
+    monkeypatch.setattr(cayleygap.subgroups, "_parity_pair", counted)
     assert main(["verify", "--group", "cyclic:8", "--gens", "±1"]) == 0
     assert "structural = True" in capsys.readouterr().out
-    assert seeds.count(frozenset({0, 2, 6})) == 1
+    assert calls == [8]
 
 
 def test_weighted_search_runs_only_when_the_hypothesis_holds(engine_runs):

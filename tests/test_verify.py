@@ -288,8 +288,8 @@ def test_parse_sweep_spec():
 
 def test_build_graph_defaults():
     graph = build_graph("cyclic:5", None)
-    assert graph.gens.elements == (1, 4)
-    assert build_graph("cyclic:5", "auto").gens.elements == (1, 4)
+    assert graph.gens == (1, 4)
+    assert build_graph("cyclic:5", "auto").gens == (1, 4)
     assert build_graph("symmetric:3", "auto").d == 3
     assert build_graph("cyclic:6", "±1").n == 6
 

@@ -5,7 +5,11 @@ s*x = y (left multiplication throughout). Vertex sets are plain ints used as
 bitmasks, which gives O(1) union/intersection/complement at any order.
 
 A graph stores S once, as its sorted tuple of element indices, and its
-adjacency once, as a neighbour mask per vertex (s*x is group.mult[s][x]).
+adjacency once, as a neighbour mask per vertex (s*x is group.table[s, x]).
+build gathers the rows of S from the numpy table and converts them to Python
+ints before any shift, so the masks are exact at any order. The translates
+and multiset images below run only inside the exact searches (n <= 24 by
+default) and index the group's Python-int table, group.mult.
 """
 
 from __future__ import annotations
@@ -104,8 +108,7 @@ class CayleyGraph:
 def build(group: FiniteGroup, gens: Iterable[int]) -> CayleyGraph:
     """Construct the Cayley graph; validates the generating set."""
     gens = generating_set(group, gens)
-    mult = group.mult
-    rows = [[mult[s][x] for s in gens] for x in range(group.order)]
+    rows = group.table[list(gens)].T.tolist()   # rows[x] = [s*x for s in gens]
     nbr_masks = tuple(mask_of(row) for row in rows)
     # Distinct generators give distinct neighbors (s*x = s'*x forces s = s'),
     # and symmetry of S makes adjacency symmetric; verify both cheaply.

@@ -4,8 +4,10 @@ Element 0 is always the identity. Constructors canonicalise the indexing
 (rotation-first for dihedral groups, BFS discovery order for permutation
 groups) so that element indices are reproducible across runs.
 
-Each constructor builds its table as one numpy integer array and freezes it
-once into tuples of Python ints, which is what every consumer indexes.
+Each constructor builds its table once, as a read-only n x n numpy array,
+and every reader that runs above the exact-search caps gathers from it. The
+same table as tuples of Python ints, which the exact searches index in their
+tight loops, is built from it on first read.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,10 +34,13 @@ ASSOCIATIVITY_LIMIT = 512
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Concrete finite group: ``mult[a][b]`` is the index of the product a*b.
+    """Concrete finite group: ``table[a, b]`` is the index of the product a*b.
 
-    ``mult`` and ``inv`` hold Python ints, never numpy integers, so that
-    ``1 << mult[a][b]`` builds an exact bitmask for any order.
+    ``table`` is an ``np.intp`` array of shape (n, n), made read-only here.
+    ``mult`` is the same table as tuples of Python ints, frozen from it on
+    first read, and ``inv`` holds Python ints too: never numpy integers, so
+    that ``1 << mult[a][b]`` builds an exact bitmask for any order (a shift
+    by a numpy integer wraps past bit 63).
 
     A constructor that knows an abelian subgroup A of index 1 or 2 records
     it, and nothing else (not ``name``) is read for it. ``abelian`` =
@@ -45,17 +51,20 @@ class FiniteGroup:
     """
 
     order: int
-    mult: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     inv: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...] | None = None
     name: str = ""
     abelian: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.table.flags.writeable = False
 
-def _freeze(table: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The table as tuples of Python ints (``tolist`` converts each entry).
-    Row by row, so no nested list of the whole table is ever held."""
-    return tuple(tuple(row.tolist()) for row in table)
+    @cached_property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        """The table as tuples of Python ints (``tolist`` converts each
+        entry), row by row, so no nested list of the whole table is held."""
+        return tuple(tuple(row.tolist()) for row in self.table)
 
 
 def _first(bad: np.ndarray) -> int:
@@ -79,18 +88,18 @@ def _inverses(table: np.ndarray) -> tuple[int, ...]:
     return tuple(np.argmax(two_sided, axis=1).tolist())
 
 
-def _checked_array(mult: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """The n x n table `mult` as an integer array, after checking that every
-    entry lies in 0..n-1; the first entry outside, in row-major order, is
-    the one reported."""
-    m = np.array(mult)  # object dtype if an entry does not fit in 64 bits
-    k = _first(_outside(m, n))
+def _checked_array(table: np.ndarray, n: int) -> np.ndarray:
+    """The n x n `table` as an np.intp array, after checking that every entry
+    lies in 0..n-1; the first entry outside, in row-major order, is the one
+    reported. An object array (entries too large for 64 bits) is checked as
+    Python ints."""
+    k = _first(_outside(table, n))
     if k >= 0:
         a, b = divmod(k, n)
         raise GroupValidationError(
-            f"table entry mult[{a}][{b}] = {mult[a][b]} outside 0..{n - 1}"
+            f"table entry mult[{a}][{b}] = {table[a, b]} outside 0..{n - 1}"
         )
-    return m.astype(np.intp)
+    return table.astype(np.intp, copy=False)
 
 
 def validate_axioms(group: FiniteGroup) -> None:
@@ -102,9 +111,9 @@ def validate_axioms(group: FiniteGroup) -> None:
     n = group.order
     if n < 1:
         raise GroupValidationError(f"order must be positive, got {n}")
-    if len(group.mult) != n or any(len(row) != n for row in group.mult):
+    if group.table.shape != (n, n):
         raise GroupValidationError("multiplication table is not n x n")
-    m = _checked_array(group.mult, n)
+    m = _checked_array(group.table, n)
     r = np.arange(n)
     a = _first((m[0] != r) | (m[:, 0] != r))
     if a >= 0:
@@ -136,21 +145,20 @@ def closure(group: FiniteGroup, seeds: Iterable[int]) -> tuple[int, ...]:
     """Subgroup generated by the seeds, as sorted element indices.
 
     BFS under right multiplication; in a finite group the product closure of
-    a set containing the identity is already a subgroup.
+    a set containing the identity is already a subgroup. The BFS reads the
+    columns x*s of the seeds, gathered once from the table.
     """
-    mult = group.mult
     gens = sorted({int(s) for s in seeds} | {0})
     for s in gens:
         if not 0 <= s < group.order:
             raise ValueError(f"seed {s} outside 0..{group.order - 1}")
+    right = group.table[:, gens].tolist()   # right[x][i] = x * gens[i]
     members = {0}
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            row = mult[x]
-            for s in gens:
-                y = row[s]
+            for y in right[x]:
                 if y not in members:
                     members.add(y)
                     nxt.append(y)
@@ -167,7 +175,7 @@ def from_cyclic(n: int) -> FiniteGroup:
     r = np.arange(n)
     table = r[:, None] + r
     table %= n  # in place, so peak memory holds one n x n array, not two
-    return FiniteGroup(n, _freeze(table), tuple((-r % n).tolist()),
+    return FiniteGroup(n, table, tuple((-r % n).tolist()),
                        name=f"cyclic:{n}", abelian=(n,))
 
 
@@ -187,10 +195,14 @@ def from_dihedral(m: int) -> FiniteGroup:
     r = np.arange(n)
     c, e = r % m, r // m
     a = c[:m, None]
+    # In place, so peak memory holds the table and no half-table temporaries.
     table = np.empty((n, n), dtype=np.intp)
-    table[:m] = (a + c) % m + e * m
-    table[m:] = (a - c) % m + (1 - e) * m
-    return FiniteGroup(n, _freeze(table), _inverses(table),
+    np.add(a, c, out=table[:m])
+    np.subtract(a, c, out=table[m:])
+    table %= m
+    table[:m] += e * m
+    table[m:] += (1 - e) * m
+    return FiniteGroup(n, table, _inverses(table),
                        name=f"dihedral:{m}", abelian=(m,))
 
 
@@ -287,7 +299,7 @@ def from_permutations(
         table[lo:hi] = gathers[via[lo:hi, None], table[parent[lo:hi]]]
         lo = hi
     perms = tuple(map(tuple, np.concatenate(levels).tolist()))
-    return FiniteGroup(n, _freeze(table), _inverses(table), perms=perms,
+    return FiniteGroup(n, table, _inverses(table), perms=perms,
                        name=name or "permutation")
 
 
@@ -319,12 +331,12 @@ def from_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     n = n1 * n2
     if n > ELEMENT_CAP:
         raise ElementCapError("element", ELEMENT_CAP, n)
-    m1, m2 = np.array(g1.mult, dtype=np.intp), np.array(g2.mult, dtype=np.intp)
+    m1, m2 = g1.table, g2.table
     table = (m1[:, None, :, None] * n2 + m2[None, :, None, :]).reshape(n, n)
     inv = np.add.outer(np.array(g1.inv) * n2, np.array(g2.inv)).reshape(n)
     name = f"product:{g1.name or '?'}x{g2.name or '?'}"
     whole = g1.abelian and math.prod(g2.abelian) == n2
-    return FiniteGroup(n, _freeze(table), tuple(inv.tolist()), name=name,
+    return FiniteGroup(n, table, tuple(inv.tolist()), name=name,
                        abelian=g1.abelian + g2.abelian if whole else ())
 
 
@@ -359,10 +371,11 @@ def from_table(text: str, *, name: str = "table") -> FiniteGroup:
         except ValueError as exc:
             raise GroupValidationError(f"row {i} contains a non-integer entry") from exc
         rows.append(row)
-    mult = tuple(rows)
     # Entries are checked before inverses are looked for, so a table with an
-    # entry out of range reports that entry.
-    group = FiniteGroup(n, mult, _inverses(_checked_array(mult, n)), name=name)
+    # entry out of range reports that entry. np.array gives an object array
+    # when an entry does not fit in 64 bits.
+    table = _checked_array(np.array(rows), n)
+    group = FiniteGroup(n, table, _inverses(table), name=name)
     validate_axioms(group)
     return group
 

@@ -506,7 +506,7 @@ def large_set_expansion_check(
     p, q = eps.numerator, eps.denominator
 
     sets = _candidate_sets(n)
-    steps = np.array([graph.group.mult[s] for s in graph.gens], dtype=np.intp)
+    steps = graph.group.table[list(graph.gens)]
 
     def over_neighbors(op) -> np.ndarray:
         """op folded over the rows s v, s in S, for every vertex v."""

@@ -76,7 +76,7 @@ def normalized_adjacency(graph: CayleyGraph) -> np.ndarray:
     metric build T with it."""
     n, d = graph.n, graph.d
     counts = np.zeros((n, n), dtype=np.int64)
-    steps = [graph.group.mult[s] for s in graph.gens]   # steps[i][x] = s_i x
+    steps = graph.group.table[list(graph.gens)]   # steps[i, x] = s_i x
     np.add.at(counts, (np.tile(np.arange(n), d), np.ravel(steps)), 1)
     if np.any(counts.sum(axis=1) != d):
         raise AssertionError("row sum mismatch in adjacency counts")
@@ -391,10 +391,10 @@ def _character_eigenvalues(graph: CayleyGraph) -> list[float]:
 
     if size == graph.n:
         return sorted((sums(gens) / d).tolist())
-    r, mult = size, group.mult
-    conjugate = [mult[group.inv[r]][mult[a][r]] for a in range(size)]
+    r, mult = size, group.table
+    conjugate = mult[group.inv[r], mult[:size, r]].tolist()
     inside = [s for s in gens if s < size]
-    twisted = [mult[s][r] for s in gens if s >= size]
+    twisted = mult[[s for s in gens if s >= size], r].tolist()
     a = sums(inside)
     # c adds its terms in ascending element order, as a does (generators are
     # sorted). _cos_table is not bitwise even (at q = 64, entries 8, 24, 40
@@ -435,7 +435,7 @@ def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:
     _character_eigenvalues.
     """
     group, n, d = graph.group, graph.n, graph.d
-    table = np.array(group.mult, dtype=np.intp)
+    table = group.table
     elements = np.arange(n)
     # order[x] = the least e >= 1 with x^e = 1, for every x at once.
     order = np.zeros(n, dtype=np.intp)
@@ -445,9 +445,10 @@ def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:
         power, e = table[power, elements], e + 1
     g = int(np.argmax(order))
     size = int(order[g])
+    times_g = table[:, g].tolist()
     cyclic = [0]
     for _ in range(size - 1):
-        cyclic.append(group.mult[cyclic[-1]][g])
+        cyclic.append(times_g[cyclic[-1]])
     # Row x of coset is x g^e for e = 0..L-1; its least entry r is the
     # coset's representative, and x g^e = r means x = r g^(-e).
     coset = table[:, cyclic]

@@ -227,6 +227,11 @@ def numpy_eigs(matrix) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(np.asarray(matrix, dtype=float))]
 
 
+def _array(mult) -> np.ndarray:
+    """A table built entry by entry, in the form FiniteGroup stores it."""
+    return np.array(mult, dtype=np.intp)
+
+
 def naive_inverses(mult) -> tuple[int, ...]:
     """For each a, the first b with a*b = b*a = identity (index 0)."""
     n = len(mult)
@@ -244,7 +249,7 @@ def naive_inverses(mult) -> tuple[int, ...]:
 def naive_cyclic(n: int) -> FiniteGroup:
     """Z/n one table entry at a time: k is the residue k."""
     mult = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    return FiniteGroup(n, mult, tuple((-a) % n for a in range(n)))
+    return FiniteGroup(n, _array(mult), tuple((-a) % n for a in range(n)))
 
 
 def naive_dihedral(m: int) -> FiniteGroup:
@@ -263,7 +268,7 @@ def naive_dihedral(m: int) -> FiniteGroup:
             row.append(idx(a + c, e) if b == 0 else idx(a - c, 1 + e))
         rows.append(tuple(row))
     mult = tuple(rows)
-    return FiniteGroup(n, mult, naive_inverses(mult))
+    return FiniteGroup(n, _array(mult), naive_inverses(mult))
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -289,7 +294,7 @@ def naive_permutations(generators) -> FiniteGroup:
         tuple(index[_compose(perms[a], perms[b])] for b in range(n))
         for a in range(n)
     )
-    return FiniteGroup(n, mult, naive_inverses(mult), perms=tuple(perms))
+    return FiniteGroup(n, _array(mult), naive_inverses(mult), perms=tuple(perms))
 
 
 def naive_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -302,7 +307,7 @@ def naive_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         for x in range(n)
     )
     inv = tuple(g1.inv[x // n2] * n2 + g2.inv[x % n2] for x in range(n))
-    return FiniteGroup(n, mult, inv)
+    return FiniteGroup(n, _array(mult), inv)
 
 
 def brute_force_index2(group: FiniteGroup) -> list[tuple[int, ...]]:

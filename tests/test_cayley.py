@@ -254,3 +254,17 @@ def test_parse_generators_out_of_range():
 def test_parse_generators_empty():
     with pytest.raises(GeneratingSetError):
         parse_generators(from_cyclic(5), "  ")
+
+
+@pytest.mark.parametrize("group_spec,gens_spec", [
+    ("cyclic:256", "±1,±2"),
+    ("dihedral:128", "auto"),
+    ("product:cyclic:2xdihedral:64", "1,63,64,128"),
+])
+def test_masks_above_64_vertices_match_oracle(group_spec, gens_spec):
+    # The neighbour rows come from the numpy table; a numpy integer leaking
+    # into `1 << y` would wrap past bit 63 and drop or move a neighbour.
+    graph = build_graph(group_spec, gens_spec)
+    assert graph.n > 64
+    assert all(type(m) is int for m in graph.nbr_masks)
+    assert graph.nbr_masks == tuple(mask_of(row) for row in oracles.neighbor_rows(graph))

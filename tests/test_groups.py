@@ -2,6 +2,7 @@ import math
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,29 +86,34 @@ def test_family_groups_satisfy_axioms(member):
 
 
 def test_validate_axioms_rejects_broken_table():
-    group = FiniteGroup(order=2, mult=((0, 1), (1, 1)), inv=(0, 1))
+    group = FiniteGroup(order=2, table=_table((0, 1), (1, 1)), inv=(0, 1))
     with pytest.raises(GroupValidationError):
         validate_axioms(group)
 
 
-_Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+def _table(*rows, dtype=np.intp):
+    return np.array(rows, dtype=dtype)
+
+
+_Z3 = _table((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # Identity and two-sided inverses, but (1*1)*2 = 2 while 1*(1*2) = 1.
-_NONASSOCIATIVE = ((0, 1, 2), (1, 0, 0), (2, 0, 0))
+_NONASSOCIATIVE = _table((0, 1, 2), (1, 0, 0), (2, 0, 0))
 
 
 @pytest.mark.parametrize("group,message", [
-    (FiniteGroup(0, (), ()), "order must be positive, got 0"),
-    (FiniteGroup(2, ((0, 1), (1,)), (0, 1)), "multiplication table is not n x n"),
-    (FiniteGroup(2, ((0, 1),), (0, 1)), "multiplication table is not n x n"),
+    (FiniteGroup(0, np.empty((0, 0), dtype=np.intp), ()), "order must be positive, got 0"),
+    (FiniteGroup(2, _table(0, 1, 1, 0), (0, 1)), "multiplication table is not n x n"),
+    (FiniteGroup(2, _table((0, 1)), (0, 1)), "multiplication table is not n x n"),
     # The first entry outside 0..n-1 in row-major order, not column-major.
-    (FiniteGroup(3, ((0, 1, 2), (1, 2, 7), (-1, 0, 1)), (0, 2, 1)),
+    (FiniteGroup(3, _table((0, 1, 2), (1, 2, 7), (-1, 0, 1)), (0, 2, 1)),
      "table entry mult[1][2] = 7 outside 0..2"),
-    (FiniteGroup(2, ((0, 1), (1, 10**30)), (0, 1)),
+    # An entry too large for 64 bits keeps its value in an object array.
+    (FiniteGroup(2, _table((0, 1), (1, 10**30), dtype=object), (0, 1)),
      f"table entry mult[1][1] = {10**30} outside 0..1"),
     # Z/3 with its identity at index 1: element 0 must be the identity.
-    (FiniteGroup(3, ((2, 0, 1), (0, 1, 2), (1, 2, 0)), (2, 1, 0)),
+    (FiniteGroup(3, _table((2, 0, 1), (0, 1, 2), (1, 2, 0)), (2, 1, 0)),
      "index 0 does not act as identity on 0"),
-    (FiniteGroup(3, ((0, 1, 2), (1, 2, 0), (1, 0, 2)), (0, 2, 1)),
+    (FiniteGroup(3, _table((0, 1, 2), (1, 2, 0), (1, 0, 2)), (0, 2, 1)),
      "index 0 does not act as identity on 2"),
     (FiniteGroup(3, _Z3, (0, 2)), "inverse array has wrong length"),
     (FiniteGroup(3, _Z3, (0, 1, 1)), "inv[1] = 1 is not a two-sided inverse"),
@@ -330,11 +336,16 @@ def test_dihedral_associativity_samples(m, seed):
 
 
 def _assert_same_group(fast, ref):
-    """Same table, inverses and permutations as the reference, with every
+    """Same table, inverses and permutations as the reference. The table is
+    one read-only n x n np.intp array, and `mult` is that table with every
     entry a Python int: a numpy integer in `mult` would make `1 << mult[a][b]`
     wrap past bit 63."""
-    assert fast.order == ref.order
-    assert fast.mult == ref.mult
+    n = fast.order
+    assert n == ref.order
+    assert fast.table.dtype == np.intp and fast.table.shape == (n, n)
+    assert not fast.table.flags.writeable
+    assert np.array_equal(fast.table, ref.table)
+    assert fast.mult == ref.mult == tuple(map(tuple, fast.table.tolist()))
     assert fast.inv == ref.inv
     assert fast.perms == ref.perms
     assert all(type(v) is int for row in fast.mult for v in row)
@@ -393,3 +404,37 @@ def test_symmetric_matches_oracle(k):
 def test_permutation_group_matches_oracle(gens):
     gens = [tuple(g) for g in gens]
     _assert_same_group(from_permutations(gens), oracles.naive_permutations(gens))
+
+
+def _naive_symmetric(k):
+    return oracles.naive_permutations(cayleygap.groups._transpositions(k))
+
+
+@pytest.mark.parametrize("spec,naive", [
+    ("cyclic:12", lambda: oracles.naive_cyclic(12)),
+    ("dihedral:7", lambda: oracles.naive_dihedral(7)),
+    ("symmetric:4", lambda: _naive_symmetric(4)),
+    ("perm:(0 1 2 3 4);(0 1)", lambda: oracles.naive_permutations(
+        [parse_permutation("(0 1 2 3 4)"), parse_permutation("(0 1)", 5)])),
+    ("product:dihedral:5xcyclic:3", lambda: oracles.naive_direct_product(
+        oracles.naive_dihedral(5), oracles.naive_cyclic(3))),
+    ("product:cyclic:3xdihedral:5", lambda: oracles.naive_direct_product(
+        oracles.naive_cyclic(3), oracles.naive_dihedral(5))),
+])
+def test_spec_table_matches_oracle(spec, naive):
+    _assert_same_group(parse_group_spec(spec).build(), naive())
+
+
+def test_table_file_matches_oracle(tmp_path):
+    ref = oracles.naive_dihedral(6)
+    path = tmp_path / "d6.txt"
+    path.write_text("\n".join(["12"] + [" ".join(map(str, row)) for row in ref.mult]) + "\n")
+    _assert_same_group(parse_group_spec(f"table:{path}").build(), ref)
+
+
+def test_mult_is_frozen_on_first_read():
+    group = from_dihedral(5)
+    assert "mult" not in vars(group)
+    mult = group.mult
+    assert vars(group)["mult"] is mult and group.mult is mult
+    assert all(type(v) is int for row in mult for v in row)

@@ -421,3 +421,31 @@ def test_family_report_is_the_dense_report(member, monkeypatch):
             lambda graph: oracles.numpy_eigs(normalized_adjacency(graph)))
     dense = full_report(build_graph(member.group_spec, member.gens_spec))
     _same_but_floats(ours, report_json_dict(dense))
+
+
+_ABOVE_CAPS = [
+    ("dihedral:32", "auto"),
+    ("symmetric:5", "auto"),
+    ("dihedral:64", "auto"),
+    ("product:" + "x".join(["cyclic:2"] * 7), "64,32,16,8,4,2,1"),
+    ("cyclic:256", "±1,±2"),
+]
+
+
+@pytest.mark.parametrize("group_spec,gens_spec", _ABOVE_CAPS)
+def test_report_above_the_caps_leaves_mult_unbuilt(group_spec, gens_spec):
+    # Above the exact caps a report reads only the numpy table; the tuple
+    # table is built on first read of `mult`, so it must still be missing.
+    graph = build_graph(group_spec, gens_spec)
+    full_report(graph)
+    assert "mult" not in vars(graph.group)
+
+
+@pytest.mark.parametrize("group_spec,gens_spec", [
+    ("symmetric:6", "auto"),
+    ("product:cyclic:2xdihedral:256", "1,255,256,512"),
+])
+def test_spectrum_above_the_caps_leaves_mult_unbuilt(group_spec, gens_spec):
+    graph = build_graph(group_spec, gens_spec)
+    cayleygap.spectrum(graph)
+    assert "mult" not in vars(graph.group)

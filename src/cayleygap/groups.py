@@ -60,6 +60,12 @@ class FiniteGroup:
     def __post_init__(self) -> None:
         self.table.flags.writeable = False
 
+    def __reduce__(self):
+        # Unpickling calls the constructor, so __post_init__ makes the table
+        # read-only again, and `mult` is frozen on first read, not pickled.
+        return type(self), (self.order, self.table, self.inv, self.perms,
+                            self.name, self.abelian)
+
     @cached_property
     def mult(self) -> tuple[tuple[int, ...], ...]:
         """The table as tuples of Python ints (``tolist`` converts each
@@ -232,20 +238,21 @@ def from_permutations(
     """Closure of the given permutations under composition, by BFS from the identity.
 
     Element 0 is the identity permutation; discovery order fixes the indexing.
-    At most ELEMENT_CAP elements are generated. Each BFS level composes its
-    elements with all generators in numpy gathers of at most
-    ELEMENT_CAP // r heads each (r generators), so the cap is checked after
-    at most about ELEMENT_CAP products, and looks the products up by their
-    bytes in (element, generator) order, the order in which new elements
-    take their indices. The BFS records, for each generator g, the index of
-    g * perms[j] for every j, and for each element the parent and generator
-    that found it, so row a of the table is row parent(a) mapped through g's
-    column of indices.
+    One pass takes the elements in index order as heads, at most
+    ELEMENT_CAP // r of them (r generators) per numpy gather with every
+    generator, so the cap of ELEMENT_CAP elements is checked after at most
+    about ELEMENT_CAP products. The products are looked up by their bytes in
+    (head, generator) order, the order in which new elements take their
+    indices, and each new element records the head h and generator g that
+    found it. The table is then filled a row at a time: row a is row h mapped
+    through g's indices, whose entry j is the index of g * perms[j].
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
         raise GroupValidationError("at least one generator permutation is required")
     k = len(gens[0])
+    if k == 0:
+        raise GroupValidationError("generator permutations must act on at least one point")
     for g in gens:
         if len(g) != k:
             raise GroupValidationError("generator permutations act on different point sets")
@@ -255,51 +262,36 @@ def from_permutations(
     gen_rows = np.array(gens, dtype=np.intp)
     r = len(gens)
     as_bytes = np.dtype((np.void, k * gen_rows.itemsize))   # one key per permutation
-    levels = [np.arange(k, dtype=np.intp)[None]]
-    index = {levels[0].view(as_bytes).item(): 0}
+    keys = [np.arange(k, dtype=np.intp).tobytes()]          # keys[j]: the bytes of perms[j]
+    index = {keys[0]: 0}
     left: list[int] = []             # left[j * r + i] = index of g_i * perms[j]
-    parent, via = [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    origin = [(0, 0)]                # origin[a] = (h, i): element a is g_i * perms[h]
     per = max(1, ELEMENT_CAP // r)   # heads per gather
-    first_head = 0
-    while True:
-        heads = levels[-1]
-        # found: h * r + i for each new g_i * heads[h]; rows: those products.
-        found, rows = [], []
-        for lo in range(0, len(heads), per):
-            # g_i * head for every head of the block, in (head, generator) order.
-            block = heads[lo:lo + per]
-            products = np.ascontiguousarray(gen_rows[:, block].transpose(1, 0, 2)).reshape(-1, k)
-            fresh = []
-            for p, key in enumerate(products.view(as_bytes).ravel().tolist()):
+    lo = 0                           # the first head not yet composed
+    while lo < len(keys):
+        heads = np.frombuffer(b"".join(keys[lo:lo + per]), dtype=np.intp).reshape(-1, k)
+        # g_i * head for every head of the block, one row of r keys per head.
+        products = np.ascontiguousarray(gen_rows[:, heads].transpose(1, 0, 2))
+        for head, row in enumerate(products.view(as_bytes).reshape(-1, r).tolist(), lo):
+            for i, key in enumerate(row):
                 j = index.get(key)
                 if j is None:
-                    if len(index) >= ELEMENT_CAP:
-                        raise ElementCapError("element", ELEMENT_CAP, len(index) + 1)
-                    j = index[key] = len(index)
-                    fresh.append(p)
+                    if len(keys) >= ELEMENT_CAP:
+                        raise ElementCapError("element", ELEMENT_CAP, len(keys) + 1)
+                    j = index[key] = len(keys)
+                    keys.append(key)
+                    origin.append((head, i))
                 left.append(j)
-            rows.append(products[fresh])
-            found += [lo * r + p for p in fresh]
-        if not found:
-            break
-        at = np.array(found, dtype=np.intp)
-        levels.append(np.concatenate(rows))
-        parent.append(first_head + at // r)
-        via.append(at % r)
-        first_head += len(heads)
+        lo += len(heads)
 
-    n = len(index)
+    n = len(keys)
     gathers = np.array(left, dtype=np.intp).reshape(n, r).T
-    parent, via = np.concatenate(parent), np.concatenate(via)
     table = np.empty((n, n), dtype=np.intp)
     table[0] = np.arange(n)
-    lo = 1
-    for level in levels[1:]:
-        hi = lo + len(level)
-        table[lo:hi] = gathers[via[lo:hi, None], table[parent[lo:hi]]]
-        lo = hi
-    perms = tuple(map(tuple, np.concatenate(levels).tolist()))
-    return FiniteGroup(n, table, _inverses(table), perms=perms,
+    for a, (h, i) in enumerate(origin[1:], 1):
+        table[a] = gathers[i][table[h]]
+    perms = np.frombuffer(b"".join(keys), dtype=np.intp).reshape(n, k)
+    return FiniteGroup(n, table, _inverses(table), perms=tuple(map(tuple, perms.tolist())),
                        name=name or "permutation")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import tracemalloc
@@ -184,6 +185,53 @@ def test_element_cap_bounds_the_closure_memory():
     assert peak < 64 * 2**20
 
 
+def test_closure_cap_counts_across_blocks(monkeypatch):
+    # With a cap of 100 and 10 transpositions, a gather holds 10 heads, so
+    # the closure of S5 spans several blocks before the cap fires.
+    monkeypatch.setattr(cayleygap.groups, "ELEMENT_CAP", 100)
+    with pytest.raises(ElementCapError) as exc:
+        from_symmetric(5)
+    assert exc.value.reason == "cap:element=100,needed=101"
+
+
+# The sha256 of the table's bytes (little-endian int64) and repr(perms) pins
+# the BFS numbering at orders the naive oracle is too slow for.
+# symmetric:6 (r = 15, 666 heads per gather) spans several blocks.
+@pytest.mark.parametrize("spec,order,digest", [
+    ("symmetric:6", 720,
+     "61b6a207d1666bddc4a9998188a4315d5ef14f5aba234e664f65d9787ac8d216"),
+    ("perm:(0 1 2 3 4 5 6);(0 1 2)", 2520,
+     "6b77b3ae3f5e2523d395c2d9bc5bf4964a70de6475081b8bf21e36f162466d7a"),
+    ("perm:(0 1 2 3 4);(5 6 7)(0 1)", 360,
+     "f66e2098e31d2504488fa8df886e7ab05adc7e034e2630f27bade7f2e2d1d4dd"),
+    ("perm:(0 1 2 3 4 5 6 7);(0 2 4 6)(1 3)", 576,
+     "b5ad5ad0e28449e1e602ed71c83d967924d465729f43d1b32f49260a44f04378"),
+])
+def test_permutation_numbering_is_frozen(spec, order, digest):
+    g = parse_group_spec(spec).build()
+    assert g.order == order
+    data = g.table.astype("<i8").tobytes() + repr(g.perms).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_from_permutations_rejects_no_points():
+    with pytest.raises(GroupValidationError) as exc:
+        from_permutations([()])
+    assert str(exc.value) == "generator permutations must act on at least one point"
+
+
+def test_unpickled_group_is_read_only():
+    g = from_symmetric(3)
+    mult = g.mult
+    copy = pickle.loads(pickle.dumps(g))
+    assert not copy.table.flags.writeable
+    assert np.array_equal(copy.table, g.table)
+    assert "mult" not in vars(copy)
+    assert copy.mult == mult
+    assert (copy.order, copy.inv, copy.perms, copy.name, copy.abelian) == (
+        g.order, g.inv, g.perms, g.name, g.abelian)
+
+
 @pytest.mark.parametrize("cls", [CapExceededError, ElementCapError])
 def test_cap_errors_survive_pickling(cls):
     # A process pool sends a worker's exceptions back pickled.
@@ -233,6 +281,9 @@ SPEC_ERRORS = [
     ("cyclic:many", "auto", "cyclic parameter must be an integer: 'many'"),
     ("cyclic:1", "auto", "the trivial group has no generating set"),
     ("dihedral:5001", "auto", "element cap exceeded: problem size 10002 > limit 10000"),
+    # S8, 40 320 elements from two generators: the closure stops at the 10 001st.
+    ("perm:(0 1 2 3 4 5 6 7);(0 1)(2 3)", "auto",
+     "element cap exceeded: problem size 10001 > limit 10000"),
     ("symmetric:0", "auto", "symmetric parameter must be >= 1, got 0"),
     ("symmetric:1", "auto", "no default generators for symmetric:1"),
     ("symmetric:3", "(0 5)", "cycle uses point 5 but the group acts on 0..2"),

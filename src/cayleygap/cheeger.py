@@ -9,11 +9,17 @@ All three isoperimetric quantities are exact rationals:
 
 Witnesses are deterministic: the minimum (resp. first maximum) under the
 tie-break (ratio, |A|, bitmask value), so every result equals the naive
-all-subsets scan, value and witness both. The dual enumerator starts from a
-seed pair's ratio as a floor and prunes a subtree when no pair in it reaches
-the floor or beats the incumbent, or when no maximiser lies in it (some
-vertex whose neighbours are all placed could move or drop out and raise the
-ratio). The vertex, edge and S'-weighted searches share one witness rule:
+all-subsets scan, value and witness both. The dual enumerator takes the
+exact optimum as its floor: a dynamic program over a vertex order with a
+small front (Kinnersley 1992; Bodlaender 1996) gives it, and the search
+stops at the first pair that reaches it, the first maximiser; a pair above
+it, or none reaching it, raises AssertionError. It prunes a subtree when no
+pair in it reaches the floor, or when no maximiser lies in it (some vertex
+whose neighbours are all placed could move or drop out and raise the ratio).
+Where the DP's table, 3^width (n + 1) entries, exceeds its work budget
+_FRONT_STATES, the floor is a seed pair's ratio instead, and the search runs
+to the end, raising the floor at each better pair. The vertex, edge and
+S'-weighted searches share one witness rule:
 they first find (ratio, |A|), pruning every subtree that cannot lower it,
 and then search the sets of that size and ratio for the smallest bitmask.
 
@@ -90,6 +96,12 @@ _VERTEX_DIVE = 600
 _CROSSING_DIVE = 400
 _CHUNK = 32768
 _LAYOUT = 64
+# Work budget of the dual's front DP (_dual_optimum): it runs only when
+# 3^width (n + 1), width its order's largest front, is at most this, front 9
+# at n = 14. On a 2-vCPU x86 host, graphs of order 13-14 with front 9 took
+# 6-8 ms for DP and search against 24-42 ms without the DP; front 10 gained
+# little and took about 10 MiB more.
+_FRONT_STATES = 3**9 * 15
 
 
 class _OverBudget(Exception):
@@ -745,26 +757,119 @@ def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
 
 
+class _Accepted(Exception):
+    """Ends _dual_search at the first leaf that reaches the exact optimum."""
+
+
+def _front_order(nbrs: Sequence[int], n: int) -> tuple[list[int], int]:
+    """A vertex order from 0 with a small front, and its width.
+
+    The front of a placed set is its vertices with an unplaced neighbour;
+    the width is the largest front after any step. Each step places the
+    front's unplaced neighbour that leaves the smallest front, the lowest
+    one on ties (any unplaced vertex if the front has none).
+    """
+    order, placed, front, width = [0], 1, [0], 1
+    while len(order) < n:
+        # closing[v]: front vertices whose only unplaced neighbour is v.
+        reach, closing = 0, [0] * n
+        for u in front:
+            rest = nbrs[u] & ~placed
+            reach |= rest
+            if not rest & (rest - 1):
+                closing[rest.bit_length() - 1] += 1
+        v = min(mask_members(reach or ~placed & ((1 << n) - 1)),
+                key=lambda v: (bool(nbrs[v] & ~placed) - closing[v], v))
+        order.append(v)
+        placed |= 1 << v
+        front = [u for u in (*front, v) if nbrs[u] & ~placed]
+        width = max(width, len(front))
+    return order, width
+
+
+def _dual_optimum(masks: Sequence[int], n: int) -> tuple[int, int] | None:
+    """The dual optimum (cross*, m*), the largest e(V1, V2)/(|V1| + |V2|) and
+    its least m, by a DP along _front_order; None when 3^width (n + 1)
+    exceeds _FRONT_STATES.
+
+    The table best has one axis per slot and a last axis m = |V1| + |V2|:
+    best[l_0, ..., l_(slots-1), m] is the most crossings e(V1, V2) over the
+    labellings of the placed vertices with that m whose front vertices carry
+    the labels l_j (0, 1, 2 for V1, V2, V3) of their slots; a free slot has
+    one entry, and unreachable entries hold `never`. Placing v in V1 (V2)
+    adds its edges to the front vertices in V2 (V1) and 1 to m; a vertex
+    leaves the front, its slot maxed out and freed, once its neighbours are
+    all placed. Vertex 0 stays in V1, in slot 0 with one label: translation
+    and the V1/V2 swap give every pair a copy with the same ratio and 0 in
+    V1. Loops join no side's count.
+    """
+    nbrs = [masks[u] & ~(1 << u) for u in range(n)]
+    order, width = _front_order(nbrs, n)
+    if 3**width * (n + 1) > _FRONT_STATES:
+        return None
+    # Vertex 0's slot, and one for each other vertex of a front and v.
+    slots = width + 2
+    never = np.iinfo(np.int64).min // 2
+    best = np.full((1,) * slots + (n + 1,), never, dtype=np.int64)
+    best[(0,) * slots + (1,)] = 0
+    # ones[j][s]: 1 where the label in slot j is side s (0 = V1, 1 = V2).
+    eye = np.eye(3, dtype=np.int64)
+    ones = [[eye[s].reshape((1,) * j + (3,) + (1,) * (slots - j)) for s in range(2)]
+            for j in range(slots)]
+    slot, free, placed = {0: 0}, list(range(slots - 1, 0, -1)), 1
+    for v in order[1:]:
+        placed |= 1 << v
+        # gain[s]: v's crossings to the front when v joins side s; vertex 0
+        # is in V1.
+        gain = [0, nbrs[v] & 1]
+        for u, j in slot.items():
+            if u and nbrs[v] >> u & 1:
+                gain = [gain[0] + ones[j][1], gain[1] + ones[j][0]]
+        shifted = np.concatenate((np.full(best.shape[:-1] + (1,), never), best[..., :-1]), axis=-1)
+        slot[v] = j = free.pop()
+        best = np.concatenate((shifted + gain[0], shifted + gain[1], best), axis=j)
+        for u in [u for u in slot if not nbrs[u] & ~placed]:
+            j = slot.pop(u)
+            if u:
+                best = best.max(axis=j, keepdims=True)
+                free.append(j)
+    best = best.ravel()
+    cross, m = 0, 1
+    for k in range(2, n + 1):
+        if int(best[k]) * m > cross * k:
+            cross, m = int(best[k]), k
+    return cross, m
+
+
 def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]:
     """(cross, m, m1, m2, nodes): the first maximiser of cross/m over the
     pairs (V1, V2) with 0 in V1, in the order that assigns 0, 1, ..., n-1 to
-    V1, V2, V3 in turn; nodes counts the assign calls.
+    V1, V2, V3 in turn; nodes counts the assign calls, 1 + 3 per expanded
+    node (with the calls that the stop at the first maximiser skips).
 
     A crossing edge is counted when its later endpoint is assigned, so an
     unassigned vertex w adds at most low[w] = |N(w) ∩ {0..w-1}| crossings,
     and adds 1 to m = |V1| + |V2| if it joins V1 or V2.
 
-    Floor. The seed is the BFS-parity pair (subgroups._parity_pair), a
-    real pair on all n vertices, so its p/q = cross/n is at most the
-    optimum r* from the first node on. A completion of a node at vertex v
-    (cross crossings so far) reaches p/q only if
+    Floor. A completion of a node at vertex v (cross crossings so far)
+    reaches a ratio p/q only if
         cross·q - p·m + G[v] >= 0,   G[v] = sum over w >= v of max(0, low[w]·q - p)
-    (Dinkelbach's test for a ratio). Until the first leaf is accepted, a node
-    is pruned only when this fails, so every pair that reaches the floor, and
-    the first maximiser with them, survives; the first leaf that reaches it
+    (Dinkelbach's test for a ratio). The floor is the exact optimum
+    r* = cross*/m* of _dual_optimum where its front DP fits the work budget
+    _FRONT_STATES. The test keeps every pair that reaches r*, the
+    maximisers, and no other leaf passes it; the local rules below prune no
+    maximiser, so the first leaf that passes is the first maximiser, and the
+    search stops there. That leaf must reach r* exactly, and some leaf must
+    pass: otherwise the DP was wrong, and the search raises AssertionError
+    rather than return a wrong witness.
+    Above the budget the floor is the seed, the BFS-parity pair
+    (subgroups._parity_pair), a real pair on all n vertices, so its
+    p/q = cross/n is at most r* from the first node on. Until the first leaf
+    is accepted the test is as above; the first leaf that reaches the seed
     becomes the incumbent. From then on p/q is the incumbent, the test is
-    strict (> 0, a completion must beat it), and G is rebuilt on each
-    improvement. At v == n, G[n] = 0 and the test is the acceptance test.
+    strict (> 0, a completion must beat it), G is rebuilt on each
+    improvement, and the first maximiser is the leaf accepted last. At
+    v == n, G[n] = 0 and the test is the acceptance test.
     Bipartite graphs. 2·cross is the sum of c_u below over u in V1 ∪ V2,
     so 2·cross <= d·m <= d·n. If the seed reaches 2·cross = d·n, every
     vertex is placed with all d neighbours on the other side: the seed is a
@@ -786,17 +891,19 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     closes[k] holds the vertices u whose neighbours and u itself lie in
     0..k-1, so at depth k their c_u and s_u are fixed for every leaf below.
     A node at depth k is pruned if some u in closes[k] lies in V1 ∪ V2 with
-    s_u > c_u or c_u·q < p: then c_u < p/q <= r*, as p/q is the floor or
-    the incumbent, both reached by real pairs. No maximiser lies below such
-    a node, so the first maximiser is still the leaf the search accepts
-    last. (The rules need the floor: with the incumbent alone they prune
-    leaves that would have raised it early, and the search grows.)
+    s_u > c_u or c_u·q < p: then c_u < p/q <= r*, as p/q is r*, the seed
+    or the incumbent, all reached by real pairs. No maximiser lies below
+    such a node. (The rules need a floor: with the incumbent alone they
+    prune leaves that would have raised it early, and the search grows.)
     """
     d = masks[0].bit_count()
     p, best1, best2 = _parity_pair(masks)
     q = n
     if 2 * p == d * n:
         return p, q, best1, best2, 0
+    optimum = _dual_optimum(masks, n)
+    if optimum:
+        p, q = optimum
     low = [(masks[w] & ((1 << w) - 1)).bit_count() for w in range(n)]
     closes: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for u in range(n):
@@ -830,7 +937,11 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
                 if s > c or c * q < p:
                     return
         if v == n:
+            if optimum and cross * q != p * m:
+                raise AssertionError("a pair beats the front DP's dual optimum")
             p, q, best1, best2, tie = cross, m, m1, m2, 1
+            if optimum:
+                raise _Accepted
             gains = suffix_gains()
             return
         expanded += 1
@@ -840,5 +951,11 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
         assign(v + 1, m1, m2 | bit, m + 1, cross + (nm & m1).bit_count())
         assign(v + 1, m1, m2, m, cross)
 
-    assign(1, 1, 0, 1, 0)
+    try:
+        assign(1, 1, 0, 1, 0)
+    except _Accepted:
+        pass
+    else:
+        if optimum:
+            raise AssertionError("no pair reaches the front DP's dual optimum")
     return p, q, best1, best2, 1 + 3 * expanded

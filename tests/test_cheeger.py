@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -33,7 +34,9 @@ from cayleygap.cheeger import (
     _certified,
     _coset_union,
     _crossing_search,
+    _dual_optimum,
     _dual_search,
+    _front_order,
     _spectral_floor,
     _vertex_search,
 )
@@ -187,53 +190,69 @@ def test_frozen_dual_witness_pairs(key):
     assert (cert.value, cert.witness_pair) == DUAL_PAIRS[key]
 
 
-# assign calls of `_dual_search` on every DUAL_VALUES and DUAL_PAIRS graph
-# and two dense circulants, frozen so that a weaker floor or a lost
-# local-optimality rule fails a test rather than only costing time. The
-# counts are the same on every platform: the seed and the search use only
-# Python ints. A bipartite graph's seed is the answer, with no search.
+# (assign calls of `_dual_search`, width of `_front_order`) on every
+# DUAL_VALUES and DUAL_PAIRS graph and three dense circulants, frozen so that
+# a wrong floor, a lost local-optimality rule or a wider vertex order fails a
+# test rather than only costing time. The counts are the same on every
+# platform: the DP's int64 sums are exact and the search uses only Python
+# ints. A bipartite graph's seed is the answer, with no search. Within the
+# DP's work budget the search stops at its first accepted leaf; cyclic:14
+# ±1,±3,±5,±6 (width 11) is over it and runs from the seed's floor.
 DUAL_NODES = {
-    ("cyclic:3", "±1"): 13,
-    ("cyclic:4", "±1"): 0,
-    ("cyclic:5", "±1"): 40,
-    ("cyclic:6", "±1"): 0,
-    ("cyclic:7", "±1"): 79,
-    ("cyclic:8", "±1"): 0,
-    ("cyclic:9", "±1"): 130,
-    ("cyclic:4", "±1,±2"): 34,
-    ("cyclic:5", "±1,±2"): 112,
-    ("cyclic:6", "±1,±2"): 208,
-    ("cyclic:7", "±1,±2"): 331,
-    ("cyclic:8", "±1,±2"): 502,
-    ("dihedral:3", "auto"): 76,
-    ("dihedral:4", "auto"): 0,
-    ("symmetric:3", "auto"): 0,
-    ("product:cyclic:2xcyclic:2xcyclic:2", "4,2,1"): 0,
-    ("product:cyclic:2xcyclic:2xcyclic:2", "4,5,6,7"): 0,
-    ("product:cyclic:3xcyclic:3", "3,6,1,2"): 2161,
-    ("product:cyclic:2xcyclic:4", "4,1,3"): 0,
-    ("cyclic:11", "±1"): 193,
-    ("cyclic:12", "±1"): 0,
-    ("cyclic:13", "±1"): 268,
-    ("cyclic:14", "±1"): 0,
-    ("cyclic:11", "±1,±2"): 3061,
-    ("cyclic:12", "±1,±2"): 4339,
-    ("cyclic:13", "±1,±2"): 15151,
-    ("cyclic:14", "±1,±2"): 19603,
-    ("dihedral:6", "auto"): 0,
-    ("dihedral:7", "auto"): 4543,
-    ("cyclic:13", "±1,±5"): 34339,
-    ("cyclic:14", "±1,±2,7"): 74983,
+    ("cyclic:3", "±1"): (7, 2),
+    ("cyclic:4", "±1"): (0, 2),
+    ("cyclic:5", "±1"): (13, 2),
+    ("cyclic:6", "±1"): (0, 2),
+    ("cyclic:7", "±1"): (19, 2),
+    ("cyclic:8", "±1"): (0, 2),
+    ("cyclic:9", "±1"): (25, 2),
+    ("cyclic:4", "±1,±2"): (10, 3),
+    ("cyclic:5", "±1,±2"): (13, 4),
+    ("cyclic:6", "±1,±2"): (28, 4),
+    ("cyclic:7", "±1,±2"): (31, 4),
+    ("cyclic:8", "±1,±2"): (67, 4),
+    ("dihedral:3", "auto"): (16, 3),
+    ("dihedral:4", "auto"): (0, 4),
+    ("symmetric:3", "auto"): (0, 3),
+    ("product:cyclic:2xcyclic:2xcyclic:2", "4,2,1"): (0, 4),
+    ("product:cyclic:2xcyclic:2xcyclic:2", "4,5,6,7"): (0, 4),
+    ("product:cyclic:3xcyclic:3", "3,6,1,2"): (133, 5),
+    ("product:cyclic:2xcyclic:4", "4,1,3"): (0, 4),
+    ("cyclic:11", "±1"): (31, 2),
+    ("cyclic:12", "±1"): (0, 2),
+    ("cyclic:13", "±1"): (37, 2),
+    ("cyclic:14", "±1"): (0, 2),
+    ("cyclic:11", "±1,±2"): (136, 4),
+    ("cyclic:12", "±1,±2"): (481, 4),
+    ("cyclic:13", "±1,±2"): (82, 4),
+    ("cyclic:14", "±1,±2"): (481, 4),
+    ("dihedral:6", "auto"): (0, 4),
+    ("dihedral:7", "auto"): (133, 4),
+    ("cyclic:13", "±1,±5"): (1720, 7),
+    ("cyclic:14", "±1,±2,7"): (919, 8),
+    ("cyclic:14", "±1,±3,±5,±6"): (216193, 11),
 }
 
 
 @pytest.mark.parametrize("key", list(DUAL_NODES), ids=lambda k: f"{k[0]} {k[1]}")
 def test_frozen_dual_node_counts(key):
     graph = build_graph(*key)
-    assert _dual_search(graph.nbr_masks, graph.n)[4] == DUAL_NODES[key]
+    nodes = DUAL_NODES[key][0]
+    assert _dual_search(graph.nbr_masks, graph.n)[4] == nodes
     cert = dual_cheeger(graph)
     assert cert == oracles.reference_dual_search(graph)
-    assert (cert.value == 1) == (DUAL_NODES[key] == 0)
+    assert (cert.value == 1) == (nodes == 0)
+
+
+@pytest.mark.parametrize("key", list(DUAL_NODES), ids=lambda k: f"{k[0]} {k[1]}")
+def test_frozen_dual_front_widths(key):
+    graph = build_graph(*key)
+    nbrs = [graph.nbr_masks[u] & ~(1 << u) for u in range(graph.n)]
+    order, width = _front_order(nbrs, graph.n)
+    assert sorted(order) == list(range(graph.n)) and order[0] == 0
+    assert width == DUAL_NODES[key][1]
+    assert (_dual_optimum(graph.nbr_masks, graph.n) is None) == (
+        3**width * (graph.n + 1) > cayleygap.cheeger._FRONT_STATES)
 
 
 # (crossing, size, mask) of `_crossing_search` on the generating set with
@@ -371,11 +390,17 @@ _DUAL_GRAPHS = [
 ] + [(group, seed, loop, 2) for group, seed, loop in _MID_GRAPHS if group.order <= 14]
 
 
+def _drawn_graph(group, seed, loop, k):
+    """The Cayley graph of k elements drawn by the seed, with their inverses
+    and a loop if `loop` (families.random_generators)."""
+    draw = random.Random(seed).sample(range(1, group.order), k)
+    return build(group, families.random_generators(group, draw, loop))
+
+
 @pytest.mark.parametrize("group,seed,loop,k", _DUAL_GRAPHS,
                          ids=lambda v: str(v) if isinstance(v, (int, bool)) else v.name)
 def test_dual_engine_matches_reference_above_10(group, seed, loop, k):
-    draw = random.Random(seed).sample(range(1, group.order), k)
-    graph = build(group, families.random_generators(group, draw, loop))
+    graph = _drawn_graph(group, seed, loop, k)
     assert dual_cheeger(graph) == oracles.reference_dual_search(graph)
 
 
@@ -383,6 +408,33 @@ def test_dual_engine_matches_reference_above_10(group, seed, loop, k):
 def test_dual_engine_matches_reference_above_the_cap(n):
     graph = build_graph(f"cyclic:{n}", "±1,±2")
     assert dual_cheeger(graph, max_dual=16) == oracles.reference_dual_search(graph)
+
+
+# Graphs for the front DP's oracle test, on both sides of its work budget:
+# every family graph with n <= 14, the _DUAL_GRAPHS (fronts 2 to 10) and
+# cyclic:14 ±1,±3,±5,±6 (front 11).
+_FRONT_GRAPHS = (
+    [pytest.param(functools.partial(families.graph_of, m), id=m.name) for m in families.small(14)]
+    + [pytest.param(functools.partial(_drawn_graph, *case), id=f"{case[0].name} seed={case[1]}")
+       for case in _DUAL_GRAPHS]
+    + [pytest.param(functools.partial(build_graph, "cyclic:14", "±1,±3,±5,±6"),
+                    id="cyclic:14 ±1,±3,±5,±6")]
+)
+
+
+@pytest.mark.parametrize("make", _FRONT_GRAPHS)
+def test_dual_optimum_matches_oracles(make):
+    # The naive 3^n scan up to n = 9, the unpruned reference search above.
+    graph = make()
+    if graph.n <= 9:
+        value = oracles.naive_dual_cheeger(graph)[0]
+    else:
+        value = oracles.reference_dual_search(graph).value
+    optimum = _dual_optimum(graph.nbr_masks, graph.n)
+    if optimum is None:   # over the work budget: the search from the seed
+        assert dual_cheeger(graph).value == value
+    else:
+        assert Fraction(2 * optimum[0], graph.d * optimum[1]) == value
 
 
 @pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,

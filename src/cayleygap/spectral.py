@@ -13,34 +13,44 @@ Representations of Finite Groups", section 7); see _character_eigenvalues.
 That covers cyclic and abelian groups, dihedral groups, and products of a
 dihedral group with cyclic factors after it.
 
-Every other group (symmetric, ``perm:`` and ``table:`` groups, and products
-that record no abelian subgroup) takes them from the cyclic subgroup
-A = <g> of an element g of largest order L: each character of A gives a
-k x k Hermitian block, k = n/L (_coset_eigenvalues). The floor(L/2) + 1
-blocks go to the in-repo solver (Householder tridiagonalisation of the
-Hermitian blocks themselves, then Sturm-count bisection) in one batch. The
-solver's cost at these sizes is its Python steps, one per row per stage,
-so a batch of blocks takes about the steps of one block, where the blocks
-one by one take about those of the n x n matrix.
+When G is all of S_k (a group that records its permutations, of order k!
+on k points) and S is a union of conjugacy classes, as the transpositions
+of ``symmetric:k`` are, T acts on each irreducible representation of S_k
+by a rational scalar, which the Murnaghan-Nakayama rule gives in integers;
+each eigenvalue is that fraction correctly rounded (_class_eigenvalues).
+
+Every other group (symmetric groups with any other S, ``perm:`` and
+``table:`` groups, and products that record no abelian subgroup) takes
+them from the cyclic subgroup A = <g> of an element g of largest order L:
+each character of A gives a k x k Hermitian block, k = n/L
+(_coset_eigenvalues). The floor(L/2) + 1 blocks go to the in-repo solver
+(Householder tridiagonalisation of the Hermitian blocks themselves, then
+Sturm-count bisection) in one batch. The solver's cost at these sizes is
+its Python steps, one per row per stage, so a batch of blocks takes about
+the steps of one block, where the blocks one by one take about those of
+the n x n matrix.
 
 ``spectrum`` never builds T. The tests build it with
-``normalized_adjacency`` and compare both paths with numpy's ``eigvalsh``
-on it, an oracle that shares no code with this module. A Cayley graph's
+``normalized_adjacency`` and compare every path with numpy's ``eigvalsh``
+on it, an oracle that shares no code with this module; the exact path is
+also checked against closed-walk counts in integers. A Cayley graph's
 eigenvalues repeat (each irreducible representation rho gives dim rho
 copies of its own), so the bisection takes the Sturm counts once per
-distinct bracket, not once per eigenvalue. Both
-paths use only numpy elementwise arithmetic on float64 (a complex number
-is a pair of real arrays), sums along the last axis and ``sqrt``; no
-BLAS, LAPACK or libm transcendental is called (the cosines are Taylor
-series on an angle reduced exactly in integers), so results are bitwise
-reproducible, and no external solver is consulted outside the test suite.
+distinct bracket, not once per eigenvalue. The two float paths use only
+numpy elementwise arithmetic on float64 (a complex number is a pair of
+real arrays), sums along the last axis and ``sqrt``; no BLAS, LAPACK or
+libm transcendental is called (the cosines are Taylor series on an angle
+reduced exactly in integers), so results are bitwise reproducible, and no
+external solver is consulted outside the test suite.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -306,6 +316,8 @@ def spectrum(graph: CayleyGraph) -> SpectralSummary:
 def _summary(graph: CayleyGraph) -> SpectralSummary:
     if graph.group.abelian:
         values = _character_eigenvalues(graph)
+    elif (exact := _class_eigenvalues(graph)) is not None:
+        values = [x for t, mult in exact for x in [float(t)] * mult]
     else:
         values = _coset_eigenvalues(graph)
     # T is symmetric and stochastic, so its spectrum lies in [-1, 1] exactly;
@@ -412,6 +424,84 @@ def _character_eigenvalues(graph: CayleyGraph) -> list[float]:
     lower = np.minimum(np.arange(size), partner)
     values = np.concatenate(((mid - root)[lower], (mid + root)[lower])) / d
     return sorted(values.tolist())
+
+
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of a permutation, largest first."""
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        x, length = start, 0
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _partitions(k: int, most: int) -> list[tuple[int, ...]]:
+    """The partitions of k into parts of at most `most`, largest first."""
+    if k == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(k, most), 0, -1)
+            for rest in _partitions(k - first, first)]
+
+
+def _murnaghan_nakayama(beads: frozenset[int], mu: tuple[int, ...]) -> int:
+    """chi_lambda(mu) by the Murnaghan-Nakayama rule, lambda given by its
+    beta-set `beads`: removing a rim hook of length r moves a bead b to an
+    empty b - r, with the sign (-1)^(number of beads between them)."""
+    if not mu:
+        return 1
+    r, total = mu[0], 0
+    for b in beads:
+        if b >= r and b - r not in beads:
+            between = sum(b - r < c < b for c in beads)
+            total += (-1) ** between * _murnaghan_nakayama(beads - {b} | {b - r}, mu[1:])
+    return total
+
+
+@functools.cache
+def _character_table(k: int) -> tuple[dict, dict]:
+    """For each cycle type mu of S_k: its class size k!/z_mu, and the tuple
+    of chi_lambda(mu) over the partitions lambda of k. Computed once per k."""
+    partitions = _partitions(k, k)
+    # The beta-set of lambda with k beads: lambda_i + k - i, zero parts padded.
+    beads = [frozenset(part + k - i for i, part in enumerate(lam + (0,) * (k - len(lam)), 1))
+             for lam in partitions]
+    sizes, chars = {}, {}
+    for mu in partitions:
+        z = math.prod(i ** m * math.factorial(m) for i, m in Counter(mu).items())
+        sizes[mu] = math.factorial(k) // z
+        chars[mu] = tuple(_murnaghan_nakayama(b, mu) for b in beads)
+    return sizes, chars
+
+
+def _class_eigenvalues(graph: CayleyGraph) -> list[tuple[Fraction, int]] | None:
+    """The exact eigenvalues of T with their multiplicities, ascending, when
+    G is all of S_k and S is a union of conjugacy classes; else None.
+
+    Then sum_{s in S} rho(s) commutes with every rho(g), so T acts on each
+    irreducible lambda by the scalar t_lambda = sum_mu c_mu chi_lambda(mu) /
+    (d f_lambda), c_mu the number of elements of S of cycle type mu and
+    f_lambda = chi_lambda(1^k), with multiplicity f_lambda^2 (Diaconis and
+    Shahshahani, "Generating a random permutation with random
+    transpositions", 1981). S is a union of classes exactly when it holds
+    all k!/z_mu elements of each cycle type mu it meets.
+    """
+    perms = graph.group.perms
+    if perms is None:
+        return None
+    k = len(perms[0])
+    if graph.group.order != math.factorial(k):
+        return None
+    sizes, chars = _character_table(k)
+    counts = Counter(_cycle_type(perms[s]) for s in graph.gens)
+    if any(sizes[mu] != c for mu, c in counts.items()):
+        return None
+    dims = chars[(1,) * k]
+    return sorted((Fraction(sum(c * chars[mu][i] for mu, c in counts.items()), graph.d * f), f * f)
+                  for i, f in enumerate(dims))
 
 
 def _coset_eigenvalues(graph: CayleyGraph) -> list[float]:

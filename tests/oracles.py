@@ -227,6 +227,35 @@ def numpy_eigs(matrix) -> list[float]:
     return [float(x) for x in np.linalg.eigvalsh(np.asarray(matrix, dtype=float))]
 
 
+def closed_walk_counts(graph: CayleyGraph, longest: int) -> list[int]:
+    """W_j = #{(s_1, ..., s_j) in S^j : s_1 ... s_j = e} for j = 0..longest,
+    in Python ints, by pushing the number of walks from the identity to
+    each x one generator step at a time along the group table. Every vertex
+    of a Cayley graph starts W_j closed walks of length j, so the trace of
+    A^j, A = d T the count matrix, is n W_j."""
+    mult, n = graph.group.mult, graph.n
+    walks = [1] + [0] * (n - 1)
+    counts = [1]
+    for _ in range(longest):
+        step = [0] * n
+        for x, w in enumerate(walks):
+            if w:
+                for s in graph.gens:
+                    step[mult[s][x]] += w
+        walks = step
+        counts.append(walks[0])
+    return counts
+
+
+def is_conjugation_closed(group: FiniteGroup, elements) -> bool:
+    """Whether g s g^-1 lies in the set for every g in G and s in it, read
+    off the group table."""
+    mult, inv = group.mult, group.inv
+    members = set(elements)
+    return all(mult[mult[g][s]][inv[g]] in members
+               for g in range(group.order) for s in members)
+
+
 def _array(mult) -> np.ndarray:
     """A table built entry by entry, in the form FiniteGroup stores it."""
     return np.array(mult, dtype=np.intp)

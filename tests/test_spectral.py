@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -231,12 +232,21 @@ def test_symmetric_5_dense_bits_are_pinned():
     assert digest == "d582ad2cff1f41327c0122e01feed3c9858d07ffa7ad07133f26c994264760a8"
 
 
-def test_symmetric_5_spectrum_bits_are_pinned():
+def test_symmetric_5_spectrum_bits_are_pinned(monkeypatch):
     # The cyclic-subgroup blocks (L = 6, k = 20: four 20 x 20 Hermitian
-    # blocks, two of them complex) in one batch.
+    # blocks, two of them complex) in one batch, as spectrum reports them
+    # when the exact class path declines the graph.
+    monkeypatch.setattr(cayleygap.spectral, "_class_eigenvalues", lambda graph: None)
     t = spectrum(build_graph("symmetric:5", "auto")).t
     digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
     assert digest == "e2704eebfb2ff991215137a03dac06a1c18a95dc9b6477cde2e4bce54bbee307"
+
+
+def test_symmetric_5_class_spectrum_bits_are_pinned():
+    # The exact class path: each eigenvalue a correctly rounded fraction.
+    t = spectrum(build_graph("symmetric:5", "auto")).t
+    digest = hashlib.sha256("\n".join(x.hex() for x in t).encode()).hexdigest()
+    assert digest == "0f37c1841c316165a49263cc68f6ae15228ce9116a9b11dc1ed8512b64bb9d3c"
 
 
 @pytest.mark.parametrize(
@@ -440,25 +450,35 @@ def _forbid_dense(monkeypatch) -> None:
 
 
 def _assert_blocks_match_dense(graph) -> None:
+    # The blocks themselves, whichever path spectrum would take.
     assert graph.group.abelian == ()
-    _assert_matches_dense(graph)
+    blocks = cayleygap.spectral._coset_eigenvalues(graph)
+    assert _max_gap(blocks, oracles.numpy_eigs(normalized_adjacency(graph))) <= 1e-12
 
 
-@pytest.mark.parametrize("spec", [
-    "product:cyclic:2xdihedral:3",
-    "product:cyclic:2xsymmetric:3",
-    "symmetric:3",
-    "perm:(0 1 2 3)",
-])
-def test_other_groups_take_the_block_path(spec, monkeypatch):
-    group = parse_group_spec(spec).build()
-    assert group.abelian == ()
+def _record_blocks(monkeypatch) -> list[int]:
+    """A list that gains an entry each time spectrum takes the block path."""
     runs = []
     blocks = cayleygap.spectral._coset_eigenvalues
     monkeypatch.setattr(cayleygap.spectral, "_coset_eigenvalues",
                         lambda graph: runs.append(1) or blocks(graph))
+    return runs
+
+
+@pytest.mark.parametrize("spec,gens", [
+    pytest.param("product:cyclic:2xdihedral:3", None, id="product:cyclic:2xdihedral:3"),
+    pytest.param("product:cyclic:2xsymmetric:3", None, id="product:cyclic:2xsymmetric:3"),
+    # G minus the identity is a union of classes of S_3, which takes the
+    # exact class path; two transpositions, (0 1) and (0 2), are not.
+    pytest.param("symmetric:3", [1, 2], id="symmetric:3"),
+    pytest.param("perm:(0 1 2 3)", None, id="perm:(0 1 2 3)"),
+])
+def test_other_groups_take_the_block_path(spec, gens, monkeypatch):
+    group = parse_group_spec(spec).build()
+    assert group.abelian == ()
+    runs = _record_blocks(monkeypatch)
     _forbid_dense(monkeypatch)
-    spectrum(build(group, [x for x in range(1, group.order)]))
+    spectrum(build(group, gens or [x for x in range(1, group.order)]))
     assert runs == [1]
     spectrum(build_graph("product:cyclic:2xcyclic:3", "1,2,3"))
     spectrum(build_graph("dihedral:3", "auto"))
@@ -525,6 +545,103 @@ def test_mirrored_products_agree(monkeypatch):
     first = spectrum(build_graph("product:cyclic:2xdihedral:256", "1,255,256,512"))
     mirror = spectrum(build_graph("product:dihedral:256xcyclic:2", "2,510,512,1"))
     assert _max_gap(first.t, mirror.t) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Exact spectra when G is all of S_k and S is a union of conjugacy classes
+
+
+def _long_cycles(k: int) -> str:
+    """Every k-cycle of S_k, one class, in cycle notation."""
+    return ";".join("(0 " + " ".join(map(str, rest)) + ")"
+                    for rest in itertools.permutations(range(1, k)))
+
+
+def _transpositions(k: int) -> str:
+    """Every transposition of S_k, one class, in cycle notation."""
+    return ";".join(f"({i} {j})" for i, j in itertools.combinations(range(k), 2))
+
+
+_TRANSPOSITIONS_4 = _transpositions(4)
+_CLASS_UNIONS = [
+    *((f"symmetric:{k}", "auto") for k in range(2, 7)),
+    pytest.param("symmetric:3", "1,2,3,4,5", id="symmetric:3-all"),
+    pytest.param("symmetric:4", f"{_TRANSPOSITIONS_4};{_long_cycles(4)}",
+                 id="symmetric:4-transpositions,4-cycles"),
+    pytest.param("symmetric:4", f"{_TRANSPOSITIONS_4};e", id="symmetric:4-transpositions,e"),
+    pytest.param("symmetric:5", f"{_transpositions(5)};{_long_cycles(5)}",
+                 id="symmetric:5-transpositions,5-cycles"),
+    pytest.param("perm:(0 1 2 3);(0 1)", ",".join(map(str, range(1, 24))),
+                 id="perm:(0 1 2 3);(0 1)-all"),
+]
+_PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11)     # p(k), k = 0..6
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_character_table_is_orthonormal(k):
+    # Rows over the partitions lambda, largest first: (k) is the trivial
+    # character and 1^k the sign, (-1)^(k - parts of mu). Flipping the sign
+    # of every rim hook maps chi_lambda to +-chi_lambda', the same spectrum
+    # in another order, so only this test sees it.
+    sizes, chars = cayleygap.spectral._character_table(k)
+    assert len(sizes) == _PARTITION_COUNTS[k] and sum(sizes.values()) == math.factorial(k)
+    rows = list(zip(*chars.values()))
+    for i, row in enumerate(rows):
+        for j, other in enumerate(rows):
+            inner = sum(c * x * y for c, x, y in zip(sizes.values(), row, other))
+            assert inner == (math.factorial(k) if i == j else 0)
+    assert all(row[-1] > 0 for row in rows)         # chi_lambda(1^k) = f_lambda
+    assert rows[0] == (1,) * len(sizes)
+    assert rows[-1] == tuple((-1) ** (k - len(mu)) for mu in chars)
+
+
+@pytest.mark.parametrize("spec,gens", _CLASS_UNIONS)
+def test_class_spectrum_matches_closed_walk_counts(spec, gens):
+    # A = d T is left multiplication by sum S, which lies in the centre of
+    # the group algebra, of dimension p = p(k) (one basis element per
+    # class). So A has at most p distinct eigenvalues, as do the exact
+    # pairs; two such spectra whose moments agree for j = 0..2p-1 are
+    # equal, since the Vandermonde system on their at most 2p distinct
+    # values is nonsingular. The moments are n W_j, W_j counted in ints.
+    graph = build_graph(spec, gens)
+    n, d = graph.n, graph.d
+    assert oracles.is_conjugation_closed(graph.group, graph.gens)
+    pairs = cayleygap.spectral._class_eigenvalues(graph)
+    p = _PARTITION_COUNTS[len(graph.group.perms[0])]
+    assert len(pairs) <= p
+    walks = oracles.closed_walk_counts(graph, 2 * p - 1)
+    for j in range(2 * p):
+        assert sum(m * (d * t) ** j for t, m in pairs) == n * walks[j]
+    values = [float(t) for t, m in pairs for _ in range(m)]
+    assert list(spectrum(graph).t) == values
+    assert _max_gap(values, oracles.numpy_eigs(normalized_adjacency(graph))) <= 1e-12
+    assert _max_gap(values, cayleygap.spectral._coset_eigenvalues(graph)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,gens,exact", [
+    ("symmetric:2", "auto", True),
+    ("symmetric:4", "auto", True),
+    ("symmetric:6", "auto", True),
+    pytest.param("symmetric:4", f"{_TRANSPOSITIONS_4};{_long_cycles(4)}", True,
+                 id="symmetric:4-transpositions,4-cycles"),
+    pytest.param("perm:(0 1 2 3);(0 1)", _TRANSPOSITIONS_4, True,
+                 id="perm:(0 1 2 3);(0 1)-transpositions"),
+    pytest.param("symmetric:4", "(0 1);(1 2);(2 3)", False, id="symmetric:4-coxeter"),
+    pytest.param("symmetric:5", "(0 1);(1 2);(2 3);(3 4)", False, id="symmetric:5-coxeter"),
+    pytest.param("symmetric:4", f"{_TRANSPOSITIONS_4};(0 1 2 3);(0 3 2 1)", False,
+                 id="symmetric:4-transpositions,two-4-cycles"),
+    pytest.param("perm:(0 1 2 3)", "1,2,3", False, id="perm:(0 1 2 3)-order-4"),
+    pytest.param("product:cyclic:2xsymmetric:3", ",".join(map(str, range(1, 12))), False,
+                 id="product:cyclic:2xsymmetric:3-no-perms"),
+])
+def test_class_closed_s_on_all_of_s_k_takes_the_exact_path(spec, gens, exact, monkeypatch):
+    graph = build_graph(spec, gens)
+    assert oracles.is_conjugation_closed(graph.group, graph.gens) or not exact
+    runs = _record_blocks(monkeypatch)
+    _forbid_dense(monkeypatch)
+    spectrum(graph)
+    assert runs == ([] if exact else [1])
+    assert (cayleygap.spectral._class_eigenvalues(graph) is not None) == exact
 
 
 @pytest.mark.parametrize("spec,gens", [("symmetric:2", "auto"), *(

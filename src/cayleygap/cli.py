@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from fractions import Fraction
 
@@ -38,6 +37,7 @@ from .subgroups import index2_subgroups
 from .verify import (
     CSV_HEADER,
     _fraction_dict,
+    _json_text,
     build_graph,
     full_report,
     graph_dict,
@@ -346,6 +346,9 @@ def write_output(path: str, text: str) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code. JSON output is exactly
+    json.dumps(payload, indent=2) and a newline, from verify's direct
+    writer; CSV and text are the handler's lines."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -362,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = "\n".join(csv_lines if args.format == "csv" else text_lines) + "\n"
     if not args.out:

@@ -9,6 +9,10 @@ subgroup-extraction pipeline. Checks over a size cap are skipped with a
 machine-readable reason; checks vacuous for bipartite graphs are reported as
 not applicable rather than passing. Reports serialise to a versioned JSON
 schema and a fixed-column CSV, byte-identical across runs.
+
+JSON text is exactly what json.dumps(payload, indent=2) prints. With indent
+set the stdlib runs its pure-Python encoder, so _json_text writes the same
+bytes directly: a list of one scalar type (a spectrum, say) is one join.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cayley import CayleyGraph, _generator_elements, build
 from .cheeger import (
@@ -379,6 +384,60 @@ def report_json_dict(report: VerificationReport) -> dict:
     }
 
 
+# How json.dumps writes a scalar of exactly this type. float.__repr__ writes
+# nan, inf and -inf where json.dumps writes NaN, Infinity and -Infinity.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _non_finite(floats_text: str) -> str:
+    # No finite float's repr holds an "n".
+    if "n" in floats_text:
+        return floats_text.replace("nan", "NaN").replace("inf", "Infinity")
+    return floats_text
+
+
+def _json_text(value: object, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for an acyclic value.
+
+    Dicts with str keys, lists, tuples and scalars of the exact types in
+    _SCALAR_TEXT are written here; anything else (a non-str key, a subclass
+    such as np.float64, an unsupported type) goes to json.dumps, which
+    writes the same bytes or raises the same TypeError. newline is "\\n" and
+    the indent of the line that value starts on."""
+    kind = type(value)
+    write = _SCALAR_TEXT.get(kind)
+    if write is not None:
+        return _non_finite(write(value)) if kind is float else write(value)
+    inner = newline + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        body = f",{inner}".join([
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ])
+        return f"{{{inner}{body}{newline}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        only = kinds.pop() if len(kinds) == 1 else None
+        if (write := _SCALAR_TEXT.get(only)) is not None:
+            body = f",{inner}".join(map(write, value))
+            if only is float:
+                body = _non_finite(body)
+        else:
+            body = f",{inner}".join([_json_text(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
 def _format_fraction(value: Fraction | None) -> str:
     if value is None:
         return ""
@@ -546,7 +605,9 @@ def sweep_text_lines(items: list[SweepItem]) -> list[str]:
 
 
 def sweep_to_json(items: list[SweepItem]) -> str:
-    return json.dumps(sweep_json_dict(items), indent=2)
+    """The sweep as JSON text: json.dumps(sweep_json_dict(items), indent=2),
+    byte for byte, without its pure-Python encoder."""
+    return _json_text(sweep_json_dict(items))
 
 
 def sweep_to_csv(items: list[SweepItem]) -> str:

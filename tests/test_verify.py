@@ -2,12 +2,16 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cayleygap
 from cayleygap import (
@@ -24,10 +28,13 @@ from cayleygap.spectral import normalized_adjacency
 from cayleygap.verify import (
     CHECK_NAMES,
     CSV_HEADER,
+    SweepItem,
+    _json_text,
     parse_sweep_spec,
     report_csv_row,
     report_json_dict,
     report_text_lines,
+    sweep_json_dict,
 )
 
 import families
@@ -245,6 +252,91 @@ def test_json_deterministic():
     graph2 = build_graph("cyclic:5", "±1")
     first = json.dumps(report_json_dict(full_report(graph1)), indent=2)
     assert first == json.dumps(report_json_dict(full_report(graph2)), indent=2)
+
+
+# Characters that json.dumps escapes: quotes, backslashes, control
+# characters, non-ASCII (an astral one becomes a surrogate pair) and lone
+# surrogates.
+_TRICKY_CHARS = '"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\U0001f600\ud800\udfff'
+_JSON_STRINGS = st.text(st.characters() | st.sampled_from(_TRICKY_CHARS))
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**63) - 1, 10**300])
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e16, 5e-324])
+    | _JSON_STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        # Lists of one scalar type take the writer's single-join path.
+        | st.lists(st.floats(), max_size=4)
+        | st.lists(_JSON_STRINGS, max_size=4)
+        | st.dictionaries(_JSON_STRINGS, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [math.nan, math.inf, -math.inf],
+    {"t": [-0.0, 5e-324, 1e16], "x": math.nan},
+    [[], {}, (), [[{}]]],
+    {1: "a", "b": [1.5]},
+    {"outer": {2.5: None, True: [], False: {}, None: 7}},
+    [[{math.inf: 1, 1: {"x": ()}}]],
+    [np.float64(0.1), 0.2],
+    {"t": [np.float64(-0.0), np.float64(math.nan)]},
+    np.float64(1e16),
+], ids=["non-finite-list", "float-edges", "empty-containers", "int-key",
+        "float-bool-none-keys", "nested-keys", "np-float64-item",
+        "np-float64-list", "np-float64"])
+def test_json_text_cases_are_json_dumps(value):
+    # The last six take the fallback: non-str keys and float subclasses go
+    # to json.dumps, re-indented.
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, np.int64(3), object()],
+                         ids=["set", "np-int64", "object"])
+def test_json_text_raises_json_dumps_type_error(bad):
+    for value in (bad, {"a": [1.0, {"b": bad}]}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            _json_text(value)
+        assert str(got.value) == str(expected.value)
+
+
+_JSON_GOLDENS = sorted(
+    path for path in (Path(__file__).parent / "golden").glob("*-json.stdout")
+    if path.stat().st_size
+)
+
+
+@pytest.mark.parametrize("path", _JSON_GOLDENS, ids=[p.stem for p in _JSON_GOLDENS])
+def test_json_text_rewrites_every_golden(path):
+    # The commands end their JSON with a newline; the sweep script does not.
+    text = path.read_bytes().decode("utf-8")
+    assert _json_text(json.loads(text)) == text.removesuffix("\n")
+
+
+def test_json_text_of_the_family_sweep():
+    items = [SweepItem(spec=m.name, report=families.report_of(m))
+             for m in families.MEMBERS]
+    items.append(SweepItem(spec="florble:7", error="unknown family 'florble'"))
+    payload = sweep_json_dict(items)
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+    assert sweep_to_json(items) == json.dumps(payload, indent=2)
 
 
 def test_csv_row_shape():

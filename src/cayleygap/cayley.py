@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
 from .errors import GeneratingSetError, SpecParseError
 from .groups import FiniteGroup, closure, parse_permutation
@@ -91,6 +91,10 @@ class CayleyGraph:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def stored(self, key: object) -> Any:
+        """The value memo holds for key, or None: a lookup that computes nothing."""
+        return self._memo.get(key)
 
     @property
     def n(self) -> int:

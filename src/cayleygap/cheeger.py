@@ -38,11 +38,11 @@ set A of k vertices in a d-regular graph has
 |E(A, A^c)| >= d lambda_2 k (n - k)/n (Fiedler 1973; Alon and Milman 1985),
 where d lambda_2 is the second eigenvalue of dI - A (lambda_2 that of I - T);
 loops cancel in dI - A. The floor ceil((lambda_2 - TOL) d k (n - k)/n) is
-taken in exact rationals from the spectrum the caller passes to
-edge_cheeger (full_report passes the one it already holds); without one the
-search runs to the end. Its only float input, lambda_2, is lowered by
-spectral.TOL, which exceeds the solvers' error of about n eps. The proof's
-S'-weighted search takes no floor.
+taken in exact rationals from the spectrum that the graph's memo already
+holds (full_report computes it first); edge_cheeger computes none, and
+without one the search runs to the end. Its only float input, lambda_2, is
+lowered by spectral.TOL, which exceeds the solvers' error of about n eps.
+The proof's S'-weighted search takes no floor.
 
 The depth-first searches find their optimum early and spend most of their
 nodes proving it. So the vertex search's first pass and the crossing
@@ -72,8 +72,9 @@ import numpy as np
 
 from .cayley import CayleyGraph, mask_members
 from .errors import CapExceededError
-from .spectral import TOL, SpectralSummary
-from .subgroups import _parity_pair
+from .groups import FiniteGroup
+from .spectral import TOL
+from .subgroups import _graph_parity_pair
 
 MAX_EXACT_DEFAULT = 24
 MAX_DUAL_DEFAULT = 14
@@ -416,9 +417,7 @@ def _certified(floor: Sequence[int], num: int, size: int) -> bool:
     return True
 
 
-def _coset_union(
-    mult: Sequence[Sequence[int]], counts: dict[int, int],
-) -> tuple[int, int, int] | None:
+def _coset_union(group: FiniteGroup, counts: dict[int, int]) -> tuple[int, int, int] | None:
     """The (ratio, size)-least union of at most half the left cosets x<g> of
     one cyclic subgroup <g>, g != 0 in the multiset, as (crossing, size,
     mask); None when no <g> has 2 to 12 cosets.
@@ -430,8 +429,7 @@ def _coset_union(
     A conjugate y<g>y^-1 has the cosets x<g>y^-1, right translates of those
     of <g>, with the same crossings, so it is skipped like a repeated <g>.
     """
-    n = len(mult)
-    inv = [row.index(0) for row in mult]
+    n, mult, inv = group.order, group.mult, group.inv
     seen: set[frozenset[int]] = set()
     best = None
     for g in sorted(counts):
@@ -475,17 +473,16 @@ def _coset_union(
 
 
 def _crossing_search(
-    mult: Sequence[Sequence[int]], counts: dict[int, int],
-    floor: Sequence[int] | None = None,
+    group: FiniteGroup, counts: dict[int, int], floor: Sequence[int] | None = None,
 ) -> tuple[int, int, int, int]:
     """Minimise the weighted crossing count w(A, A^c)/|A| over
     1 <= |A| <= n//2 on a Cayley multigraph; returns (crossing, size, mask,
     nodes), nodes the extend calls of pass 1.
 
-    mult is the group table (n = len(mult)) and counts a symmetric multiset
-    {element: count}: u and g·u are joined by an edge of weight counts[g];
-    element 0, the identity, gives loops, which never cross. Unit counts on
-    S give the edge Cheeger count |E(A, A^c)|, and S·S the proof's count.
+    group has order n, and counts is a symmetric multiset {element: count}:
+    u and g·u are joined by an edge of weight counts[g]; element 0, the
+    identity, gives loops, which never cross. Unit counts on S give the edge
+    Cheeger count |E(A, A^c)|, and S·S the proof's count.
 
     Pass 1 finds the value (b*, k*), the least ratio and then the least size,
     over the rooted sets. Its first incumbent is the better of the rooted
@@ -533,7 +530,7 @@ def _crossing_search(
     symmetric:4 edge search with the transpositions, floored or not: it
     outruns the dive, and depth first it takes about twice as long.
     """
-    n = len(mult)
+    n, mult = group.order, group.mult
     kcap = n // 2
     # weight[u][y] = counts[g] for the one g with g·u = y; rows[u]: one
     # (count, mask of those y) layer per distinct count, in count order.
@@ -557,7 +554,7 @@ def _crossing_search(
     two = [sum(m for c, m in row if c > 1) for row in rows]
     above = [~((1 << u) - 1) for u in range(n + 1)]   # vertices u, u+1, ...
     best_num, best_size = deg[0], 1   # the rooted set {0}
-    union = _coset_union(mult, counts)
+    union = _coset_union(group, counts)
     if union and union[0] * best_size < best_num * union[1]:   # a tie keeps {0}
         best_num, best_size = union[:2]
     nodes = 0
@@ -704,25 +701,20 @@ def _vertex_certificate(graph: CayleyGraph) -> CheegerCertificate:
     return CheegerCertificate("vertex", Fraction(num, size), mask_members(mask))
 
 
-def edge_cheeger(
-    graph: CayleyGraph,
-    *,
-    max_exact: int = MAX_EXACT_DEFAULT,
-    summary: SpectralSummary | None = None,
-) -> CheegerCertificate:
+def edge_cheeger(graph: CayleyGraph, *, max_exact: int = MAX_EXACT_DEFAULT) -> CheegerCertificate:
     """Exact edge Cheeger constant with the smallest-mask witness.
 
-    summary, when given, must be spectrum(graph): the search then stops its
+    If the graph's memo already holds its spectrum, the search stops its
     first pass at the spectral floor. The result is the same either way.
     """
     _require_exact(graph.n, max_exact)
-    return graph.memo("edge_cheeger", lambda: _edge_certificate(graph, summary))
+    return graph.memo("edge_cheeger", lambda: _edge_certificate(graph))
 
 
-def _edge_certificate(graph: CayleyGraph, summary: SpectralSummary | None) -> CheegerCertificate:
+def _edge_certificate(graph: CayleyGraph) -> CheegerCertificate:
+    summary = graph.stored("spectrum")   # a lookup: computes no spectrum
     floor = None if summary is None else _spectral_floor(graph, summary.lambda2)
-    num, size, mask, _ = _crossing_search(
-        graph.group.mult, dict.fromkeys(graph.gens, 1), floor)
+    num, size, mask, _ = _crossing_search(graph.group, dict.fromkeys(graph.gens, 1), floor)
     return CheegerCertificate("edge", Fraction(num, graph.d * size), mask_members(mask))
 
 
@@ -751,7 +743,7 @@ def dual_cheeger(graph: CayleyGraph, *, max_dual: int = MAX_DUAL_DEFAULT) -> Che
 
 
 def _dual_certificate(graph: CayleyGraph) -> CheegerCertificate:
-    cross, m, m1, m2, _ = _dual_search(graph.nbr_masks, graph.n)
+    cross, m, m1, m2, _ = _dual_search(graph.nbr_masks, graph.n, _graph_parity_pair(graph))
     value = Fraction(2 * cross, graph.d * m)
     pair = (mask_members(m1), mask_members(m2))
     return CheegerCertificate("dual", value, pair[0], witness_pair=pair)
@@ -841,7 +833,9 @@ def _dual_optimum(masks: Sequence[int], n: int) -> tuple[int, int] | None:
     return cross, m
 
 
-def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]:
+def _dual_search(
+    masks: Sequence[int], n: int, seed: tuple[int, int, int],
+) -> tuple[int, int, int, int, int]:
     """(cross, m, m1, m2, nodes): the first maximiser of cross/m over the
     pairs (V1, V2) with 0 in V1, in the order that assigns 0, 1, ..., n-1 to
     V1, V2, V3 in turn; nodes counts the assign calls, 1 + 3 per expanded
@@ -862,8 +856,9 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     search stops there. That leaf must reach r* exactly, and some leaf must
     pass: otherwise the DP was wrong, and the search raises AssertionError
     rather than return a wrong witness.
-    Above the budget the floor is the seed, the BFS-parity pair
-    (subgroups._parity_pair), a real pair on all n vertices, so its
+    Above the budget the floor is the seed (cross, m1, m2), the BFS-parity
+    pair (subgroups._parity_pair, which the caller takes from the graph's
+    memo), a real pair on all n vertices, so its
     p/q = cross/n is at most r* from the first node on. Until the first leaf
     is accepted the test is as above; the first leaf that reaches the seed
     becomes the incumbent. From then on p/q is the incumbent, the test is
@@ -897,7 +892,7 @@ def _dual_search(masks: Sequence[int], n: int) -> tuple[int, int, int, int, int]
     prune leaves that would have raised it early, and the search grows.)
     """
     d = masks[0].bit_count()
-    p, best1, best2 = _parity_pair(masks)
+    p, best1, best2 = seed
     q = n
     if 2 * p == d * n:
         return p, q, best1, best2, 0

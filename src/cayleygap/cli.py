@@ -351,7 +351,13 @@ def main(argv: list[str] | None = None) -> int:
     writer; CSV and text are the handler's lines."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A sweep's specs may also follow its flags: argparse takes a "+"
+        # positional in one piece and leaves later items over.
+        args, rest = parser.parse_known_args(argv)
+        if args.command == "sweep" and not any(arg.startswith("-") for arg in rest):
+            args.specs += rest
+        elif rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # Create --out before the run, so an unwritable path fails at once; a

@@ -98,10 +98,16 @@ def is_bipartite_structural(graph: CayleyGraph) -> tuple[int, ...] | None:
     subgroup in element-tuple order.
     """
     def even_side() -> tuple[int, ...] | None:
-        cross, even, _ = _parity_pair(graph.nbr_masks)
+        cross, even, _ = _graph_parity_pair(graph)
         return mask_members(even) if 2 * cross == graph.d * graph.n else None
 
     return graph.memo("bipartite_structural", even_side)
+
+
+def _graph_parity_pair(graph: CayleyGraph) -> tuple[int, int, int]:
+    """_parity_pair of the graph, kept in its memo, so that
+    is_bipartite_structural and the dual search's seed share one walk."""
+    return graph.memo("parity_pair", lambda: _parity_pair(graph.nbr_masks))
 
 
 def _parity_pair(masks: Sequence[int]) -> tuple[int, int, int]:

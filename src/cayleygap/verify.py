@@ -120,7 +120,7 @@ def full_report(
     """
     group = graph.group
     n = graph.n
-    summary = spectrum(graph)
+    summary = spectrum(graph)   # first: the edge search reads it for its floor
 
     h: Fraction | None = None
     h_reason: str | None = None
@@ -129,7 +129,7 @@ def full_report(
     dual_reason: str | None = None
     try:
         h = vertex_cheeger(graph, max_exact=max_exact).value
-        edge_h = edge_cheeger(graph, max_exact=max_exact, summary=summary).value
+        edge_h = edge_cheeger(graph, max_exact=max_exact).value
     except CapExceededError as exc:
         h_reason = exc.reason
     except ValueError as exc:

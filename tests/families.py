@@ -67,9 +67,10 @@ def h_cert_of(member: FamilyMember):
 
 
 def edge_h_cert_of(member: FamilyMember):
-    # The spectrum is passed, as full_report does, so the family tests check
+    # The spectrum comes first, as in full_report, so the family tests check
     # the search that the spectral floor ends early.
-    return edge_cheeger(graph_of(member), summary=summary_of(member))
+    summary_of(member)
+    return edge_cheeger(graph_of(member))
 
 
 def dual_h_cert_of(member: FamilyMember):

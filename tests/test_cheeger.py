@@ -238,7 +238,7 @@ DUAL_NODES = {
 def test_frozen_dual_node_counts(key):
     graph = build_graph(*key)
     nodes = DUAL_NODES[key][0]
-    assert _dual_search(graph.nbr_masks, graph.n)[4] == nodes
+    assert _dual_search(graph.nbr_masks, graph.n, _parity_pair(graph.nbr_masks))[4] == nodes
     cert = dual_cheeger(graph)
     assert cert == oracles.reference_dual_search(graph)
     assert (cert.value == 1) == (nodes == 0)
@@ -277,10 +277,10 @@ def _unit_counts(graph):
 @pytest.mark.parametrize("key", list(CROSSING_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
 def test_frozen_crossing_minima(key):
     graph = build_graph(*key)
-    mult = graph.group.mult
+    group = graph.group
     assert (
-        _crossing_search(mult, _unit_counts(graph))[:3],
-        _crossing_search(mult, square_multiset(graph.gens, graph.group))[:3],
+        _crossing_search(group, _unit_counts(graph))[:3],
+        _crossing_search(group, square_multiset(graph.gens, group))[:3],
     ) == CROSSING_MINIMA[key]
 
 
@@ -303,10 +303,10 @@ CROSSING_NODES = {
 @pytest.mark.parametrize("key", list(CROSSING_NODES), ids=lambda k: f"{k[0]} {k[1]}")
 def test_frozen_crossing_node_counts(key):
     graph = build_graph(*key)
-    mult, unit = graph.group.mult, _unit_counts(graph)
+    group, unit = graph.group, _unit_counts(graph)
     floor = _spectral_floor(graph, spectrum(graph).lambda2)
-    runs = (_crossing_search(mult, unit, floor), _crossing_search(mult, unit),
-            _crossing_search(mult, square_multiset(graph.gens, graph.group)))
+    runs = (_crossing_search(group, unit, floor), _crossing_search(group, unit),
+            _crossing_search(group, square_multiset(graph.gens, group)))
     assert tuple(run[3] for run in runs) == CROSSING_NODES[key]
     assert (runs[0][:3], runs[2][:3]) == CROSSING_MINIMA[key]
 
@@ -451,7 +451,7 @@ def test_vertex_engine_matches_oracle_above_12(group, seed, loop):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(graph.group.mult, counts)[:3] == weighted
+    assert _crossing_search(graph.group, counts)[:3] == weighted
 
 
 @pytest.mark.parametrize("n", range(10, 15))
@@ -494,7 +494,7 @@ def test_bulk_engines_match_oracles(member, bulk):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(graph.group.mult, counts)[:3] == weighted
+    assert _crossing_search(graph.group, counts)[:3] == weighted
 
 
 @pytest.mark.parametrize("group,seed,loop", _MID_GRAPHS,
@@ -590,7 +590,7 @@ def test_rooted_searches_match_oracles(graph):
     assert (edge.value, edge.witness) == oracles.naive_edge_cheeger(graph)
     counts = square_multiset(graph.gens, graph.group)
     weighted = oracles.naive_weighted_edge_min(oracles.support_pairs(graph), n)
-    assert _crossing_search(graph.group.mult, counts)[:3] == weighted
+    assert _crossing_search(graph.group, counts)[:3] == weighted
     if n <= 9:   # the 3^n oracle takes 3.7 s at n = 12
         dual = dual_cheeger(graph)
         assert (dual.value, dual.witness_pair) == oracles.naive_dual_cheeger(graph)
@@ -628,7 +628,7 @@ def _assert_dual_witness_is_the_certificate(graph):
     dual = dual_cheeger(graph, max_dual=graph.n)
     assert dual.value == 1
     assert dual.witness_pair == (cert, rest)
-    assert _dual_search(graph.nbr_masks, graph.n)[4] == 0
+    assert _dual_search(graph.nbr_masks, graph.n, _parity_pair(graph.nbr_masks))[4] == 0
 
 
 @pytest.mark.parametrize("member", [m for m in families.MEMBERS if m.bipartite],
@@ -698,11 +698,12 @@ def _rows(mult, counts):
     return rows
 
 
-def _check_coset_union(mult, counts, least):
+def _check_coset_union(group, counts, least):
     """_coset_union gives None or a union of left cosets of one <g> (g in
     the multiset) of at most half the vertices, crossing what it says, with
     ratio at least that of least = (crossing, size) of the minimum."""
-    union = _coset_union(mult, counts)
+    union = _coset_union(group, counts)
+    mult = group.mult
     if union is None:
         return
     num, size, mask = union
@@ -719,8 +720,8 @@ def test_crossing_search_matches_oracle_on_weighted_rows(case):
     # The search's first incumbent, the best coset union, is checked too.
     group, counts = case
     least = oracles.naive_weighted_edge_min(_rows(group.mult, counts), group.order)
-    assert _crossing_search(group.mult, counts)[:3] == least
-    _check_coset_union(group.mult, counts, least[:2])
+    assert _crossing_search(group, counts)[:3] == least
+    _check_coset_union(group, counts, least[:2])
 
 
 @pytest.mark.parametrize("member", families.small(12), ids=lambda m: m.name)
@@ -740,8 +741,8 @@ def test_spectral_floor_holds_on_random_graphs(group, seed, loop):
     floor = _spectral_floor(graph, spectrum(graph).lambda2)
     assert len(floor) == n // 2 + 1
     assert all(f <= c for f, c in zip(floor, oracles.min_crossing_by_size(graph)))
-    mult, unit = graph.group.mult, _unit_counts(graph)
-    floored, plain = _crossing_search(mult, unit, floor), _crossing_search(mult, unit)
+    group, unit = graph.group, _unit_counts(graph)
+    floored, plain = _crossing_search(group, unit, floor), _crossing_search(group, unit)
     assert floored[:3] == plain[:3] and floored[3] <= plain[3]
 
 
@@ -782,10 +783,11 @@ def test_certification_rule():
 
 def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
     # On symmetric:4 auto the best union of cosets is the optimum 24/12, and
-    # the floor certifies it before pass 1's first node. Only a caller that
-    # passes the spectrum gets the floor; full_report passes its own, and
-    # edge_cheeger(g), which the cheeger command calls, proves 24/12 node by
-    # node. The proof's S'-weighted search has its own binding.
+    # the floor certifies it before pass 1's first node. The edge search gets
+    # the floor only when the graph's memo already holds the spectrum, as
+    # in full_report; edge_cheeger(g) on a fresh graph, as the cheeger
+    # command calls it, proves 24/12 node by node. The proof's S'-weighted
+    # search has its own binding.
     key = ("symmetric:4", "auto")
     num, size, mask = CROSSING_MINIMA[key][0]
     nodes = []
@@ -798,7 +800,7 @@ def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
 
     monkeypatch.setattr(cayleygap.cheeger, "_crossing_search", recorded)
     runs = ((lambda g: edge_cheeger(g), False),
-            (lambda g: edge_cheeger(g, summary=spectrum(g)), True),
+            (lambda g: (spectrum(g), edge_cheeger(g)), True),
             (full_report, True))
     for run, floored in runs:
         nodes.clear()
@@ -809,24 +811,36 @@ def test_spectral_floor_ends_the_edge_search_early(monkeypatch):
         assert (cert.value, cert.witness) == (Fraction(num, graph.d * size), mask_members(mask))
 
 
+def test_edge_cheeger_takes_no_spectrum():
+    # A spectrum passed in was trusted as the graph's own: on cyclic:12 ±1
+    # the complete graph's gave a floor that certified 1/2 instead of 1/6,
+    # and the memo kept it for full_report's vertex_edge_upper row.
+    graph = build_graph("cyclic:12", "±1")
+    other = spectrum(build_graph("cyclic:12", "±1,±2,±3,±4,±5,6"))
+    with pytest.raises(TypeError):
+        edge_cheeger(graph, summary=other)
+    assert edge_cheeger(graph).value == Fraction(1, 6)
+    assert full_report(graph).all_pass
+
+
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
 def test_coset_union_on_family_graphs(member):
     # The oracle up to n = 12; above it the search, which the oracles check.
     graph = families.graph_of(member)
-    mult, n = graph.group.mult, graph.n
-    for counts in (_unit_counts(graph), square_multiset(graph.gens, graph.group)):
+    group, n = graph.group, graph.n
+    for counts in (_unit_counts(graph), square_multiset(graph.gens, group)):
         if n <= 12:
-            least = oracles.naive_weighted_edge_min(_rows(mult, counts), n)
+            least = oracles.naive_weighted_edge_min(_rows(group.mult, counts), n)
         else:
-            least = _crossing_search(mult, counts)
-        _check_coset_union(mult, counts, least[:2])
+            least = _crossing_search(group, counts)
+        _check_coset_union(group, counts, least[:2])
 
 
 @pytest.mark.parametrize("gens,optimum", [("auto", (24, 12)), ("(0 1);(1 2);(2 3)", (6, 12))])
 def test_coset_union_is_the_edge_optimum_on_symmetric_4(gens, optimum):
     # optimum: (crossing, size) of the edge minimum in CROSSING_MINIMA.
     graph = build_graph("symmetric:4", gens)
-    assert _coset_union(graph.group.mult, _unit_counts(graph))[:2] == optimum
+    assert _coset_union(graph.group, _unit_counts(graph))[:2] == optimum
 
 
 @pytest.mark.parametrize("member", families.MEMBERS, ids=families.MEMBER_IDS)
@@ -933,7 +947,7 @@ def _without_coset_union(monkeypatch):
     """Starts the crossing search from {0} alone. The components of a
     _coset_graph are cosets of <step>, so the coset union is the answer and
     pass 1 would never reach the ties these tests are about."""
-    monkeypatch.setattr(cayleygap.cheeger, "_coset_union", lambda mult, counts: None)
+    monkeypatch.setattr(cayleygap.cheeger, "_coset_union", lambda group, counts: None)
 
 
 def test_zero_ratio_ties_keep_the_smallest_size(monkeypatch):
@@ -941,9 +955,9 @@ def test_zero_ratio_ties_keep_the_smallest_size(monkeypatch):
     # subtrees that only tie ratio 0 would return one of those.
     graph = _coset_graph(8, 4)
     assert _vertex_search(graph.nbr_masks, 8) == (0, 2, 0b10001)
-    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 2, 0b10001)
+    assert _crossing_search(graph.group, _unit_counts(graph))[:3] == (0, 2, 0b10001)
     _without_coset_union(monkeypatch)
-    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 2, 0b10001)
+    assert _crossing_search(graph.group, _unit_counts(graph))[:3] == (0, 2, 0b10001)
 
 
 # Four disjoint 5-cycles, the cosets of <4> in Z/20.
@@ -957,9 +971,9 @@ def test_ties_below_a_larger_tie_keep_the_smallest_size(monkeypatch):
     # subtree bounds only tie ratio 0: pruning on a tie would keep size 10.
     graph = _coset_graph(20, 4)
     assert _vertex_search(graph.nbr_masks, 20) == (0, 5, _CYCLE_MASK)
-    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 5, _CYCLE_MASK)
+    assert _crossing_search(graph.group, _unit_counts(graph))[:3] == (0, 5, _CYCLE_MASK)
     _without_coset_union(monkeypatch)
-    assert _crossing_search(graph.group.mult, _unit_counts(graph))[:3] == (0, 5, _CYCLE_MASK)
+    assert _crossing_search(graph.group, _unit_counts(graph))[:3] == (0, 5, _CYCLE_MASK)
     for cert in (vertex_cheeger(graph), edge_cheeger(graph)):
         assert (cert.value, cert.witness) == (0, _CYCLE)
 

@@ -323,6 +323,47 @@ def test_sweep_error_item(capsys):
     assert len(out.out.splitlines()) == 2   # header + the one good row
 
 
+def test_sweep_takes_specs_on_both_sides_of_its_flags(capsys):
+    # argparse takes the "+" positional in one piece; main appends the items
+    # it leaves over, in order.
+    def groups(text):
+        return [report["group"] for report in json.loads(text)["reports"]]
+
+    code = main(["sweep", "cyclic:5 gens=±1", "--format", "json", "cyclic:6 gens=±1"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    assert groups(out.out) == ["cyclic:5", "cyclic:6"]
+    assert main(["sweep", "cyclic:5 gens=±1", "cyclic:6 gens=±1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == out.out
+    assert main(["sweep", "--workers", "1", "cyclic:3", "--format", "json", "cyclic:4",
+                 "--zeta", "auto", "cyclic:5", "florble:9"]) == 2
+    out = capsys.readouterr()
+    assert groups(out.out) == ["cyclic:3", "cyclic:4", "cyclic:5", "florble:9"]
+    assert out.err == "error: florble:9: unknown group family 'florble'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "cyclic:5", "stray"],
+    ["spectrum", "--group", "cyclic:5", "--bogus"],
+    ["cheeger", "stray", "--group", "cyclic:5", "--bogus", "x"],
+    ["sweep", "cyclic:5", "--bogus", "x"],
+    ["sweep", "cyclic:5", "--format", "csv", "cyclic:6", "--bogus"],
+    ["--bogus", "sweep", "cyclic:5"],
+])
+def test_unrecognized_arguments_are_argparse_usage_error(capsys, argv):
+    # Anything a sweep cannot take as an item is one usage error, byte for
+    # byte the one parse_args prints.
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cayleygap.cli._build_parser.__wrapped__().parse_args(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == out
+    assert out.out == ""
+    assert out.err.startswith("usage: cayleygap ")
+    assert out.err.splitlines()[1].startswith("cayleygap: error: unrecognized arguments: ")
+
+
 def test_sweep_of_a_huge_range_is_one_error_line(capsys, monkeypatch):
     def no_build(*args):
         raise AssertionError("a member of the range was built")

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import cayleygap.cli
 from cayleygap.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -122,27 +123,37 @@ def test_script_output_matches_golden(name):
 
 @pytest.mark.parametrize("workers", ["0", "-3", "x"])
 def test_run_family_sweep_rejects_workers_below_one(workers, capsys):
-    """The script checks --workers as the CLI does, so a value that is not
-    an integer of at least 1 ends argument parsing with exit code 2."""
-    with pytest.raises(SystemExit) as exc:
-        script_main("run_family_sweep")(["--workers", workers])
-    assert exc.value.code == 2
-    assert (f"argument --workers: must be an integer >= 1, got {workers!r}"
-            in capsys.readouterr().err)
+    """The script is `cayleygap sweep`, so a --workers value that is not an
+    integer of at least 1 ends argument parsing with exit code 2."""
+    assert script_main("run_family_sweep")(["--workers", workers]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument --workers: must be an integer >= 1, got {workers!r}" in out.err
 
 
 def test_run_family_sweep_unwritable_out_is_one_error_line(tmp_path, monkeypatch):
-    entry = script_main("run_family_sweep")
     # --out is opened before the sweep, so the sweep must never start.
     def must_not_run(specs, **kwargs):
         raise AssertionError("the sweep started before --out was opened")
 
-    monkeypatch.setitem(entry.__globals__, "sweep", must_not_run)
+    monkeypatch.setattr(cayleygap.cli, "sweep", must_not_run)
     target = tmp_path / "missing" / "out.json"
-    stdout, stderr, code = run_case(["--format", "json", "--out", str(target)], entry)
+    stdout, stderr, code = run_case(["--format", "json", "--out", str(target)],
+                                    script_main("run_family_sweep"))
     assert code == 2
     assert stdout == ""
     assert stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_run_family_sweep_is_the_cli_sweep_of_its_specs():
+    # Items may follow the flags, and the output is the CLI's, byte for byte.
+    script = script_main("run_family_sweep")
+    argv = ["--format", "csv", "cyclic:17 gens=±1", "florble:9"]
+    stdout, stderr, code = run_case(argv, script)
+    assert (stdout, stderr, code) == run_case(
+        ["sweep", *script.__globals__["FAMILY_SPECS"], *argv])
+    assert (code, stderr) == (2, "error: florble:9: unknown group family 'florble'\n")
+    assert stdout.splitlines()[-1].startswith('"cyclic:17 gens=1,16"')
 
 
 def regenerate() -> None:

@@ -90,9 +90,9 @@ def test_cli_cheeger_computes_no_spectrum(engine_runs, capsys):
 
 def test_cli_verify_takes_the_parity_pass_once(monkeypatch, capsys):
     # Both full_report and the proof's candidate search ask a bipartite
-    # graph for its <S·S> certificate, which one breadth-first pass gives;
-    # the graph's memo keeps it. The dual search takes its seed from the
-    # same routine through cheeger's own binding, which is not counted here.
+    # graph for its <S·S> certificate, and the dual search takes its seed
+    # from the same breadth-first pass; the graph's memo keeps it. Every
+    # module's binding of the walk is counted.
     calls = []
     parity_pair = cayleygap.subgroups._parity_pair
 
@@ -100,9 +100,14 @@ def test_cli_verify_takes_the_parity_pass_once(monkeypatch, capsys):
         calls.append(len(masks))
         return parity_pair(masks)
 
-    monkeypatch.setattr(cayleygap.subgroups, "_parity_pair", counted)
-    assert main(["verify", "--group", "cyclic:8", "--gens", "±1"]) == 0
-    assert "structural = True" in capsys.readouterr().out
+    for module in (cayleygap.subgroups, cayleygap.cheeger, cayleygap.proof):
+        if hasattr(module, "_parity_pair"):
+            monkeypatch.setattr(module, "_parity_pair", counted)
+    assert main(["verify", "--group", "cyclic:8", "--gens", "±1",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bipartite"]["structural"] is True
+    assert payload["dual_h"] == {"num": 1, "den": 1}   # the dual search ran
     assert calls == [8]
 
 

@@ -143,7 +143,7 @@ WEIGHTED_MINIMA = {
 
 
 def _weighted_search(graph):
-    return _crossing_search(graph.group.mult, square_multiset(graph.gens, graph.group))[:3]
+    return _crossing_search(graph.group, square_multiset(graph.gens, graph.group))[:3]
 
 
 @pytest.mark.parametrize("key", sorted(WEIGHTED_MINIMA), ids=lambda k: f"{k[0]} {k[1]}")
